@@ -356,42 +356,20 @@ fn main() {
     let _ = std::fs::remove_dir_all(&fault_wal_dir);
 
     // The connection-scaling curve: open-loop PING latency at a fixed
-    // arrival rate per front end, with a growing pile of idle background
-    // connections. The admission cap is lifted so the curve isolates the
-    // serving core (thread-per-connection vs readiness loop), not the
-    // shed policy: pool workers are pinned by idle peers, the event loop
-    // is not.
+    // arrival rate, with a growing pile of idle background connections.
     // Each point runs the `loadgen` binary (built alongside this one) as a
     // subprocess rather than the library in-process: the 10k-idle point
     // needs ~10k fds on each side of the loopback, and splitting client
     // from server keeps both under a 20k `RLIMIT_NOFILE` hard cap even
     // where `CAP_SYS_RESOURCE` is unavailable to raise it.
-    let serving_points: Vec<(epfis_server::Frontend, usize)> = vec![
-        (epfis_server::Frontend::Pool, 0),
-        (epfis_server::Frontend::Pool, 1_000),
-        (epfis_server::Frontend::Evloop, 0),
-        (epfis_server::Frontend::Evloop, 1_000),
-        (epfis_server::Frontend::Evloop, 10_000),
-    ];
     let serving_rate = 2_000.0;
     let mut serving_results = Vec::new();
-    for (frontend, idle_conns) in serving_points {
-        let server = epfis_server::serve(epfis_server::ServerConfig {
-            frontend,
-            // Enough pool workers for every *active* connection, so the
-            // pool points degrade from idle-peer pinning alone, not from
-            // undersizing the pool relative to the generator.
-            workers: 32,
-            limits: epfis_server::LimitsConfig {
-                max_connections: 20_000,
-                ..epfis_server::LimitsConfig::default()
-            },
-            ..epfis_server::ServerConfig::default()
-        })
-        .expect("bind serving-curve server");
+    for idle_conns in [0, 1_000, 10_000] {
+        let server = epfis_server::serve(epfis_server::ServerConfig::default())
+            .expect("bind serving-curve server");
         let report = loadgen_subprocess(server.addr(), serving_rate, 1_000, 32, idle_conns);
         server.shutdown_and_join();
-        serving_results.push((frontend, idle_conns, report));
+        serving_results.push((idle_conns, report));
     }
 
     let mut json = String::from("{\n");
@@ -533,14 +511,15 @@ fn main() {
         single_conn_rate / baselines::PR9_TEXT_SINGLE_CONN_ESTIMATES_PER_SEC,
         multi_conn_rate / baselines::PR9_TEXT_MULTI_CONN_ESTIMATES_PER_SEC,
         binary_ingest_refs_per_sec / baselines::PR9_BINARY_INGEST_REFS_PER_SEC,
-        binary_single_conn_rate.max(binary_multi_conn_rate) / baselines::PR9_BINARY_ESTIMATES_PER_SEC
+        binary_single_conn_rate.max(binary_multi_conn_rate)
+            / baselines::PR9_BINARY_ESTIMATES_PER_SEC
     ));
     json.push_str("  },\n");
     json.push_str("  \"serving\": {\n");
     json.push_str(&format!(
         "    \"open_loop_rate_per_sec\": {serving_rate:.0},\n    \"points\": [\n"
     ));
-    for (i, (frontend, idle_conns, report)) in serving_results.iter().enumerate() {
+    for (i, (idle_conns, report)) in serving_results.iter().enumerate() {
         let comma = if i + 1 < serving_results.len() {
             ","
         } else {
@@ -550,14 +529,11 @@ fn main() {
             // The loadgen report is already one JSON object; annotate it
             // with the point's coordinates by splicing past its brace.
             Ok(line) => json.push_str(&format!(
-                "      {{\"frontend\": \"{}\", \"idle_conns\": {idle_conns}, {}{comma}\n",
-                frontend.as_str(),
+                "      {{\"idle_conns\": {idle_conns}, {}{comma}\n",
                 line.trim_start_matches('{')
             )),
             Err(e) => json.push_str(&format!(
-                "      {{\"frontend\": \"{}\", \"idle_conns\": {idle_conns}, \
-                 \"failed\": \"{e}\"}}{comma}\n",
-                frontend.as_str()
+                "      {{\"idle_conns\": {idle_conns}, \"failed\": \"{e}\"}}{comma}\n"
             )),
         }
     }
@@ -675,13 +651,9 @@ fn main() {
         );
     }
     // The event loop must serve its open-loop load error-free underneath
-    // 1k idle connections (the pool is *expected* to degrade there — its
-    // points are recorded, not asserted).
-    match serving_results
-        .iter()
-        .find(|(f, idle, _)| *f == epfis_server::Frontend::Evloop && *idle == 1_000)
-    {
-        Some((_, _, Ok(line)))
+    // 1k idle connections.
+    match serving_results.iter().find(|(idle, _)| *idle == 1_000) {
+        Some((_, Ok(line)))
             if json_u64(line, "errors") == Some(0)
                 && json_u64(line, "completed").is_some_and(|c| c > 0)
                 && json_u64(line, "completed") == json_u64(line, "sent") =>
@@ -692,7 +664,7 @@ fn main() {
                 json_u64(line, "p99_us").unwrap_or(0)
             );
         }
-        Some((_, _, report)) => {
+        Some((_, report)) => {
             failed = true;
             println!("baseline FAIL: evloop open-loop @1k idle: {report:?}");
         }

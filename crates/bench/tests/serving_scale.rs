@@ -1,6 +1,6 @@
-//! The PR 8 scale gate, runnable under a modest `RLIMIT_NOFILE` hard cap:
-//! the event-loop front end holds 10 000 idle connections while serving
-//! real estimate traffic.
+//! The scale gate, runnable under a modest `RLIMIT_NOFILE` hard cap: the
+//! event loop holds 10 000 idle connections while serving real estimate
+//! traffic.
 //!
 //! The idle pile lives in a `loadgen` subprocess, so server and client each
 //! need only ~10k file descriptors — together they would exceed a 20k hard
@@ -35,7 +35,6 @@ fn evloop_serves_estimates_under_a_10k_idle_pile() {
     }
 
     let server = epfis_server::serve(epfis_server::ServerConfig {
-        frontend: epfis_server::Frontend::Evloop,
         limits: epfis_server::LimitsConfig {
             max_connections: 20_000,
             ..epfis_server::LimitsConfig::default()

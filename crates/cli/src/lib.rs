@@ -124,8 +124,7 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
   bench     --trace FILE [--table-pages T] [--scans N] [--min-buffer B] [--seed S]
             (the paper's Section 5 experiment on a captured trace: random
              partial scans, aggregate error per algorithm per buffer size)
-  serve     [--addr HOST:PORT] [--catalog F] [--workers N] [--segments M]
-            [--frontend pool|evloop]
+  serve     [--addr HOST:PORT] [--catalog F] [--segments M]
             [--max-line-bytes B] [--max-pending-bytes B] [--idle-timeout-ms T]
             [--max-connections N] [--max-session-refs R]
             [--metrics-addr HOST:PORT] [--log-level L] [--log-format human|json]
@@ -133,12 +132,11 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
             [--wal-segment-bytes B] [--wal-checkpoint-refs R]
             [--drift-threshold T] [--slow-request-us U]
             (long-running estimation service; prints `listening on ADDR`,
-             stops on the SHUTDOWN protocol command; --frontend picks the
-             serving core: `pool` (default) runs a worker thread per active
-             connection, `evloop` serves every connection from one
-             readiness-driven thread and scales to tens of thousands of
-             idle connections — see docs/serving.md; the limit flags bound
-             what one client can cost the server — see docs/protocol.md,
+             stops on the SHUTDOWN protocol command; one readiness-driven
+             thread serves every connection and scales to tens of thousands
+             of idle connections, while PAGE and ANALYZE work runs on a few
+             ingest threads beside it — see docs/serving.md; the limit flags
+             bound what one client can cost the server — see docs/protocol.md,
              \"Limits & backpressure\". --metrics-addr adds an HTTP endpoint
              serving /metrics, /healthz, and /events and prints `metrics on
              ADDR`; --log-level trace|debug|info|warn|error|off enables
@@ -705,11 +703,6 @@ fn bench(cmd: &Command) -> Result<String, CliError> {
 fn serve(cmd: &Command) -> Result<String, CliError> {
     use std::io::Write as _;
     let addr: String = cmd.get_or("addr", "127.0.0.1:0".to_string())?;
-    let workers: usize = cmd.get_or("workers", 0)?;
-    let frontend = match cmd.get::<String>("frontend")? {
-        Some(raw) => epfis_server::Frontend::parse(&raw).map_err(err)?,
-        None => epfis_server::Frontend::default(),
-    };
     let segments: usize = cmd.get_or("segments", 6)?;
     if !(1..=64).contains(&segments) {
         return Err(err("--segments must be in [1, 64]"));
@@ -747,8 +740,6 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
     }
     let config = epfis_server::ServerConfig {
         addr,
-        workers,
-        frontend,
         catalog_path: cmd.get::<String>("catalog")?.map(Into::into),
         epfis_config: EpfisConfig::default().with_segments(segments),
         limits,

@@ -82,14 +82,6 @@ fn explain_runtime_errors_mirror_estimate() {
         String::from_utf8_lossy(&out.stderr).contains("unknown log level"),
         "{out:?}"
     );
-
-    // So is a bad serving front end.
-    let out = epfis(&["serve", "--addr", "127.0.0.1:0", "--frontend", "fibers"]);
-    assert_runtime_error(&out, "bad frontend");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("invalid frontend"),
-        "{out:?}"
-    );
 }
 
 #[test]

@@ -8,15 +8,18 @@
 //! * **accept** — drained to `EWOULDBLOCK` each time the listener fires;
 //!   every accepted socket is offered to the [`SessionFactory`], which may
 //!   decline it (admission shed) by consuming the stream.
-//! * **read** — drained to `EWOULDBLOCK`, with `EINTR` retried, feeding
-//!   [`Session::on_bytes`]. Reading *stops* while a connection's unflushed
-//!   output backlog exceeds the backpressure watermark, so a peer that
-//!   pipelines requests without reading responses stalls only itself.
+//! * **read** — until a short read or `EWOULDBLOCK`, with `EINTR` retried,
+//!   feeding [`Session::on_bytes`]. Reading *stops* while a connection's
+//!   unflushed output backlog exceeds the backpressure watermark, so a peer
+//!   that pipelines requests without reading responses stalls only itself.
+//! * **park** — a session that hands work to another thread reports
+//!   [`Session::wants_read`] `false`; the driver stops reading it (the peer
+//!   meets TCP backpressure) until the other thread calls [`Waker::wake`],
+//!   which gets every parked session an [`Session::on_writable`].
 //! * **write** — nonblocking with partial-write accounting; when the socket
 //!   would block, write interest is registered and the backlog kept. A
 //!   session that closed is removed the moment its backlog drains, or at a
-//!   bounded grace deadline if the peer never drains it — the event-loop
-//!   equivalent of the pool front end's write deadline.
+//!   bounded grace deadline if the peer never drains it.
 //! * **tick** — [`Session::on_tick`] fires on every slot at a fixed cadence
 //!   for idle-deadline enforcement.
 //!
@@ -26,6 +29,8 @@
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::io::ReadStep;
@@ -48,9 +53,10 @@ pub trait Session {
     /// `data` arrived from the peer. Append any responses to `out`.
     fn on_bytes(&mut self, data: &[u8], out: &mut Vec<u8>) -> Control;
 
-    /// The output backlog drained below the watermark; resume any work the
-    /// session deferred to bound `out` growth. Must be a no-op (and return
-    /// [`Control::Continue`]) when there is nothing deferred.
+    /// The output backlog drained below the watermark, or (for a parked
+    /// session) the [`Waker`] fired; resume any work the session deferred.
+    /// Must be a no-op (and return [`Control::Continue`]) when there is
+    /// nothing deferred.
     fn on_writable(&mut self, out: &mut Vec<u8>) -> Control {
         let _ = out;
         Control::Continue
@@ -65,6 +71,40 @@ pub trait Session {
     /// `n` bytes were actually written to the socket (for byte accounting).
     fn on_wrote(&mut self, n: usize) {
         let _ = n;
+    }
+
+    /// Whether the driver may read from the peer. A session returning
+    /// `false` is parked: it gets no [`Session::on_bytes`] until it wants
+    /// input again, which it is asked after each [`Waker::wake`].
+    fn wants_read(&self) -> bool {
+        true
+    }
+}
+
+/// Wakes a running [`Driver`] from another thread: a socketpair whose read
+/// end sits in the driver's poller.
+#[derive(Clone)]
+pub struct Waker(Arc<(UnixStream, UnixStream)>);
+
+impl Waker {
+    pub fn new() -> io::Result<Waker> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker(Arc::new((tx, rx))))
+    }
+
+    /// Makes the driver's current or next poll return and offer every
+    /// parked session [`Session::on_writable`].
+    pub fn wake(&self) {
+        // A full socket means a wake is already pending.
+        let _ = (&self.0 .0).write(&[1]);
+    }
+
+    /// Drains pending wakes, before the driver looks at parked sessions.
+    fn reset(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.0 .1).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -84,8 +124,14 @@ pub trait SessionFactory {
     fn closed(&mut self, session: Self::Session);
 
     /// Checked every loop iteration; `true` stops the driver after a final
-    /// flush pass.
+    /// flush pass (parked sessions get one last [`Session::on_writable`]
+    /// first).
     fn should_stop(&self) -> bool;
+
+    /// The waker for sessions that park; registered once at start-up.
+    fn waker(&self) -> Option<Waker> {
+        None
+    }
 }
 
 /// Tuning knobs for [`Driver::run`].
@@ -126,6 +172,8 @@ struct Slot<S> {
     interest: Interest,
     closing: bool,
     close_deadline: Option<Instant>,
+    /// Listed in [`Driver::parked`].
+    parked: bool,
 }
 
 enum FlushStep {
@@ -135,6 +183,7 @@ enum FlushStep {
 }
 
 const LISTENER_TOKEN: Token = Token(0);
+const WAKER_TOKEN: Token = Token(usize::MAX);
 
 /// The event loop. See the module docs for the contract.
 pub struct Driver<F: SessionFactory> {
@@ -145,6 +194,10 @@ pub struct Driver<F: SessionFactory> {
     slots: Vec<Option<Slot<F::Session>>>,
     free: Vec<usize>,
     read_buf: Vec<u8>,
+    waker: Option<Waker>,
+    /// Slots whose session stopped wanting input (may hold stale entries;
+    /// [`Slot::parked`] is authoritative).
+    parked: Vec<usize>,
 }
 
 impl<F: SessionFactory> Driver<F> {
@@ -158,6 +211,10 @@ impl<F: SessionFactory> Driver<F> {
             Poller::new()?
         };
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
+        let waker = factory.waker();
+        if let Some(w) = &waker {
+            poller.register(w.0 .1.as_raw_fd(), WAKER_TOKEN, Interest::READABLE)?;
+        }
         let mut driver = Driver {
             poller,
             listener,
@@ -166,6 +223,8 @@ impl<F: SessionFactory> Driver<F> {
             slots: Vec::new(),
             free: Vec::new(),
             read_buf: vec![0u8; config.read_chunk.max(1)],
+            waker,
+            parked: Vec::new(),
         };
         driver.serve()?;
         driver.shutdown_flush();
@@ -187,6 +246,8 @@ impl<F: SessionFactory> Driver<F> {
             for ev in &batch {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_ready();
+                } else if ev.token == WAKER_TOKEN {
+                    self.wake_parked();
                 } else {
                     let idx = ev.token.0 - 1;
                     if self.slots.get(idx).is_some_and(Option::is_some) {
@@ -241,6 +302,7 @@ impl<F: SessionFactory> Driver<F> {
                         interest,
                         closing: false,
                         close_deadline: None,
+                        parked: false,
                     });
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -255,7 +317,7 @@ impl<F: SessionFactory> Driver<F> {
     fn handle_readable(&mut self, idx: usize) {
         loop {
             let slot = self.slots[idx].as_mut().expect("live slot");
-            if slot.closing {
+            if slot.closing || !slot.session.wants_read() {
                 break;
             }
             if slot.out.len() - slot.written >= self.config.write_backlog_watermark {
@@ -266,6 +328,13 @@ impl<F: SessionFactory> Driver<F> {
                 ReadStep::Data(n) => {
                     if slot.session.on_bytes(&self.read_buf[..n], &mut slot.out) == Control::Close {
                         self.begin_close(idx);
+                        break;
+                    }
+                    if n < self.read_buf.len() {
+                        // A short read drained the socket: flush these
+                        // answers now rather than after an `EWOULDBLOCK`
+                        // read, or a client pipelining two batches gets the
+                        // first batch's answers only with the second's.
                         break;
                     }
                 }
@@ -293,20 +362,13 @@ impl<F: SessionFactory> Driver<F> {
                     self.remove(idx);
                     return;
                 }
-                FlushStep::Blocked => {
-                    self.set_interest(idx, Interest::BOTH);
-                    return;
-                }
+                FlushStep::Blocked => break,
                 FlushStep::Drained => {
                     let slot = self.slots[idx].as_mut().expect("live slot");
                     if slot.closing {
                         self.remove(idx);
                         return;
                     }
-                    if slot.interest.writable {
-                        self.set_interest(idx, Interest::READABLE);
-                    }
-                    let slot = self.slots[idx].as_mut().expect("live slot");
                     let before = slot.out.len();
                     let control = slot.session.on_writable(&mut slot.out);
                     let produced = slot.out.len() > before;
@@ -320,9 +382,42 @@ impl<F: SessionFactory> Driver<F> {
                         continue;
                     }
                     if !produced {
-                        return;
+                        break;
                     }
                 }
+            }
+        }
+        self.refresh(idx);
+    }
+
+    /// Derives the slot's poll interest from its state — readable while
+    /// the session wants input and the backlog is under the watermark,
+    /// writable while a backlog remains — and lists a newly parked slot.
+    fn refresh(&mut self, idx: usize) {
+        let slot = self.slots[idx].as_mut().expect("live slot");
+        let backlog = slot.out.len() - slot.written;
+        let wants_read = slot.session.wants_read();
+        if !wants_read && !slot.parked {
+            slot.parked = true;
+            self.parked.push(idx);
+        }
+        let interest = Interest {
+            readable: wants_read && !slot.closing && backlog < self.config.write_backlog_watermark,
+            writable: backlog > 0,
+        };
+        self.set_interest(idx, interest);
+    }
+
+    /// The waker fired: every parked session gets a [`Driver::pump`], which
+    /// offers it [`Session::on_writable`] once its backlog is flushed.
+    fn wake_parked(&mut self) {
+        if let Some(w) = &self.waker {
+            w.reset();
+        }
+        for idx in std::mem::take(&mut self.parked) {
+            if let Some(slot) = self.slots[idx].as_mut().filter(|s| s.parked) {
+                slot.parked = false;
+                self.pump(idx);
             }
         }
     }
@@ -362,14 +457,21 @@ impl<F: SessionFactory> Driver<F> {
         }
     }
 
+    /// An empty interest deregisters the socket: a parked connection with
+    /// nothing to write must not report (say) a hangup on every wait.
     fn set_interest(&mut self, idx: usize, interest: Interest) {
         let slot = self.slots[idx].as_mut().expect("live slot");
         if slot.interest == interest {
             return;
         }
-        let fd = slot.stream.as_raw_fd();
+        let (fd, token) = (slot.stream.as_raw_fd(), Token(idx + 1));
+        let was_registered = slot.interest.readable || slot.interest.writable;
         slot.interest = interest;
-        let _ = self.poller.modify(fd, Token(idx + 1), interest);
+        let _ = match (was_registered, interest.readable || interest.writable) {
+            (true, false) => self.poller.deregister(fd),
+            (false, true) => self.poller.register(fd, token, interest),
+            _ => self.poller.modify(fd, token, interest),
+        };
     }
 
     fn tick_all(&mut self, now: Instant) {
@@ -403,7 +505,10 @@ impl<F: SessionFactory> Driver<F> {
     /// close them all.
     fn shutdown_flush(&mut self) {
         for idx in 0..self.slots.len() {
-            if self.slots[idx].is_some() {
+            if let Some(slot) = self.slots[idx].as_mut() {
+                if slot.parked {
+                    let _ = slot.session.on_writable(&mut slot.out);
+                }
                 let _ = self.try_flush(idx);
                 self.remove(idx);
             }
@@ -416,7 +521,7 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write as IoWrite};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     /// Line-echo session: `QUIT` asks for a close, anything else echoes.
@@ -533,6 +638,105 @@ mod tests {
     #[test]
     fn echo_roundtrip_poll_backend() {
         echo_roundtrip(true);
+    }
+
+    /// Hands each line to a worker thread and parks until it answers.
+    struct Offload {
+        waker: Waker,
+        done: Arc<Mutex<Option<Vec<u8>>>>,
+        busy: bool,
+    }
+
+    impl Session for Offload {
+        fn on_bytes(&mut self, data: &[u8], _out: &mut Vec<u8>) -> Control {
+            assert!(!self.busy, "a parked session is not read from");
+            self.busy = true;
+            let (line, done, waker) = (data.to_vec(), Arc::clone(&self.done), self.waker.clone());
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                *done.lock().unwrap() = Some(line);
+                waker.wake();
+            });
+            Control::Continue
+        }
+
+        fn wants_read(&self) -> bool {
+            !self.busy
+        }
+
+        fn on_writable(&mut self, out: &mut Vec<u8>) -> Control {
+            if let Some(line) = self.done.lock().unwrap().take() {
+                out.extend_from_slice(b"done ");
+                out.extend_from_slice(&line);
+                self.busy = false;
+            }
+            Control::Continue
+        }
+    }
+
+    struct OffloadFactory {
+        waker: Waker,
+        stop: Arc<AtomicBool>,
+    }
+
+    impl SessionFactory for OffloadFactory {
+        type Session = Offload;
+        fn admit(&mut self, stream: TcpStream, _peer: SocketAddr) -> Option<(TcpStream, Offload)> {
+            let session = Offload {
+                waker: self.waker.clone(),
+                done: Arc::new(Mutex::new(None)),
+                busy: false,
+            };
+            Some((stream, session))
+        }
+        fn closed(&mut self, _session: Offload) {}
+        fn should_stop(&self) -> bool {
+            self.stop.load(Ordering::SeqCst)
+        }
+        fn waker(&self) -> Option<Waker> {
+            Some(self.waker.clone())
+        }
+    }
+
+    /// A session parked on another thread's work is not read from until
+    /// the waker fires, so pipelined lines are answered one job at a time
+    /// and in order, while other connections are served meanwhile.
+    #[test]
+    fn parked_sessions_resume_on_wake() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let factory = OffloadFactory {
+            waker: Waker::new().expect("waker"),
+            stop: Arc::clone(&stop),
+        };
+        let handle = std::thread::spawn(move || {
+            Driver::run(listener, factory, DriverConfig::default()).expect("driver");
+        });
+        let mut conns: Vec<_> = (0..2)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        for (i, c) in conns.iter_mut().enumerate() {
+            c.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+            c.write_all(format!("job {i}\n").as_bytes()).expect("write");
+        }
+        for (i, c) in conns.iter_mut().enumerate() {
+            let mut line = String::new();
+            BufReader::new(c.try_clone().expect("clone"))
+                .read_line(&mut line)
+                .expect("read");
+            assert_eq!(line, format!("done job {i}\n"));
+            c.write_all(b"again\n").expect("write");
+            line.clear();
+            BufReader::new(c.try_clone().expect("clone"))
+                .read_line(&mut line)
+                .expect("read");
+            assert_eq!(line, "done again\n");
+        }
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        handle.join().expect("driver thread");
     }
 
     /// A peer that stops reading must not wedge the loop: other clients

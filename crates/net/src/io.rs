@@ -1,21 +1,21 @@
 //! Shared classification of socket I/O results.
 //!
-//! Every front end used to pattern-match `io::Error` ad hoc, and two of the
+//! Serving loops used to pattern-match `io::Error` ad hoc, and two of the
 //! matches were wrong in the same way: `Err(_)` arms treated **any** error —
 //! including `EINTR`, which merely means "a signal arrived while the syscall
 //! was parked" — as the peer hanging up. [`ReadStep::classify`] is the one
-//! shared truth table, and [`read_step`] applies it to a `Read`.
+//! shared truth table.
 //!
 //! A subtlety worth recording: on Linux, a `read(2)`/`recv(2)` on a socket
-//! with a receive timeout (`SO_RCVTIMEO`, which the blocking front end sets
-//! for its poll interval) is *never* automatically restarted after a signal,
+//! with a receive timeout (`SO_RCVTIMEO`, which blocking clients set for a
+//! poll interval) is *never* automatically restarted after a signal,
 //! even when the handler was installed with `SA_RESTART` — see signal(7).
 //! So any process that both serves sockets and receives signals (SIGCHLD
 //! from a spawned subprocess is enough) will eventually observe a genuine
 //! `EINTR` on a healthy connection. The regression tests below provoke one
 //! deliberately with `pthread_kill`.
 
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 
 /// The outcome of one read attempt, classified for a serving loop.
 #[derive(Debug)]
@@ -45,20 +45,6 @@ impl ReadStep {
                 ErrorKind::WouldBlock | ErrorKind::TimedOut => ReadStep::Idle,
                 _ => ReadStep::Fatal(e),
             },
-        }
-    }
-}
-
-/// Read once from `stream` into `buf` and classify the result.
-///
-/// `Retry` is resolved internally (the read is reissued), so callers only
-/// ever see `Data`/`Eof`/`Idle`/`Fatal` — the four states a serving loop
-/// actually branches on.
-pub fn read_step<R: Read>(stream: &mut R, buf: &mut [u8]) -> ReadStep {
-    loop {
-        match ReadStep::classify(stream.read(buf)) {
-            ReadStep::Retry => continue,
-            step => return step,
         }
     }
 }
@@ -121,6 +107,7 @@ pub fn raise_nofile_limit(_want: u64) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
     fn classify_table() {
@@ -142,39 +129,6 @@ mod tests {
             ReadStep::classify(Err(io::Error::from(ErrorKind::ConnectionReset))),
             ReadStep::Fatal(_)
         ));
-    }
-
-    #[test]
-    fn read_step_resolves_retry_and_reads_data() {
-        struct FlakyReader {
-            interruptions_left: usize,
-            payload: &'static [u8],
-        }
-        impl Read for FlakyReader {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.interruptions_left > 0 {
-                    self.interruptions_left -= 1;
-                    return Err(io::Error::from(ErrorKind::Interrupted));
-                }
-                let n = self.payload.len().min(buf.len());
-                buf[..n].copy_from_slice(&self.payload[..n]);
-                self.payload = &self.payload[n..];
-                Ok(n)
-            }
-        }
-        let mut r = FlakyReader {
-            interruptions_left: 3,
-            payload: b"PING\n",
-        };
-        let mut buf = [0u8; 16];
-        match read_step(&mut r, &mut buf) {
-            ReadStep::Data(5) => assert_eq!(&buf[..5], b"PING\n"),
-            other => panic!("expected Data(5), got {other:?}"),
-        }
-        match read_step(&mut r, &mut buf) {
-            ReadStep::Eof => {}
-            other => panic!("expected Eof, got {other:?}"),
-        }
     }
 
     #[test]
@@ -226,9 +180,15 @@ mod tests {
             tid_tx.send(unsafe { pthread_self() }).unwrap();
             let mut buf = [0u8; 16];
             parked_tx.send(()).unwrap();
-            // read_step must absorb the EINTR and come back with the data
-            // that arrives afterwards.
-            match read_step(&mut server_side, &mut buf) {
+            // The classified read loop must absorb the EINTR and come back
+            // with the data that arrives afterwards.
+            let step = loop {
+                match ReadStep::classify(server_side.read(&mut buf)) {
+                    ReadStep::Retry => continue,
+                    step => break step,
+                }
+            };
+            match step {
                 ReadStep::Data(n) => buf[..n].to_vec(),
                 other => panic!("healthy connection misclassified as {other:?}"),
             }

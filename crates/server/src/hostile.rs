@@ -110,7 +110,7 @@ pub fn flood_without_newline<A: ToSocketAddrs>(
 }
 
 /// Writes one newline-less byte every `interval` for up to `max_duration`,
-/// like a slow-loris attack holding a worker hostage. Returns early the
+/// like a slow-loris attack holding a connection slot hostage. Returns early the
 /// moment the server gives up on the connection; a hardened server does so
 /// once `idle_timeout` passes without a completed request, since byte
 /// trickles do not reset its idle deadline.
@@ -159,7 +159,7 @@ pub fn slow_loris<A: ToSocketAddrs>(
 
 /// Opens `count` connections that send nothing at all; the caller decides
 /// how long to hold them (dropping the vec closes them). Against an
-/// unhardened server these pin one worker each forever.
+/// unhardened server these hold one connection slot each forever.
 pub fn hold_idle_connections<A: ToSocketAddrs>(
     addr: A,
     count: usize,
@@ -280,9 +280,8 @@ fn read_binary_error(stream: &mut TcpStream, timeout: Duration) -> (Option<Strin
 /// Pipelines `copies` repetitions of `request` (newline appended) and then
 /// **stops reading entirely** — the peer that provokes enough response
 /// bytes to fill every buffer between server and client and walks away.
-/// Before PR 8 this pinned a serving worker forever inside a blocking
-/// `write_all`; a hardened server abandons the flush at its write deadline
-/// and reclaims the worker (counted under `sessions_disconnected`).
+/// A hardened server abandons the flush at its write deadline and reclaims
+/// the connection (counted under `sessions_disconnected`).
 ///
 /// Detection is by write probe: the server's close, with response bytes
 /// still unread in our receive queue, resets the connection, which turns

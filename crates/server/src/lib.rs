@@ -6,13 +6,15 @@
 //! **Est-IO** runs at every query compilation and must be cheap. This crate
 //! turns that split into a long-running TCP service:
 //!
-//! * [`serve`] binds a listener and a worker pool; each connection speaks a
-//!   line protocol ([`protocol`]) with commands mirroring the `epfis` CLI —
-//!   `ESTIMATE`, `FPF`, `COMPARE`, `SHOW`, `STATS`.
+//! * [`serve`] binds a listener served by one event-loop thread; each
+//!   connection speaks a line protocol ([`protocol`]) with commands
+//!   mirroring the `epfis` CLI — `ESTIMATE`, `FPF`, `COMPARE`, `SHOW`,
+//!   `STATS`.
 //! * `ANALYZE BEGIN … PAGE … ANALYZE COMMIT` streams a statistics scan into
 //!   a per-connection [`IngestSession`] (incremental Mattson stack analysis,
-//!   bounded memory); the commit fits segments and atomically publishes a
-//!   versioned entry into the [`SharedCatalog`].
+//!   bounded memory) on ingest threads beside the loop; the commit fits
+//!   segments and atomically publishes a versioned entry into the
+//!   [`SharedCatalog`].
 //! * Reads take an `Arc` snapshot, so concurrent `ESTIMATE`s never block
 //!   behind an ingest; the catalog persists atomically (temp + fsync +
 //!   rename) and reloads on startup.
@@ -78,6 +80,6 @@ pub use ingest::{IngestSession, SessionCheckpoint};
 pub use metrics::{CommandStats, Metrics, Protocol};
 pub use protocol::{frame_busy, frame_err, frame_ok, parse_page_into, parse_request, Request};
 pub use retry::{ResilientClient, RetryPolicy};
-pub use server::{serve, Frontend, LimitsConfig, ServerConfig, ServerHandle};
+pub use server::{serve, LimitsConfig, ServerConfig, ServerHandle};
 pub use slowlog::{Phases, SlowEntry, SlowLog};
 pub use wal::{FsyncPolicy, ServerWal, WalConfig, WalRecord};

@@ -206,10 +206,6 @@ pub struct Metrics {
     requests_binary: Arc<Counter>,
     binary_upgrades: Arc<Counter>,
     degraded_entries: Arc<Counter>,
-    /// Response-flush time per output-buffer drain. Flushes serve whole
-    /// pipelined batches, not single requests, so this lives outside the
-    /// per-command stats under `command="ALL"`.
-    flush_latency: Arc<Histogram>,
 }
 
 /// Which wire format a request arrived on (`HELLO BINARY` upgrades a
@@ -301,11 +297,6 @@ impl Metrics {
                 "Transitions into degraded (read-only) mode after a durability failure",
                 &[],
             ),
-            flush_latency: registry.histogram(
-                PHASE_FAMILY,
-                PHASE_HELP,
-                &[("command", "ALL"), ("phase", "flush")],
-            ),
             registry,
         }
     }
@@ -352,11 +343,6 @@ impl Metrics {
             accs[2].flush_into(&stats.phase_execute);
             accs[3].flush_into(&stats.phase_wal);
         }
-    }
-
-    /// Records one response-buffer flush (`command="ALL"`, `phase="flush"`).
-    pub fn record_flush(&self, micros: u64) {
-        self.flush_latency.record(micros);
     }
 
     /// Stats for one command label, if registered.
@@ -651,7 +637,6 @@ mod tests {
         m.flush_phases(&mut batch);
         batch.add("PAGE", &phases);
         m.flush_phases(&mut batch);
-        m.record_flush(9);
         let text = m.registry().render_prometheus();
         for expect in [
             "epfis_server_phase_duration_us_count{command=\"ESTIMATE\",phase=\"queue\"} 1",
@@ -661,7 +646,6 @@ mod tests {
             "epfis_server_phase_duration_us_count{command=\"ESTIMATE\",phase=\"wal\"} 0",
             "epfis_server_phase_duration_us_count{command=\"PAGE\",phase=\"wal\"} 1",
             "epfis_server_phase_duration_us_sum{command=\"PAGE\",phase=\"wal\"} 70",
-            "epfis_server_phase_duration_us_count{command=\"ALL\",phase=\"flush\"} 1",
         ] {
             assert!(text.contains(expect), "missing {expect:?} in:\n{text}");
         }

@@ -1,73 +1,59 @@
-//! The TCP service: listener, front ends, request execution.
+//! The TCP service: listener, serving core, request execution.
 //!
 //! The paper's split — LRU-Fit once at statistics-collection time, Est-IO
 //! at every query compilation — maps onto a background ingestion path and a
-//! hot serving path. This module wires both onto one listener, behind a
-//! choice of two front ends ([`Frontend`]) sharing one protocol engine
-//! ([`crate::session::Conn`]):
+//! hot serving path. One `epfis-net` event-loop thread (`crate::evloop`)
+//! multiplexes every connection with epoll (poll(2) fallback) readiness, so
+//! tens of thousands of mostly-idle connections cost slots and buffers, not
+//! threads; each connection's protocol engine is a [`crate::session::Conn`].
+//! Requests that use a connection's `ANALYZE` session (`PAGE`, `ANALYZE
+//! ...`) run on a few ingest threads beside the loop, so a statistics scan
+//! or a whole-catalog commit never stalls another connection's estimate.
 //!
-//! * **pool** (the default): a fixed worker pool (sized from `epfis-par`'s
-//!   process-global thread budget unless overridden) pulls accepted
-//!   connections off a channel and serves each one with blocking reads and
-//!   deadline-aware partial writes — a peer that stops reading is
-//!   disconnected at the deadline instead of pinning the worker in
-//!   `write_all` forever,
-//! * **evloop**: a single `epfis-net` event-loop thread multiplexes every
-//!   connection with epoll (poll(2) fallback) readiness, so tens of
-//!   thousands of mostly-idle connections cost slots and buffers, not
-//!   threads.
-//!
-//! Either way, an `ANALYZE BEGIN` opens a per-connection [`IngestSession`];
+//! An `ANALYZE BEGIN` opens a per-connection [`IngestSession`];
 //! `ESTIMATE`/`FPF`/`COMPARE`/`SHOW` run against an `Arc` snapshot of the
 //! shared catalog, so they never block behind a concurrent commit; every
-//! request is timed into [`Metrics`], served back by `STATS`. The
-//! cross-validation tests prove both front ends answer byte-identically on
-//! both wire formats.
+//! request is timed into [`Metrics`], served back by `STATS`.
 //!
 //! Shutdown is cooperative: the `SHUTDOWN` command (or
-//! [`ServerHandle::shutdown`]) raises a flag, pokes the listener awake, and
-//! the front end drains. Worker reads use a short timeout (and the event
-//! loop a tick of the same length) so idle connections notice the flag
-//! promptly. Process signals (SIGTERM) are *not* caught — std offers no
-//! portable handler — but every catalog save is atomic, so killing the
-//! process at any instant leaves the last committed version intact on
-//! disk; that is exactly what the CI smoke test asserts.
+//! [`ServerHandle::shutdown`]) raises a flag and wakes the loop, which
+//! waits for in-flight ingest work, flushes, and stops. Process signals
+//! (SIGTERM) are *not* caught — std offers no portable handler — but every
+//! catalog save is atomic, so killing the process at any instant leaves the
+//! last committed version intact on disk; that is exactly what the CI smoke
+//! test asserts.
 
 use crate::accuracy::{AccuracyConfig, AccuracyTracker};
 use crate::catalog::SharedCatalog;
+use crate::evloop::IngestPool;
 use crate::ingest::IngestSession;
 use crate::metrics::Metrics;
 use crate::protocol::{frame_busy, Request};
-use crate::session::Conn;
 use crate::slowlog::SlowLog;
 use crate::wal::{ServerWal, WalConfig};
 use epfis::{EpfisConfig, ScanQuery};
 use epfis_estimators::{
     DcEstimator, MlEstimator, OtEstimator, PageFetchEstimator, ScanParams, SdEstimator,
 };
-use epfis_net::ReadStep;
 use epfis_obs::http::{HttpServer, Response};
 use epfis_obs::{Histogram, Level, Logger, Registry};
 use std::cell::Cell;
-use std::io::{Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How often an idle connection re-checks the shutdown flag and its idle
-/// deadline.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Slots in the slow-request ring (the newest entries win).
 const SLOWLOG_CAPACITY: usize = 128;
 
 thread_local! {
     /// Per-thread WAL-time accumulator for latency attribution. Requests
-    /// execute serially on whichever thread runs them (a pool worker or the
-    /// event loop), so a thread-local cell attributes WAL wall time to the
-    /// request currently being served with no shared state on the hot path.
+    /// execute serially on whichever thread runs them (the event loop or an
+    /// ingest thread), so a thread-local cell attributes WAL wall time to
+    /// the request currently being served with no shared state on the hot
+    /// path.
     static WAL_TIME_US: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -89,11 +75,10 @@ pub(crate) fn take_wal_time_us() -> u64 {
 ///
 /// Every limit exists because one misbehaving peer must not be able to
 /// grow server memory or starve other clients: `max_line_bytes` bounds how
-/// much a newline-less flood can buffer, `idle_timeout` reclaims workers
-/// from connections that stop sending complete requests (including
-/// slow-loris writers that trickle bytes but never finish a line),
-/// `max_connections` sheds admissions with `SERVER_BUSY` instead of
-/// queueing them behind a saturated worker pool, and `max_session_refs`
+/// much a newline-less flood can buffer, `idle_timeout` reclaims
+/// connections that stop sending complete requests (including slow-loris
+/// writers that trickle bytes but never finish a line), `max_connections`
+/// sheds admissions with `SERVER_BUSY`, and `max_session_refs`
 /// caps what a single `ANALYZE` session may accumulate. Violations answer
 /// in the `ERR limit ...` / `SERVER_BUSY` response family and are counted
 /// by [`Metrics::limit_rejections_total`] /
@@ -116,8 +101,8 @@ pub struct LimitsConfig {
     /// *complete* line, so trickling single bytes does not reset it.
     pub idle_timeout: Duration,
     /// Maximum concurrently admitted connections; a fresh connection beyond
-    /// this is answered `SERVER_BUSY` and closed immediately instead of
-    /// queueing forever behind busy workers (default 0 = 4 × workers).
+    /// this is answered `SERVER_BUSY` and closed immediately (default
+    /// [`DEFAULT_MAX_CONNECTIONS`]; 0 also means the default).
     pub max_connections: usize,
     /// Maximum references one `ANALYZE` session may accumulate; a `PAGE`
     /// batch that would exceed it answers `ERR limit session-refs ...` and
@@ -131,7 +116,7 @@ impl Default for LimitsConfig {
             max_line_bytes: 1 << 20,
             max_pending_bytes: 2 << 20,
             idle_timeout: Duration::from_secs(300),
-            max_connections: 0,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
             max_session_refs: 100_000_000,
         }
     }
@@ -149,72 +134,17 @@ impl LimitsConfig {
         }
         Ok(())
     }
-
-    /// Resolved admission cap: the explicit setting, else four connections
-    /// per worker (so short-lived clients can queue briefly, but a pile-up
-    /// is shed rather than growing without bound).
-    pub fn effective_max_connections(&self, workers: usize) -> usize {
-        if self.max_connections > 0 {
-            self.max_connections
-        } else {
-            workers.saturating_mul(4).max(1)
-        }
-    }
 }
 
-/// Which serving core handles connections (`epfis serve --frontend`).
-///
-/// Both front ends run the same protocol engine ([`crate::session::Conn`])
-/// and the same [`LimitsConfig`] semantics; they differ only in how
-/// connections map onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// Thread-per-connection worker pool: blocking reads with a poll
-    /// timeout, deadline-aware partial writes. Concurrency is bounded by
-    /// the admission cap (default 4 × workers).
-    #[default]
-    Pool,
-    /// Single-threaded `epfis-net` event loop: nonblocking readiness-driven
-    /// multiplexing (epoll, with a poll(2) fallback). Sustains tens of
-    /// thousands of concurrent connections; the admission cap defaults to
-    /// [`EVLOOP_DEFAULT_MAX_CONNECTIONS`].
-    Evloop,
-}
-
-impl Frontend {
-    /// Parse a `--frontend` value.
-    pub fn parse(s: &str) -> Result<Frontend, String> {
-        match s {
-            "pool" => Ok(Frontend::Pool),
-            "evloop" => Ok(Frontend::Evloop),
-            other => Err(format!(
-                "invalid frontend {other:?} (expected \"pool\" or \"evloop\")"
-            )),
-        }
-    }
-
-    /// The `--frontend` spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Frontend::Pool => "pool",
-            Frontend::Evloop => "evloop",
-        }
-    }
-}
-
-/// Admission cap for the event-loop front end when
-/// [`LimitsConfig::max_connections`] is 0: connections are cheap there, so
-/// the default is sized for "every client stays connected", not for a
-/// worker pool's queue depth.
-pub const EVLOOP_DEFAULT_MAX_CONNECTIONS: usize = 65_536;
+/// Default admission cap: connections cost a slot, not a thread, so it is
+/// sized for "every client stays connected".
+pub const DEFAULT_MAX_CONNECTIONS: usize = 65_536;
 
 /// Server construction options.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads; 0 derives `max(4, epfis_par::threads())`.
-    pub workers: usize,
     /// Catalog persistence path; `None` serves from memory only.
     pub catalog_path: Option<PathBuf>,
     /// Default LRU-Fit configuration for `ANALYZE` sessions.
@@ -230,8 +160,6 @@ pub struct ServerConfig {
     /// Write-ahead logging for `ANALYZE` sessions; `None` keeps in-flight
     /// sessions memory-only (a disconnect or crash discards them).
     pub wal: Option<WalConfig>,
-    /// Which serving core handles connections (default: the worker pool).
-    pub frontend: Frontend,
     /// Filesystem for the durability paths (catalog persist + WAL);
     /// `None` uses the real filesystem. `epfis serve` wires a
     /// fault-injecting VFS here from the `EPFIS_FAULTS` environment hook
@@ -249,30 +177,15 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 0,
             catalog_path: None,
             epfis_config: EpfisConfig::default(),
             limits: LimitsConfig::default(),
             metrics_addr: None,
             logger: None,
             wal: None,
-            frontend: Frontend::default(),
             vfs: None,
             accuracy: AccuracyConfig::default(),
             slow_request_us: 100_000,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Resolved worker count: the explicit setting, else the `epfis-par`
-    /// budget with a floor of 4 so several clients can stay connected even
-    /// on small machines.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            epfis_par::threads().max(4)
         }
     }
 }
@@ -331,9 +244,7 @@ pub(crate) struct Shared {
     /// Connections admitted (accepted and not shed) and not yet finished;
     /// compared against the admission cap at accept/admission time.
     pub(crate) admitted: AtomicUsize,
-    /// Resolved admission cap ([`LimitsConfig::effective_max_connections`]
-    /// for the pool; [`EVLOOP_DEFAULT_MAX_CONNECTIONS`] default for the
-    /// event loop).
+    /// Resolved admission cap.
     pub(crate) max_connections: usize,
     /// Durable-ingestion state when the server runs with a WAL; replayed
     /// before the listener binds.
@@ -347,6 +258,8 @@ pub(crate) struct Shared {
     pub(crate) accuracy_err_hist: Arc<Histogram>,
     /// Slow-request ring, shared with the `/slowlog` handler.
     pub(crate) slowlog: Arc<SlowLog>,
+    /// Runs session requests beside the event loop.
+    pub(crate) ingest: IngestPool,
     pub(crate) started: Instant,
     addr: SocketAddr,
 }
@@ -392,27 +305,14 @@ impl Shared {
 
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Poke the (blocking) accept loop awake so it observes the flag.
-        // The listener may be bound to an unspecified address
-        // (0.0.0.0 / ::), which is not connectable on every platform, so
-        // aim the poke at the loopback address on the same port.
-        let mut poke = self.addr;
-        if poke.ip().is_unspecified() {
-            poke.set_ip(if poke.is_ipv4() {
-                IpAddr::V4(Ipv4Addr::LOCALHOST)
-            } else {
-                IpAddr::V6(Ipv6Addr::LOCALHOST)
-            });
-        }
-        let _ = TcpStream::connect_timeout(&poke, Duration::from_millis(500));
+        self.ingest.waker.wake();
     }
 }
 
 /// A running server: its address plus the handles needed to stop it.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    evloop: Option<std::thread::JoinHandle<()>>,
     /// The HTTP observability endpoint, when configured; stops on drop.
     metrics_http: Option<HttpServer>,
 }
@@ -429,7 +329,7 @@ impl ServerHandle {
         self.metrics_http.as_ref().map(|h| h.addr())
     }
 
-    /// Raises the shutdown flag and wakes the accept loop. Does not wait.
+    /// Raises the shutdown flag and wakes the event loop. Does not wait.
     pub fn shutdown(&self) {
         self.shared.request_shutdown();
     }
@@ -451,10 +351,7 @@ impl ServerHandle {
     }
 
     fn join_threads(&mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
+        if let Some(t) = self.evloop.take() {
             let _ = t.join();
         }
         if let Some(mut http) = self.metrics_http.take() {
@@ -472,7 +369,7 @@ impl Drop for ServerHandle {
 
 /// Binds and starts a server.
 ///
-/// Returns once the listener is bound and the worker pool is running; the
+/// Returns once the listener is bound and the event loop is running; the
 /// returned handle stops the server on drop.
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     config
@@ -509,7 +406,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         }
         None => None,
     };
-    let workers_n = config.effective_workers();
     let metrics = Metrics::new(Request::LABELS);
     let started = Instant::now();
     // Render-time gauges for values owned elsewhere: uptime and the
@@ -618,17 +514,9 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         )?),
         None => None,
     };
-    let max_connections = match config.frontend {
-        Frontend::Pool => config.limits.effective_max_connections(workers_n),
-        // Event-loop connections cost a slot, not a worker: the pool's
-        // queue-depth-derived default would be absurdly low.
-        Frontend::Evloop => {
-            if config.limits.max_connections > 0 {
-                config.limits.max_connections
-            } else {
-                EVLOOP_DEFAULT_MAX_CONNECTIONS
-            }
-        }
+    let max_connections = match config.limits.max_connections {
+        0 => DEFAULT_MAX_CONNECTIONS,
+        n => n,
     };
     let shared = Arc::new(Shared {
         catalog,
@@ -644,6 +532,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         accuracy,
         accuracy_err_hist,
         slowlog,
+        ingest: IngestPool::start(epfis_net::Waker::new()?),
         started,
         addr,
     });
@@ -651,87 +540,18 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .logger
         .event(Level::Info, "server", "started")
         .field("addr", addr.to_string())
-        .field("frontend", config.frontend.as_str())
-        .field("workers", workers_n as u64)
         .field("catalog_entries", shared.catalog.snapshot().len() as u64)
         .emit();
-
-    if config.frontend == Frontend::Evloop {
-        let evloop = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("epfis-evloop".to_string())
-                .spawn(move || crate::evloop::run(listener, shared))
-                .expect("spawn event-loop thread")
-        };
-        return Ok(ServerHandle {
-            shared,
-            accept: Some(evloop),
-            workers: Vec::new(),
-            metrics_http,
-        });
-    }
-
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<_> = (0..workers_n)
-        .map(|i| {
-            let rx = rx.clone();
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("epfis-worker-{i}"))
-                .spawn(move || loop {
-                    let stream = {
-                        let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.recv()
-                    };
-                    match stream {
-                        Ok(s) => {
-                            handle_connection(s, &shared);
-                            shared.admitted.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        Err(_) => return, // channel closed: accept loop ended
-                    }
-                })
-                .expect("spawn worker thread")
-        })
-        .collect();
-
-    let accept = {
+    let evloop = {
         let shared = shared.clone();
         std::thread::Builder::new()
-            .name("epfis-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(s) = stream {
-                        // Admission control: beyond the connection cap a
-                        // fresh peer is shed with SERVER_BUSY right here,
-                        // instead of queueing (possibly forever) behind a
-                        // saturated worker pool.
-                        if shared.admitted.load(Ordering::SeqCst) >= shared.max_connections {
-                            shed_connection(s, &shared);
-                            continue;
-                        }
-                        shared.admitted.fetch_add(1, Ordering::SeqCst);
-                        // A send can only fail once workers are gone, which
-                        // only happens at shutdown.
-                        if tx.send(s).is_err() {
-                            break;
-                        }
-                    }
-                }
-                drop(tx); // lets idle workers drain and exit
-            })
-            .expect("spawn accept thread")
+            .name("epfis-evloop".to_string())
+            .spawn(move || crate::evloop::run(listener, shared))
+            .expect("spawn event-loop thread")
     };
-
     Ok(ServerHandle {
         shared,
-        accept: Some(accept),
-        workers,
+        evloop: Some(evloop),
         metrics_http,
     })
 }
@@ -836,7 +656,7 @@ fn start_metrics_endpoint(
 }
 
 /// Rejects a connection at admission: writes one `SERVER_BUSY` line (with a
-/// short timeout, so a peer that never reads cannot stall the accept loop)
+/// short timeout, so a peer that never reads cannot stall the event loop)
 /// and drops the socket.
 pub(crate) fn shed_connection(stream: TcpStream, shared: &Shared) {
     shared.metrics.connection_shed();
@@ -872,160 +692,10 @@ pub(crate) struct OpenSession {
     pub(crate) checkpointed_refs: u64,
 }
 
-/// Serves one connection to completion on the worker pool.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    shared.metrics.connection_opened();
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_default();
-    shared
-        .logger
-        .event(Level::Debug, "server", "connection_opened")
-        .field("peer", peer.as_str())
-        .emit();
-    // Responses are small and latency-sensitive (text) or batched into one
-    // buffered write per pipeline drain (binary); Nagle buys nothing either
-    // way.
-    let _ = stream.set_nodelay(true);
-    let mut conn = Conn::new();
-    let mut stream = stream;
-    // Short read/write timeouts turn the blocking socket into a polling
-    // one: reads wake to check the shutdown flag and the idle deadline;
-    // writes report stalls so the deadline below can reclaim the worker.
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_ok()
-        && stream.set_write_timeout(Some(POLL_INTERVAL)).is_ok()
-    {
-        pool_serve(&mut stream, shared, &mut conn);
-    }
-    finish_connection(shared, conn.take_session());
-    shared.metrics.connection_closed();
-    shared
-        .logger
-        .event(Level::Debug, "server", "connection_closed")
-        .field("peer", peer.as_str())
-        .emit();
-}
-
-/// The pool front end's per-connection loop: blocking-with-timeout reads
-/// pushed through the shared [`Conn`] engine, deadline-aware writes.
-fn pool_serve(stream: &mut TcpStream, shared: &Shared, conn: &mut Conn) {
-    let mut out: Vec<u8> = Vec::with_capacity(8 * 1024);
-    // 16 KiB keeps bytes_in overshoot past a limit violation small (the
-    // pending cap is checked after each chunk), while staying well above
-    // the pre-PR 8 reader's 4 KiB chunks for ingest throughput.
-    let mut buf = vec![0u8; 16 * 1024];
-    loop {
-        match flush_deadline(stream, &mut out, shared) {
-            FlushOutcome::Done => {}
-            FlushOutcome::Stalled => {
-                // The write-stall reclaim: before PR 8 this was a blocking
-                // `write_all` that a non-reading peer could pin forever.
-                // Count the reclaim; a connection with an open ANALYZE
-                // session is counted by finish_connection instead.
-                if !conn.has_open_session() {
-                    shared.metrics.session_disconnected();
-                }
-                return;
-            }
-            FlushOutcome::Gone => return,
-        }
-        if conn.is_closed() {
-            return;
-        }
-        if conn.has_deferred_work() {
-            conn.resume(shared, &mut out);
-            continue;
-        }
-        match ReadStep::classify(stream.read(&mut buf)) {
-            ReadStep::Data(n) => {
-                conn.on_bytes(shared, &buf[..n], &mut out);
-            }
-            // EINTR: a stray signal is not a peer hangup (the pre-PR 8
-            // reader treated it as one and dropped the connection).
-            ReadStep::Retry => continue,
-            ReadStep::Idle => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                conn.check_idle(shared, &mut out);
-            }
-            ReadStep::Eof | ReadStep::Fatal(_) => return,
-        }
-    }
-}
-
-/// How [`flush_deadline`] left the connection.
-enum FlushOutcome {
-    /// Everything flushed.
-    Done,
-    /// The peer stopped reading: the write deadline expired with bytes
-    /// still pending. The worker must be reclaimed.
-    Stalled,
-    /// Transport error or shutdown; just hang up.
-    Gone,
-}
-
-/// Writes `out` with deadline-aware partial writes, counting bytes as they
-/// reach the socket. The deadline reuses the idle timeout (with a 300 s
-/// fallback when idleness is disabled): a peer gets as long to *read* a
-/// response as it gets to send a request.
-fn flush_deadline(stream: &mut TcpStream, out: &mut Vec<u8>, shared: &Shared) -> FlushOutcome {
-    if out.is_empty() {
-        return FlushOutcome::Done;
-    }
-    let patience = if shared.limits.idle_timeout.is_zero() {
-        Duration::from_secs(300)
-    } else {
-        shared.limits.idle_timeout
-    };
-    let flush_start = Instant::now();
-    let deadline = flush_start + patience;
-    let mut written = 0;
-    let outcome = loop {
-        if written >= out.len() {
-            break FlushOutcome::Done;
-        }
-        match stream.write(&out[written..]) {
-            Ok(0) => break FlushOutcome::Gone,
-            Ok(n) => {
-                written += n;
-                shared.metrics.add_bytes_out(n as u64);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break FlushOutcome::Gone;
-                }
-                if Instant::now() >= deadline {
-                    shared
-                        .logger
-                        .event(Level::Warn, "server", "write_stall")
-                        .field("pending_bytes", (out.len() - written) as u64)
-                        .field("deadline_s", patience.as_secs_f64())
-                        .emit();
-                    break FlushOutcome::Stalled;
-                }
-            }
-            Err(_) => break FlushOutcome::Gone,
-        }
-    };
-    out.clear();
-    // Flush attribution covers the whole drained batch (command="ALL",
-    // phase="flush"): a flush serves every pipelined response at once, so
-    // per-request flush time is not a meaningful quantity.
-    shared
-        .metrics
-        .record_flush(flush_start.elapsed().as_micros() as u64);
-    outcome
-}
-
 /// End-of-connection handling for an `ANALYZE` session left open when the
-/// connection ended (EOF, error, limit, stall, shutdown), shared by both
-/// front ends. With a WAL the session is parked — every reference it holds
+/// connection ended (EOF, error, limit, stall, shutdown) — on the event
+/// loop, or on the ingest thread when the connection closed while its job
+/// ran. With a WAL the session is parked — every reference it holds
 /// is already in the log, so a client can reattach with `ANALYZE RESUME`
 /// (even after a server restart). Without one, its references are
 /// discarded.

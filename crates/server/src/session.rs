@@ -1,14 +1,7 @@
 //! The per-connection protocol engine as a pure state machine.
 //!
-//! Before PR 8, protocol logic lived inside blocking read loops
-//! (`FrameReader::read_line` / `read_frame`), which tied it to the
-//! thread-per-connection front end and let three I/O bugs hide in the
-//! transport plumbing (worker-pinning blocking writes, `EINTR` treated as
-//! peer-closed, pending-buffer overflows misreported as `ERR limit line`).
-//! [`Conn`] inverts that: bytes are *pushed* in and response bytes come out,
-//! with no I/O anywhere — so the same engine, with byte-identical wire
-//! behavior, serves both the retained worker-pool front end and the
-//! `epfis-net` event loop.
+//! Bytes are *pushed* into a [`Conn`] and response bytes come out, with no
+//! I/O anywhere; the event loop (`crate::evloop`) moves the bytes.
 //!
 //! What [`Conn`] owns (everything [`crate::server::LimitsConfig`] promises):
 //!
@@ -29,6 +22,12 @@
 //! engine parks ([`Conn::has_deferred_work`]) until the front end has
 //! flushed and calls [`Conn::resume`] — which is also what stops a peer
 //! that pipelines requests but never reads from ballooning server memory.
+//!
+//! On the event loop the engine stops in front of any request that uses
+//! the connection's `ANALYZE` session (`PAGE`, `ANALYZE ...`, text or
+//! binary; [`Conn::wants_ingest`]): the loop hands the whole engine to an
+//! ingest thread, which serves what is buffered ([`Conn::run_ingest`]), so
+//! a statistics scan or commit never stalls another connection.
 
 use crate::catalog::VersionedEntry;
 use crate::framing::{
@@ -40,6 +39,7 @@ use crate::protocol::{frame_err, frame_ok, parse_page_into, parse_request, Reque
 use crate::server::{apply_page_batch, execute, take_wal_time_us, OpenSession, Shared};
 use crate::slowlog::Phases;
 use epfis::ScanQuery;
+use epfis_net::Control;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,15 +47,6 @@ use std::time::Instant;
 /// further request processing until the front end has flushed, so an
 /// enormous pipeline cannot grow the buffer without bound.
 pub(crate) const BINARY_FLUSH_BYTES: usize = 256 * 1024;
-
-/// What the connection should do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// Keep the connection open.
-    Continue,
-    /// Flush `out`, then close.
-    Close,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -103,6 +94,10 @@ pub(crate) struct Conn {
     closed: bool,
     /// Processing parked because `out` crossed [`BINARY_FLUSH_BYTES`].
     deferred: bool,
+    /// Running on an ingest thread: session requests are served too.
+    on_ingest: bool,
+    /// Stopped in front of a session request, which needs an ingest thread.
+    ingest_next: bool,
 }
 
 impl Conn {
@@ -118,6 +113,8 @@ impl Conn {
             phases: PhaseBatch::new(),
             closed: false,
             deferred: false,
+            on_ingest: false,
+            ingest_next: false,
         }
     }
 
@@ -133,6 +130,23 @@ impl Conn {
         self.deferred && !self.closed
     }
 
+    /// Whether the next request must run on an ingest thread
+    /// ([`Conn::run_ingest`]).
+    pub(crate) fn wants_ingest(&self) -> bool {
+        self.ingest_next && !self.closed
+    }
+
+    /// Serves everything buffered, session requests included; called on an
+    /// ingest thread.
+    pub(crate) fn run_ingest(&mut self, shared: &Shared, out: &mut Vec<u8>) {
+        self.on_ingest = true;
+        self.ingest_next = false;
+        self.process(shared, out);
+        self.on_ingest = false;
+        // The idle clock restarts once the loop waits for input again.
+        self.idle_since = Instant::now();
+    }
+
     /// Whether an `ANALYZE` session is open on this connection.
     pub(crate) fn has_open_session(&self) -> bool {
         self.session.is_some()
@@ -145,9 +159,9 @@ impl Conn {
     }
 
     /// Feed received bytes; responses are appended to `out`.
-    pub(crate) fn on_bytes(&mut self, shared: &Shared, data: &[u8], out: &mut Vec<u8>) -> Step {
+    pub(crate) fn on_bytes(&mut self, shared: &Shared, data: &[u8], out: &mut Vec<u8>) -> Control {
         if self.closed {
-            return Step::Close;
+            return Control::Close;
         }
         shared.metrics.add_bytes_in(data.len() as u64);
         self.batch_arrived = Some(Instant::now());
@@ -159,8 +173,11 @@ impl Conn {
         // backlog overflow — complete-but-unconsumed requests piling up
         // faster than the front end can flush responses. Memory stays
         // bounded at `max_pending_bytes` plus one read chunk, because the
-        // connection closes on the first violation.
-        if !self.closed && self.pending.len() > shared.limits.max_pending_bytes {
+        // connection closes on the first violation. Requests waiting for an
+        // ingest thread are not a backlog: the loop stops reading until
+        // they are served.
+        if !self.closed && !self.ingest_next && self.pending.len() > shared.limits.max_pending_bytes
+        {
             let limits = &shared.limits;
             shared.metrics.limit_rejection();
             shared
@@ -177,35 +194,35 @@ impl Conn {
             );
             self.emit_err(&msg, out);
             self.closed = true;
-            return Step::Close;
+            return Control::Close;
         }
         step
     }
 
     /// Continue processing buffered requests after the front end flushed
     /// `out` (see [`Conn::has_deferred_work`]).
-    pub(crate) fn resume(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Step {
+    pub(crate) fn resume(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Control {
         if self.closed {
-            return Step::Close;
+            return Control::Close;
         }
         self.process(shared, out)
     }
 
-    /// Enforce the idle deadline. Front ends call this periodically; it
+    /// Enforce the idle deadline. The event loop calls this periodically; it
     /// fires only when no complete request arrived within
     /// `limits.idle_timeout` of the previous one.
-    pub(crate) fn check_idle(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Step {
+    pub(crate) fn check_idle(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Control {
         if self.closed {
-            return Step::Close;
+            return Control::Close;
         }
         let timeout = shared.limits.idle_timeout;
         if timeout.is_zero() || self.idle_since.elapsed() < timeout {
-            return Step::Continue;
+            return Control::Continue;
         }
         if self.deferred {
             // Complete requests are buffered; the connection is backlogged,
             // not idle.
-            return Step::Continue;
+            return Control::Continue;
         }
         shared.metrics.limit_rejection();
         shared
@@ -219,7 +236,7 @@ impl Conn {
         );
         self.emit_err(&msg, out);
         self.closed = true;
-        Step::Close
+        Control::Close
     }
 
     /// Append an error response in the connection's current wire format.
@@ -232,21 +249,21 @@ impl Conn {
 
     /// Consume as many buffered requests as the output budget allows, then
     /// merge the wakeup's accumulated phase timings in one pass.
-    fn process(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Step {
+    fn process(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Control {
         let step = self.process_requests(shared, out);
         shared.metrics.flush_phases(&mut self.phases);
         step
     }
 
-    fn process_requests(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Step {
+    fn process_requests(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Control {
         self.deferred = false;
         loop {
             if self.closed {
-                return Step::Close;
+                return Control::Close;
             }
             if out.len() >= BINARY_FLUSH_BYTES {
                 self.deferred = true;
-                return Step::Continue;
+                return Control::Continue;
             }
             let progressed = match self.mode {
                 Mode::Text => self.text_step(shared, out),
@@ -254,9 +271,9 @@ impl Conn {
             };
             if !progressed {
                 return if self.closed {
-                    Step::Close
+                    Control::Close
                 } else {
-                    Step::Continue
+                    Control::Continue
                 };
             }
         }
@@ -274,6 +291,10 @@ impl Conn {
         };
         if pos > limits.max_line_bytes {
             self.limit_line(shared, out);
+            return false;
+        }
+        if !self.on_ingest && uses_session(&self.pending[..pos]) {
+            self.ingest_next = true;
             return false;
         }
         let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
@@ -418,6 +439,10 @@ impl Conn {
                 break;
             }
             let body = &rest[4..4 + body_len];
+            if !self.on_ingest && frame_uses_session(body) {
+                self.ingest_next = true;
+                break;
+            }
             self.idle_since = Instant::now();
             let open = handle_binary_frame(
                 body,
@@ -457,6 +482,30 @@ impl Conn {
         );
         self.emit_err(&msg, out);
         self.closed = true;
+    }
+}
+
+/// Whether a text request line uses the connection's `ANALYZE` session.
+fn uses_session(line: &[u8]) -> bool {
+    let word = line
+        .split(|b| b.is_ascii_whitespace())
+        .find(|w| !w.is_empty())
+        .unwrap_or_default();
+    word.eq_ignore_ascii_case(b"PAGE") || word.eq_ignore_ascii_case(b"ANALYZE")
+}
+
+/// [`uses_session`] for a binary frame body.
+fn frame_uses_session(body: &[u8]) -> bool {
+    match body.first() {
+        Some(&framing::REQ_TEXT) => uses_session(&body[1..]),
+        Some(&tag) => matches!(
+            tag,
+            framing::REQ_PAGE
+                | framing::REQ_ANALYZE_BEGIN
+                | framing::REQ_ANALYZE_COMMIT
+                | framing::REQ_ANALYZE_ABORT
+        ),
+        None => false,
     }
 }
 

@@ -111,7 +111,6 @@ fn run_script(root: &Path, pre_bytes: &[u8], vfs: Arc<dyn Vfs>, context: &str) -
     let server = match serve(ServerConfig {
         catalog_path: Some(cat_path.clone()),
         wal: Some(wal_cfg),
-        workers: 1,
         vfs: Some(vfs),
         ..ServerConfig::default()
     }) {

@@ -1,14 +1,12 @@
-//! Front-end cross-validation and the PR 8 I/O-bug regression suite.
+//! The serving core's I/O regression suite.
 //!
-//! `epfis serve` now has two serving cores — the retained worker pool and
-//! the `epfis-net` event loop — wrapped around one shared protocol engine.
-//! This suite proves:
+//! `epfis serve` runs one `epfis-net` event loop around the shared protocol
+//! engine. This suite proves:
 //!
-//! * the same deterministic workload answers **byte-identically** over both
-//!   front ends, in text and in binary framing;
-//! * a peer that provokes a huge response and then stops reading (the
-//!   write-stall that used to pin a pool worker forever inside a blocking
-//!   `write_all`) is reclaimed by *both* front ends, counted under
+//! * the same deterministic workload answers **identically** over text and
+//!   binary framing (the binary run carries each command in a TEXT frame);
+//! * a peer that provokes a huge response and then stops reading (a write
+//!   stall) is reclaimed at the deadline, counted under
 //!   `sessions_disconnected`;
 //! * a pending-buffer overflow answers the distinct `ERR limit pending ...`
 //!   (it used to masquerade as an oversized-line/frame rejection);
@@ -16,17 +14,15 @@
 //!   tiny thread count, while still serving them all.
 
 use epfis_server::{
-    framing, hostile, serve, Client, ClientError, Frontend, LimitsConfig, ServerConfig,
+    framing, hostile, serve, BinResponse, Client, ClientError, LimitsConfig, ServerConfig,
     ServerHandle,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-fn frontend_server(frontend: Frontend, workers: usize, limits: LimitsConfig) -> ServerHandle {
+fn server(limits: LimitsConfig) -> ServerHandle {
     serve(ServerConfig {
-        frontend,
-        workers,
         limits,
         ..ServerConfig::default()
     })
@@ -68,7 +64,7 @@ fn commit_small_entry(addr: SocketAddr, name: &str) {
     );
 }
 
-/// The deterministic command script both front ends must answer
+/// The deterministic command script both framings must answer
 /// identically: happy paths, every protocol error family, and an ingest.
 fn text_script() -> Vec<String> {
     let mut script = vec![
@@ -120,72 +116,78 @@ fn run_text_script(addr: SocketAddr) -> Vec<String> {
     let mut c = Client::connect(addr).unwrap();
     text_script()
         .iter()
-        .map(|cmd| normalize(format!("{cmd} => {:?}", c.request(cmd))))
+        .map(|cmd| {
+            let outcome = match c.request(cmd) {
+                Ok(lines) => Ok(lines),
+                Err(ClientError::Server(msg)) => Err(msg),
+                Err(e) => panic!("{cmd}: {e:?}"),
+            };
+            normalize(format!("{cmd} => {outcome:?}"))
+        })
         .collect()
 }
 
-/// Runs the same workload over binary framing v2, pipelined in one flush.
-fn run_binary_script(addr: SocketAddr) -> Vec<String> {
+/// Runs the same script over binary framing v2, each command in a TEXT
+/// frame, pipelined in one flush; returns the script's transcript plus the
+/// answers to a trailing binary `ESTIMATE` and `PAGE`.
+fn run_binary_script(addr: SocketAddr) -> (Vec<String>, Vec<BinResponse>) {
     let mut c = epfis_server::BinaryClient::connect(addr).unwrap();
     let script = text_script();
     for cmd in &script {
-        // TEXT passthrough frames carry each command; PAGE and ESTIMATE
-        // also get dedicated frame types below.
         c.queue_text(cmd);
     }
     c.queue_estimate("ix", 0.5, 64, 1.0);
     c.queue_page(&[(900, 3)]); // ERR: no open session (it committed above)
     c.flush().unwrap();
-    let mut transcript = Vec::new();
-    for _ in 0..script.len() + 2 {
-        transcript.push(normalize(format!("{:?}", c.recv())));
-    }
-    transcript
+    let transcript = script
+        .iter()
+        .map(|cmd| {
+            let outcome = match c.recv().unwrap() {
+                BinResponse::Lines(lines) => Ok(lines),
+                BinResponse::Err(msg) => Err(msg),
+                other => panic!("{cmd}: unexpected {other:?}"),
+            };
+            normalize(format!("{cmd} => {outcome:?}"))
+        })
+        .collect();
+    (transcript, vec![c.recv().unwrap(), c.recv().unwrap()])
 }
 
 #[test]
-fn pool_and_evloop_serve_byte_identical_text_responses() {
-    let run = |frontend| {
-        let server = frontend_server(frontend, 2, LimitsConfig::default());
-        let transcript = run_text_script(server.addr());
-        server.shutdown_and_join();
-        transcript
-    };
-    let pool = run(Frontend::Pool);
-    let evloop = run(Frontend::Evloop);
-    assert_eq!(pool.len(), evloop.len());
-    for (p, e) in pool.iter().zip(&evloop) {
-        assert_eq!(p, e, "front ends diverge on a text response");
+fn text_and_binary_framing_answer_identically() {
+    let text_server = server(LimitsConfig::default());
+    let text = run_text_script(text_server.addr());
+    text_server.shutdown_and_join();
+    let binary_server = server(LimitsConfig::default());
+    let (binary, tail) = run_binary_script(binary_server.addr());
+    binary_server.shutdown_and_join();
+    assert_eq!(text.len(), binary.len());
+    for (t, b) in text.iter().zip(&binary) {
+        assert_eq!(t, b, "framings diverge");
     }
+    let estimate = text
+        .iter()
+        .find_map(|l| l.strip_prefix("ESTIMATE ix 0.5 64 => Ok([\""))
+        .and_then(|l| l.strip_suffix("\"])"))
+        .and_then(|v| v.parse::<f64>().ok())
+        .expect("text estimate");
+    assert_eq!(tail[0], BinResponse::F64(estimate));
+    assert!(
+        matches!(&tail[1], BinResponse::Err(msg) if msg.contains("no open session")),
+        "{tail:?}"
+    );
 }
 
+/// A peer that provokes ~30 MB of responses and stops reading must not
+/// hold its server resources past the write deadline.
 #[test]
-fn pool_and_evloop_serve_byte_identical_binary_responses() {
-    let run = |frontend| {
-        let server = frontend_server(frontend, 2, LimitsConfig::default());
-        let transcript = run_binary_script(server.addr());
-        server.shutdown_and_join();
-        transcript
-    };
-    let pool = run(Frontend::Pool);
-    let evloop = run(Frontend::Evloop);
-    assert_eq!(pool.len(), evloop.len());
-    for (p, e) in pool.iter().zip(&evloop) {
-        assert_eq!(p, e, "front ends diverge on a binary response");
-    }
-}
-
-/// The tentpole bugfix, asserted per front end: a peer that provokes ~30 MB
-/// of responses and stops reading must not hold its server resources past
-/// the write deadline. Before PR 8 the pool worker sat in a blocking
-/// `write_all` forever; with `workers: 1` that froze the whole server.
-fn write_stall_is_reclaimed_on(frontend: Frontend) {
+fn write_stall_is_reclaimed() {
     let limits = LimitsConfig {
         idle_timeout: Duration::from_millis(500),
         max_connections: 4,
         ..LimitsConfig::default()
     };
-    let server = frontend_server(frontend, 1, limits);
+    let server = server(limits);
     let addr = server.addr();
     commit_small_entry(addr, "stall.probe");
 
@@ -196,8 +198,8 @@ fn write_stall_is_reclaimed_on(frontend: Frontend) {
         "server must abandon the stalled flush and reset the connection: {outcome:?}"
     );
 
-    // The single worker (or the loop slot) is free again: a well-behaved
-    // client gets served promptly...
+    // The loop slot is free again: a well-behaved client gets served
+    // promptly...
     let mut c = Client::connect(addr).unwrap();
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
     // ...and the reclaim was counted.
@@ -206,28 +208,19 @@ fn write_stall_is_reclaimed_on(frontend: Frontend) {
     server.shutdown_and_join();
 }
 
-#[test]
-fn write_stall_is_reclaimed_on_the_pool_frontend() {
-    write_stall_is_reclaimed_on(Frontend::Pool);
-}
-
-#[test]
-fn write_stall_is_reclaimed_on_the_evloop_frontend() {
-    write_stall_is_reclaimed_on(Frontend::Evloop);
-}
-
 /// Regression: a pending-buffer overflow must answer the distinct
 /// `ERR limit pending ...`. The overflow here is a binary frame whose
 /// *total wire size* (header + declared body) exceeds `max_pending_bytes`
 /// even though the declared body respects `max_line_bytes` — before PR 8
 /// this was misreported as an oversized-frame rejection.
-fn pending_overflow_reports_limit_pending_on(frontend: Frontend) {
+#[test]
+fn pending_overflow_reports_limit_pending() {
     let limits = LimitsConfig {
         max_line_bytes: 1024,
         max_pending_bytes: 1024,
         ..LimitsConfig::default()
     };
-    let server = frontend_server(frontend, 2, limits);
+    let server = server(limits);
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
@@ -277,16 +270,6 @@ fn pending_overflow_reports_limit_pending_on(frontend: Frontend) {
     server.shutdown_and_join();
 }
 
-#[test]
-fn pending_overflow_reports_limit_pending_on_the_pool_frontend() {
-    pending_overflow_reports_limit_pending_on(Frontend::Pool);
-}
-
-#[test]
-fn pending_overflow_reports_limit_pending_on_the_evloop_frontend() {
-    pending_overflow_reports_limit_pending_on(Frontend::Evloop);
-}
-
 /// An oversized *line* keeps its specific diagnosis even when it also
 /// overflows the pending buffer (the more specific rejection wins).
 #[test]
@@ -296,7 +279,7 @@ fn oversized_line_still_reports_limit_line_not_limit_pending() {
         max_pending_bytes: 1024,
         ..LimitsConfig::default()
     };
-    let server = frontend_server(Frontend::Evloop, 2, limits);
+    let server = server(limits);
     let mut c = Client::connect(server.addr()).unwrap();
     match c.request(&format!("ESTIMATE {} 0.5 10", "x".repeat(4096))) {
         Err(ClientError::Server(msg)) => assert!(msg.contains("limit line"), "{msg}"),
@@ -306,8 +289,7 @@ fn oversized_line_still_reports_limit_line_not_limit_pending() {
     server.shutdown_and_join();
 }
 
-/// Hostile-scenario parity: the limit family behaves on the event loop
-/// exactly as the hardening suite proves for the pool.
+/// Floods and idle connections against the event loop.
 #[test]
 fn evloop_rejects_floods_and_reclaims_idle_connections() {
     let limits = LimitsConfig {
@@ -316,7 +298,7 @@ fn evloop_rejects_floods_and_reclaims_idle_connections() {
         idle_timeout: Duration::from_millis(400),
         ..LimitsConfig::default()
     };
-    let server = frontend_server(Frontend::Evloop, 2, limits);
+    let server = server(limits);
     let addr = server.addr();
 
     let flood = hostile::flood_without_newline(addr, 8 * 1024 * 1024).unwrap();
@@ -350,7 +332,7 @@ fn evloop_rejects_floods_and_reclaims_idle_connections() {
 
 #[test]
 fn evloop_shutdown_command_stops_the_server() {
-    let server = frontend_server(Frontend::Evloop, 2, LimitsConfig::default());
+    let server = server(LimitsConfig::default());
     let mut c = Client::connect(server.addr()).unwrap();
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
     let lines = c.request("SHUTDOWN").unwrap();
@@ -359,8 +341,7 @@ fn evloop_shutdown_command_stops_the_server() {
 }
 
 /// The scaling claim: 10k concurrent idle connections on the event loop,
-/// all actually served, with the process's thread count fixed. The pool
-/// could only ever watch `workers` of these at once.
+/// all actually served, with the process's thread count fixed.
 #[test]
 fn evloop_sustains_10k_idle_connections() {
     const CONNS: usize = 10_000;
@@ -377,7 +358,7 @@ fn evloop_sustains_10k_idle_connections() {
             return;
         }
     }
-    let server = frontend_server(Frontend::Evloop, 2, LimitsConfig::default());
+    let server = server(LimitsConfig::default());
     let addr = server.addr();
 
     let start = Instant::now();

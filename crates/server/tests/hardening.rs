@@ -13,9 +13,8 @@ use std::io::Read;
 use std::time::{Duration, Instant};
 
 /// A server with tight, test-sized limits.
-fn tight_server(workers: usize, limits: LimitsConfig) -> epfis_server::ServerHandle {
+fn tight_server(limits: LimitsConfig) -> epfis_server::ServerHandle {
     serve(ServerConfig {
-        workers,
         limits,
         ..ServerConfig::default()
     })
@@ -39,7 +38,7 @@ fn newline_less_flood_is_rejected_with_bounded_reads() {
         max_pending_bytes: 128 * 1024,
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let addr = server.addr();
 
     // Attempt a 100 MB flood with no newline. The server must cut the
@@ -79,7 +78,7 @@ fn oversized_single_request_line_closes_the_connection() {
         max_pending_bytes: 4096,
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let mut c = Client::connect(server.addr()).unwrap();
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
     let huge = format!("ESTIMATE {} 0.5 10", "x".repeat(8192));
@@ -100,10 +99,10 @@ fn saturated_pool_sheds_fresh_connections_with_server_busy() {
         max_connections: 2,
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let addr = server.addr();
 
-    // workers + admission slots all pinned by silent clients...
+    // every admission slot pinned by a silent client...
     let idle = hostile::hold_idle_connections(addr, 2).unwrap();
     std::thread::sleep(Duration::from_millis(300));
 
@@ -173,7 +172,7 @@ fn idle_deadline_reclaims_workers_and_answers_err_limit() {
         idle_timeout: Duration::from_millis(300),
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let addr = server.addr();
 
     let idle = hostile::hold_idle_connections(addr, 2).unwrap();
@@ -210,7 +209,7 @@ fn slow_loris_writer_is_disconnected_at_the_idle_deadline() {
         idle_timeout: Duration::from_millis(400),
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let started = Instant::now();
     let outcome = hostile::slow_loris(
         server.addr(),
@@ -238,11 +237,7 @@ fn slow_loris_writer_is_disconnected_at_the_idle_deadline() {
 
 #[test]
 fn mid_session_disconnect_is_counted_and_cleaned_up() {
-    let server = serve(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = serve(ServerConfig::default()).unwrap();
     let addr = server.addr();
 
     hostile::abandon_mid_analyze(addr, "ghost.ix").unwrap();
@@ -280,7 +275,7 @@ fn session_reference_cap_rejects_batches_without_corrupting_the_session() {
         max_session_refs: 5,
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let mut c = Client::connect(server.addr()).unwrap();
     c.request("ANALYZE BEGIN capped.ix table_pages=16").unwrap();
     assert_eq!(
@@ -306,11 +301,7 @@ fn session_reference_cap_rejects_batches_without_corrupting_the_session() {
 /// a clean one-shot ingest.
 #[test]
 fn rejected_page_line_retries_to_identical_statistics() {
-    let server = serve(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = serve(ServerConfig::default()).unwrap();
     let addr = server.addr();
 
     // A deterministic scan: 50 keys × 4 refs over 37 pages.
@@ -393,7 +384,6 @@ fn rejected_page_line_retries_to_identical_statistics() {
 fn shutdown_completes_with_an_unspecified_bind_address() {
     let server = serve(ServerConfig {
         addr: "0.0.0.0:0".to_string(),
-        workers: 2,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -436,11 +426,7 @@ fn invalid_limits_are_rejected_before_binding() {
 
 #[test]
 fn bytes_counters_cover_both_directions() {
-    let server = serve(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = serve(ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
     let stats = c.request("STATS").unwrap();
@@ -459,7 +445,7 @@ fn binary_flood_is_rejected_from_the_frame_header_alone() {
         max_pending_bytes: 128 * 1024,
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let addr = server.addr();
 
     // Declare a 100 MB frame body. A hardened server rejects it from the
@@ -499,7 +485,7 @@ fn binary_idle_connection_is_reclaimed_with_an_err_frame() {
         idle_timeout: Duration::from_millis(300),
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let mut c = epfis_server::BinaryClient::connect(server.addr()).unwrap();
 
     // Don't send anything after the upgrade; the idle deadline must answer
@@ -524,11 +510,7 @@ fn binary_idle_connection_is_reclaimed_with_an_err_frame() {
 
 #[test]
 fn malformed_binary_frames_error_without_desyncing_the_connection() {
-    let server = serve(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = serve(ServerConfig::default()).unwrap();
     let mut c = epfis_server::BinaryClient::connect(server.addr()).unwrap();
 
     // A malformed frame — TEXT with an embedded newline, rejected at
@@ -558,7 +540,7 @@ fn binary_session_reference_cap_preserves_atomic_batches() {
         max_session_refs: 5,
         ..LimitsConfig::default()
     };
-    let server = tight_server(2, limits);
+    let server = tight_server(limits);
     let mut c = epfis_server::BinaryClient::connect(server.addr()).unwrap();
     c.queue_analyze_begin("capped.ix", None, Some(16));
     c.flush().unwrap();
