@@ -342,7 +342,7 @@ fn main() {
             .expect_err("fsync fault must trip ingest");
         let stats = c.request("STATS").expect("stats");
         assert!(
-            stats.iter().any(|l| l == "degraded 1"),
+            stats.iter().any(|l| l == "epfis_server_degraded 1"),
             "server did not degrade"
         );
     }

@@ -33,13 +33,13 @@
 //!     with an `EPFIS_FAULTS` schedule: commit a baseline entry, then
 //!     stream ANALYZE sessions until the scripted disk failure fires
 //!     (at most N rounds, default 50). Exits 0 iff the server degraded
-//!     (`STATS` reports `degraded 1`), the baseline entry still serves
+//!     (`STATS` reports `epfis_server_degraded 1`), the baseline entry still serves
 //!     `ESTIMATE`, and a fresh `ANALYZE BEGIN` answers `ERR readonly`.
 //! misbehave --scenario recover --addr HOST:PORT [--rounds N] [--name E]
 //!     the heal half: issue `RECOVER` until it succeeds (each attempt
 //!     re-probes the storage, at most N rounds), then commit a fresh
 //!     entry and estimate against it. Exits 0 iff recovery succeeded,
-//!     `STATS` reports `degraded 0`, and the fresh commit serves.
+//!     `STATS` reports `epfis_server_degraded 0`, and the fresh commit serves.
 //! ```
 
 use epfis_bench::Options;
@@ -215,7 +215,7 @@ fn main() {
             }
             let degraded = client
                 .request("STATS")
-                .is_ok_and(|lines| lines.iter().any(|l| l == "degraded 1"));
+                .is_ok_and(|lines| lines.iter().any(|l| l == "epfis_server_degraded 1"));
             let reads_serve =
                 !base_ok || client.request(&format!("ESTIMATE {base} 0.5 10")).is_ok();
             let readonly = matches!(
@@ -250,7 +250,7 @@ fn main() {
             }
             let healthy = client
                 .request("STATS")
-                .is_ok_and(|lines| lines.iter().any(|l| l == "degraded 0"));
+                .is_ok_and(|lines| lines.iter().any(|l| l == "epfis_server_degraded 0"));
             let fresh = format!("{name}.fresh");
             let committed = client
                 .request(&format!("ANALYZE BEGIN {fresh} table_pages=64"))

@@ -17,28 +17,21 @@
 
 use epfis_bench::selfcheck::{self, SelfCheckConfig};
 use epfis_bench::Options;
+use epfis_obs::series_value;
 use std::io::{Read as _, Write as _};
 use std::net::ToSocketAddrs;
 
 /// Minimal HTTP GET against the server's metrics endpoint.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect metrics");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-        .expect("send request");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send request");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read response");
     response
-}
-
-/// The value of a counter series in Prometheus text exposition.
-fn series_value(metrics: &str, name: &str) -> Option<f64> {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))?
-        .rsplit(' ')
-        .next()?
-        .parse()
-        .ok()
 }
 
 fn main() {

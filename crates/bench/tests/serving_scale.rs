@@ -8,18 +8,12 @@
 //! in-process variant of this test, in `crates/server/tests/frontends.rs`,
 //! skips itself in that situation; this one still runs).
 
+use epfis_obs::series_value;
 use epfis_server::client::Client;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const IDLE_CONNS: usize = 10_000;
-
-fn stat(lines: &[String], key: &str) -> Option<u64> {
-    lines
-        .iter()
-        .find_map(|l| l.strip_prefix(&format!("{key} ")))
-        .and_then(|v| v.parse().ok())
-}
 
 #[test]
 fn evloop_serves_estimates_under_a_10k_idle_pile() {
@@ -73,14 +67,15 @@ fn evloop_serves_estimates_under_a_10k_idle_pile() {
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
         let mut probe = Client::connect(addr).expect("connect probe client");
-        let stats = probe.request("STATS").expect("STATS");
-        let active = stat(&stats, "connections_active").expect("connections_active in STATS");
-        if active >= IDLE_CONNS as u64 {
+        let stats = probe.request("STATS").expect("STATS").join("\n");
+        let active = series_value(&stats, "epfis_server_connections_active")
+            .expect("epfis_server_connections_active in STATS");
+        if active >= IDLE_CONNS as f64 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "pile never formed: connections_active {active} < {IDLE_CONNS}"
+            "pile never formed: epfis_server_connections_active {active} < {IDLE_CONNS}"
         );
         std::thread::sleep(Duration::from_millis(100));
     }

@@ -318,7 +318,12 @@ fn serve_and_client_round_trip_through_the_binary() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("committed t.k epoch=1"), "{stdout}");
-    assert!(stdout.contains("command ESTIMATE count=1"), "{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l == "epfis_server_requests_total{command=\"ESTIMATE\"} 1"),
+        "{stdout}"
+    );
 
     // `explain --addr` renders the server's EXPLAIN ESTIMATE trace.
     let explained = epfis(&[

@@ -15,7 +15,9 @@
 //!   `epfis-server`'s private `STATS` implementation, organized into
 //!   labeled families by a [`registry::Registry`] that renders the
 //!   Prometheus text exposition format (cumulative `_bucket` series with
-//!   exact `le` bounds, `_sum`, `_count`). Library subsystems that cannot
+//!   exact `le` bounds, `_sum`, `_count`) and, from the same walk, the
+//!   `series value` sample lines the server's `STATS` command serves
+//!   ([`series_value`] reads either back). Library subsystems that cannot
 //!   know who is serving them (buffer pool, stack analyzer) publish into
 //!   [`registry::Registry::global`] via [`wellknown`].
 //!
@@ -38,6 +40,6 @@ pub mod wellknown;
 pub use event::{Event, Level, Value};
 pub use logger::{EventBuilder, Logger, Span};
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
-pub use registry::{MetricKind, Registry};
+pub use registry::{series_value, MetricKind, Registry};
 pub use ring::RingBuffer;
 pub use sink::{FileSink, LogFormat, Sink, StderrSink};

@@ -17,6 +17,13 @@
 //!   `_count` series, plus `_sum`;
 //! * label values are escaped (`\\`, `\"`, `\n`), names are validated at
 //!   registration.
+//!
+//! The same family walk also renders *sample lines*
+//! ([`Registry::render_samples_into`]): the exposition minus `# HELP`,
+//! `# TYPE` and `_bucket` lines, with each non-empty histogram reporting
+//! quantiles instead. Every counter and gauge line there is byte-identical
+//! to its Prometheus sample line; [`series_value`] reads a value back out
+//! of either rendering.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -266,10 +273,27 @@ impl Registry {
     /// Appends the rendering to `out` (lets callers concatenate the global
     /// registry after a per-server one into a single `/metrics` body).
     pub fn render_prometheus_into(&self, out: &mut String) {
+        self.render_into(out, Format::Prometheus);
+    }
+
+    /// Appends the *sample lines* rendering to `out`: every line has the
+    /// grammar `series value`, with no `# HELP`/`# TYPE` and no `_bucket`
+    /// lines. A counter or gauge series renders exactly its Prometheus
+    /// sample line. A histogram series with at least one sample renders
+    /// `name{labels,quantile="0.5"|"0.99"|"1"}` (from
+    /// [`Histogram::quantile`]) plus its `_sum` and `_count` lines; an
+    /// empty one renders nothing.
+    pub fn render_samples_into(&self, out: &mut String) {
+        self.render_into(out, Format::Samples);
+    }
+
+    fn render_into(&self, out: &mut String, format: Format) {
         let families = self.families.lock().expect("registry poisoned");
         for (name, family) in families.iter() {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(&family.help));
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind.type_name());
+            if format == Format::Prometheus {
+                let _ = writeln!(out, "# HELP {name} {}", escape_help(&family.help));
+                let _ = writeln!(out, "# TYPE {name} {}", family.kind.type_name());
+            }
             for series in &family.series {
                 match &series.instrument {
                     Instrument::Counter(c) => {
@@ -284,11 +308,38 @@ impl Registry {
                     Instrument::GaugeFn(f) => {
                         render_line(out, name, &series.labels, None, &fmt_f64(f()));
                     }
-                    Instrument::Histogram(h) => render_histogram(out, name, &series.labels, h),
+                    Instrument::Histogram(h) => {
+                        render_histogram(out, name, &series.labels, h, format)
+                    }
                 }
             }
         }
     }
+}
+
+/// The two renderings of one family walk.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Format {
+    /// The Prometheus text exposition format.
+    Prometheus,
+    /// Sample lines only, with histogram quantiles instead of buckets.
+    Samples,
+}
+
+/// The quantiles a histogram reports in the sample-lines rendering:
+/// `(label value, q)`.
+const SAMPLE_QUANTILES: [(&str, f64); 3] = [("0.5", 0.5), ("0.99", 0.99), ("1", 1.0)];
+
+/// The value of `series` (an exact `name` or `name{labels}`, as rendered)
+/// in a Prometheus or sample-lines rendering: the first line made of the
+/// series, one space, and a number. `None` when no line matches or the
+/// value does not parse.
+pub fn series_value(text: &str, series: &str) -> Option<f64> {
+    text.lines().find_map(|l| {
+        l.strip_prefix(series)?
+            .strip_prefix(' ')
+            .map(|v| v.trim().parse().ok())
+    })?
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -342,23 +393,36 @@ fn render_line(
     out.push('\n');
 }
 
-fn render_histogram(out: &mut String, name: &str, labels: &Labels, h: &Histogram) {
-    let counts = h.bucket_counts();
-    let mut cumulative = 0u64;
-    let bucket_name = format!("{name}_bucket");
-    for (i, c) in counts.iter().enumerate().take(BUCKETS) {
-        cumulative += c;
-        let le = match Histogram::bucket_le(i) {
-            Some(le) => le.to_string(),
-            None => "+Inf".to_string(),
-        };
-        render_line(
-            out,
-            &bucket_name,
-            labels,
-            Some(("le", &le)),
-            &cumulative.to_string(),
-        );
+fn render_histogram(out: &mut String, name: &str, labels: &Labels, h: &Histogram, format: Format) {
+    match format {
+        Format::Prometheus => {
+            let counts = h.bucket_counts();
+            let mut cumulative = 0u64;
+            let bucket_name = format!("{name}_bucket");
+            for (i, c) in counts.iter().enumerate().take(BUCKETS) {
+                cumulative += c;
+                let le = match Histogram::bucket_le(i) {
+                    Some(le) => le.to_string(),
+                    None => "+Inf".to_string(),
+                };
+                render_line(
+                    out,
+                    &bucket_name,
+                    labels,
+                    Some(("le", &le)),
+                    &cumulative.to_string(),
+                );
+            }
+        }
+        Format::Samples => {
+            if h.count() == 0 {
+                return;
+            }
+            for (label, q) in SAMPLE_QUANTILES {
+                let v = h.quantile(q).to_string();
+                render_line(out, name, labels, Some(("quantile", label)), &v);
+            }
+        }
     }
     render_line(
         out,
@@ -451,6 +515,70 @@ mod tests {
         assert!(text.contains("epfis_test_us_bucket{le=\"+Inf\"} 4\n"));
         assert!(text.contains("epfis_test_us_sum 1000004\n"));
         assert!(text.contains("epfis_test_us_count 4\n"));
+    }
+
+    #[test]
+    fn sample_lines_are_the_exposition_minus_buckets_plus_quantiles() {
+        let r = Registry::new();
+        r.counter("epfis_test_total", "h", &[("command", "PING")])
+            .add(3);
+        r.counter("epfis_test_total", "h", &[("command", "SHOW")]);
+        r.counter_fn("epfis_test_fn_total", "h", &[], || 7);
+        r.gauge("epfis_test_level", "h", &[("pool", "a")]).set(-2);
+        r.gauge_fn("epfis_test_ratio", "h", &[], || 0.25);
+        r.histogram("epfis_test_idle_us", "h", &[("command", "PING")]);
+        let h = r.histogram("epfis_test_us", "h", &[("command", "PING")]);
+        for v in [1, 20, 300, 4000] {
+            h.record(v);
+        }
+        let exposition = r.render_prometheus();
+        let mut samples = String::new();
+        r.render_samples_into(&mut samples);
+
+        let mut quantiles = 0;
+        for line in samples.lines() {
+            assert!(
+                !line.starts_with('#') && !line.contains("_bucket"),
+                "{line}"
+            );
+            assert!(
+                !line.contains("epfis_test_idle_us"),
+                "empty histogram: {line}"
+            );
+            if line.contains("quantile=") {
+                let (series, value) = line.rsplit_once(' ').unwrap();
+                let (_, q) = series.split_once("quantile=\"").unwrap();
+                let q: f64 = q.trim_end_matches("\"}").parse().unwrap();
+                assert_eq!(value, h.quantile(q).to_string(), "{line}");
+                quantiles += 1;
+            } else {
+                assert!(
+                    exposition.lines().any(|l| l == line),
+                    "{line}\n{exposition}"
+                );
+            }
+        }
+        assert_eq!(quantiles, SAMPLE_QUANTILES.len());
+        for expect in [
+            "epfis_test_total{command=\"PING\"} 3",
+            "epfis_test_total{command=\"SHOW\"} 0",
+            "epfis_test_fn_total 7",
+            "epfis_test_level{pool=\"a\"} -2",
+            "epfis_test_ratio 0.25",
+            "epfis_test_us{command=\"PING\",quantile=\"1\"} 4000",
+            "epfis_test_us_sum{command=\"PING\"} 4321",
+            "epfis_test_us_count{command=\"PING\"} 4",
+        ] {
+            assert!(samples.lines().any(|l| l == expect), "{expect}\n{samples}");
+        }
+        assert_eq!(series_value(&samples, "epfis_test_fn_total"), Some(7.0));
+        assert_eq!(
+            series_value(&exposition, "epfis_test_total{command=\"PING\"}"),
+            Some(3.0)
+        );
+        // Exact series match: a name prefix or a missing series reads None.
+        assert_eq!(series_value(&samples, "epfis_test"), None);
+        assert_eq!(series_value(&samples, "epfis_test_us_count"), None);
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl Session for EvConn {
                     // A stalled connection with an open ANALYZE session
                     // is counted by finish_connection instead.
                     if !conn.has_open_session() {
-                        self.shared.metrics.session_disconnected();
+                        self.shared.metrics.sessions_disconnected.inc();
                     }
                     return Control::Close;
                 }
@@ -256,7 +256,7 @@ impl Session for EvConn {
 
     fn on_wrote(&mut self, n: usize) {
         self.stalled_since = None;
-        self.shared.metrics.add_bytes_out(n as u64);
+        self.shared.metrics.bytes_out.add(n as u64);
     }
 
     fn wants_read(&self) -> bool {
@@ -279,7 +279,7 @@ impl SessionFactory for EvFactory {
             return None;
         }
         shared.admitted.fetch_add(1, Ordering::SeqCst);
-        shared.metrics.connection_opened();
+        shared.metrics.connections_opened.inc();
         let peer = peer.to_string();
         shared
             .logger
@@ -301,7 +301,7 @@ impl SessionFactory for EvFactory {
     fn closed(&mut self, mut session: EvConn) {
         let shared = &self.shared;
         finish_connection(shared, session.take_session());
-        shared.metrics.connection_closed();
+        shared.metrics.connections_closed.inc();
         shared
             .logger
             .event(Level::Debug, "server", "connection_closed")

@@ -21,13 +21,14 @@
 //! * `EXPLAIN ESTIMATE` serves the same estimate byte-for-byte plus the
 //!   full Est-IO decision trace (FPF segment identity, clamp, small-σ
 //!   correction, urn-model sargable reduction) — see `epfis::explain`.
-//! * [`Metrics`] keeps per-command counters and latency histograms, served
-//!   back by `STATS` — including the governance counters
-//!   (`limit_rejections`, `connections_shed`, `sessions_disconnected`,
-//!   bytes in/out). Every instrument is registered in an `epfis-obs`
-//!   registry, so the optional HTTP endpoint
-//!   ([`ServerConfig::metrics_addr`]) exposes the same atomics as
-//!   Prometheus text on `/metrics`, a liveness probe on `/healthz`, and
+//! * [`Metrics`] keeps per-command counters and latency histograms plus
+//!   the governance counters (`epfis_server_limit_rejections_total`,
+//!   `epfis_server_connections_shed_total`,
+//!   `epfis_server_sessions_disconnected_total`, bytes in/out). Every
+//!   instrument is registered in an `epfis-obs` registry, and `STATS`
+//!   answers with that registry's sample lines; the optional HTTP endpoint
+//!   ([`ServerConfig::metrics_addr`]) renders the same registry as
+//!   Prometheus text on `/metrics`, plus a liveness probe on `/healthz` and
 //!   the structured-event ring buffer on `/events`; an optional
 //!   [`ServerConfig::logger`] records connection lifecycle, limit
 //!   violations, ANALYZE sessions, and catalog commit spans.
@@ -77,7 +78,7 @@ pub use catalog::{SharedCatalog, VersionedCatalog, VersionedEntry};
 pub use client::{BinaryClient, Client, ClientError};
 pub use framing::{BinRequest, BinResponse};
 pub use ingest::{IngestSession, SessionCheckpoint};
-pub use metrics::{CommandStats, Metrics, Protocol};
+pub use metrics::Metrics;
 pub use protocol::{frame_busy, frame_err, frame_ok, parse_page_into, parse_request, Request};
 pub use retry::{ResilientClient, RetryPolicy};
 pub use server::{serve, LimitsConfig, ServerConfig, ServerHandle};

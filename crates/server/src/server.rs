@@ -13,7 +13,8 @@
 //! An `ANALYZE BEGIN` opens a per-connection [`IngestSession`];
 //! `ESTIMATE`/`FPF`/`COMPARE`/`SHOW` run against an `Arc` snapshot of the
 //! shared catalog, so they never block behind a concurrent commit; every
-//! request is timed into [`Metrics`], served back by `STATS`.
+//! request is timed into [`Metrics`], whose registry `STATS` and
+//! `/metrics` both render (see `render_telemetry`).
 //!
 //! Shutdown is cooperative: the `SHUTDOWN` command (or
 //! [`ServerHandle::shutdown`]) raises a flag and wakes the loop, which
@@ -81,8 +82,8 @@ pub(crate) fn take_wal_time_us() -> u64 {
 /// sheds admissions with `SERVER_BUSY`, and `max_session_refs`
 /// caps what a single `ANALYZE` session may accumulate. Violations answer
 /// in the `ERR limit ...` / `SERVER_BUSY` response family and are counted
-/// by [`Metrics::limit_rejections_total`] /
-/// [`Metrics::connections_shed_total`].
+/// under `epfis_server_limit_rejections_total` /
+/// `epfis_server_connections_shed_total` (in `STATS` and on `/metrics`).
 #[derive(Debug, Clone, Copy)]
 pub struct LimitsConfig {
     /// Longest accepted request line in bytes (default 1 MiB). A line that
@@ -248,7 +249,7 @@ pub(crate) struct Shared {
     pub(crate) max_connections: usize,
     /// Durable-ingestion state when the server runs with a WAL; replayed
     /// before the listener binds.
-    pub(crate) wal: Option<ServerWal>,
+    pub(crate) wal: Option<Arc<ServerWal>>,
     /// Degraded-mode flag, shared with the `/healthz` handler.
     pub(crate) health: Arc<HealthState>,
     /// Observed-vs-predicted drift tracking, fed by `OBSERVE`, read by
@@ -260,7 +261,6 @@ pub(crate) struct Shared {
     pub(crate) slowlog: Arc<SlowLog>,
     /// Runs session requests beside the event loop.
     pub(crate) ingest: IngestPool,
-    pub(crate) started: Instant,
     addr: SocketAddr,
 }
 
@@ -268,16 +268,12 @@ impl Shared {
     /// Enters degraded (read-only) mode on the first durability failure.
     pub(crate) fn enter_degraded(&self, cause: &str) {
         if self.health.enter(cause) {
-            self.metrics.degraded_entered();
+            self.metrics.degraded_entries.inc();
             self.logger
                 .event(Level::Error, "server", "degraded")
                 .field("cause", cause)
                 .emit();
         }
-    }
-
-    pub(crate) fn is_degraded(&self) -> bool {
-        self.health.is_degraded()
     }
 
     /// The `ERR readonly ...` message for ingest commands while degraded,
@@ -397,12 +393,12 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
             if let Some(vfs) = &config.vfs {
                 wal_config.vfs = Arc::clone(vfs);
             }
-            Some(ServerWal::open(
+            Some(Arc::new(ServerWal::open(
                 &wal_config,
                 &catalog,
                 config.epfis_config,
                 &logger,
-            )?)
+            )?))
         }
         None => None,
     };
@@ -442,18 +438,40 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
             move || h.is_degraded() as u64 as f64,
         );
         let cat = Arc::clone(&catalog);
-        registry.gauge_fn(
+        registry.counter_fn(
             "epfis_server_catalog_persist_failures_total",
             "Catalog commits whose atomic persist failed (old version kept serving)",
             &[],
-            move || cat.persist_failures() as f64,
+            move || cat.persist_failures(),
         );
     }
+    if let Some(wal) = &wal {
+        let w = Arc::clone(wal);
+        registry.gauge_fn(
+            "epfis_wal_poisoned",
+            "1 while a durability failure has poisoned the write-ahead log",
+            &[],
+            move || w.poisoned().is_some() as u64 as f64,
+        );
+        let w = Arc::clone(wal);
+        registry.gauge_fn(
+            "epfis_wal_parked_sessions",
+            "ANALYZE sessions parked for ANALYZE RESUME",
+            &[],
+            move || w.parked_names().len() as f64,
+        );
+    }
+    // Pre-register the process-global families so both surfaces list them
+    // (at zero) even before the first buffer-pool access, ANALYZE session,
+    // or WAL append touches them.
+    epfis_obs::wellknown::bufferpool();
+    epfis_obs::wellknown::analyzer();
+    epfis_obs::wellknown::wal();
     let accuracy = Arc::new(AccuracyTracker::new(config.accuracy.clone()));
     let slowlog = Arc::new(SlowLog::new(config.slow_request_us, SLOWLOG_CAPACITY));
     {
         // The observatory families read the tracker / slow log / event ring
-        // at render time, so /metrics and STATS can never disagree with the
+        // at render time, so neither surface can disagree with the
         // structures the serving path maintains.
         let a = Arc::clone(&accuracy);
         registry.counter_fn(
@@ -533,7 +551,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         accuracy_err_hist,
         slowlog,
         ingest: IngestPool::start(epfis_net::Waker::new()?),
-        started,
         addr,
     });
     shared
@@ -556,6 +573,19 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
+/// The server's telemetry: `registry` (the per-server instruments)
+/// followed by [`Registry::global`] (buffer pool, analyzer, WAL), both
+/// rendered by `render`. `/metrics` passes
+/// [`Registry::render_prometheus_into`] and `STATS` passes
+/// [`Registry::render_samples_into`], so the two surfaces list the same
+/// series from the same atomics.
+fn render_telemetry(registry: &Registry, render: fn(&Registry, &mut String)) -> String {
+    let mut out = String::new();
+    render(registry, &mut out);
+    render(Registry::global(), &mut out);
+    out
+}
+
 /// Starts the HTTP observability endpoint: `/metrics` renders the
 /// per-server registry followed by the process-global one (buffer pool,
 /// analyzer), `/healthz` answers a JSON liveness probe (503 with the cause
@@ -570,12 +600,6 @@ fn start_metrics_endpoint(
     slowlog: Arc<SlowLog>,
     started: Instant,
 ) -> std::io::Result<HttpServer> {
-    // Pre-register the process-global families so every scrape sees them
-    // (at zero) even before the first buffer-pool access or ANALYZE
-    // session touches them.
-    epfis_obs::wellknown::bufferpool();
-    epfis_obs::wellknown::analyzer();
-    epfis_obs::wellknown::wal();
     HttpServer::serve(
         addr,
         Arc::new(move |path: &str| {
@@ -584,14 +608,10 @@ fn start_metrics_endpoint(
                 None => (path, ""),
             };
             match route {
-                "/metrics" => {
-                    let mut body = registry.render_prometheus();
-                    Registry::global().render_prometheus_into(&mut body);
-                    Some(Response::ok(
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        body,
-                    ))
-                }
+                "/metrics" => Some(Response::ok(
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    render_telemetry(&registry, Registry::render_prometheus_into),
+                )),
                 "/healthz" => {
                     // Liveness vs serviceability: a degraded server still
                     // answers (estimates keep serving) but reports 503 so
@@ -659,7 +679,7 @@ fn start_metrics_endpoint(
 /// short timeout, so a peer that never reads cannot stall the event loop)
 /// and drops the socket.
 pub(crate) fn shed_connection(stream: TcpStream, shared: &Shared) {
-    shared.metrics.connection_shed();
+    shared.metrics.connections_shed.inc();
     shared
         .logger
         .event(Level::Warn, "server", "connection_shed")
@@ -677,7 +697,7 @@ pub(crate) fn shed_connection(stream: TcpStream, shared: &Shared) {
         .is_ok()
         && stream.write_all(response.as_bytes()).is_ok()
     {
-        shared.metrics.add_bytes_out(response.len() as u64);
+        shared.metrics.bytes_out.add(response.len() as u64);
     }
 }
 
@@ -703,7 +723,7 @@ pub(crate) fn finish_connection(shared: &Shared, session: Option<OpenSession>) {
     let Some(open) = session else {
         return;
     };
-    shared.metrics.session_disconnected();
+    shared.metrics.sessions_disconnected.inc();
     epfis_obs::wellknown::analyzer().active_sessions.sub(1);
     match &shared.wal {
         Some(wal) => {
@@ -1200,7 +1220,9 @@ pub(crate) fn execute(
             };
             let b = buffer.unwrap_or_else(|| s.b_min.max(1));
             let estimate = s.estimate(&ScanQuery::range(sigma, b));
-            let obs = shared.accuracy.observe(&name, entry.epoch, estimate, actual);
+            let obs = shared
+                .accuracy
+                .observe(&name, entry.epoch, estimate, actual);
             shared
                 .accuracy_err_hist
                 .record((obs.rel_err.abs() * 1000.0).min(1e15) as u64);
@@ -1216,16 +1238,15 @@ pub(crate) fn execute(
             }
             Ok(vec![format!(
                 "observed {name} epoch={} estimate={estimate} actual={actual} rel_err={} stale={}",
-                entry.epoch,
-                obs.rel_err,
-                obs.stale as u8
+                entry.epoch, obs.rel_err, obs.stale as u8
             )])
         }
         Request::Drift { name } => match name {
             Some(name) => {
-                let summary = shared.accuracy.summary(&name).ok_or_else(|| {
-                    format!("no observations for {name:?} (send OBSERVE first)")
-                })?;
+                let summary = shared
+                    .accuracy
+                    .summary(&name)
+                    .ok_or_else(|| format!("no observations for {name:?} (send OBSERVE first)"))?;
                 Ok(vec![summary.render()])
             }
             None => Ok(shared
@@ -1245,55 +1266,13 @@ pub(crate) fn execute(
             lines.extend(shared.slowlog.snapshot(limit).iter().map(|e| e.render()));
             Ok(lines)
         }
-        Request::Stats => {
-            let snap = shared.catalog.snapshot();
-            let mut lines =
-                shared
-                    .metrics
-                    .render(shared.started.elapsed().as_secs(), snap.epoch(), snap.len());
-            lines.push(format!("degraded {}", shared.is_degraded() as u8));
-            lines.push(format!(
-                "degraded_entries {}",
-                shared.metrics.degraded_entries_total()
-            ));
-            lines.push(format!(
-                "catalog_persist_failures {}",
-                shared.catalog.persist_failures()
-            ));
-            if let Some(wal) = &shared.wal {
-                let w = epfis_obs::wellknown::wal();
-                lines.push(format!("wal_poisoned {}", wal.poisoned().is_some() as u8));
-                lines.push(format!("wal_appends_total {}", w.appends.get()));
-                lines.push(format!("wal_bytes_total {}", w.bytes.get()));
-                lines.push(format!("wal_fsyncs_total {}", w.fsyncs.get()));
-                lines.push(format!(
-                    "wal_replay_records_total {}",
-                    w.replay_records.get()
-                ));
-                lines.push(format!(
-                    "wal_recovered_sessions_total {}",
-                    w.recovered_sessions.get()
-                ));
-                lines.push(format!("wal_parked_sessions {}", wal.parked_names().len()));
-            }
-            lines.push(format!(
-                "obs_events_dropped {}",
-                shared.logger.ring_dropped()
-            ));
-            lines.push(format!(
-                "accuracy observations={} drift_detected={} stale_entries={} tracked={}",
-                shared.accuracy.observations_total(),
-                shared.accuracy.drift_detected_total(),
-                shared.accuracy.stale_entries(),
-                shared.accuracy.tracked_entries()
-            ));
-            lines.push(format!(
-                "slowlog threshold_us={} recorded={}",
-                shared.slowlog.threshold_us(),
-                shared.slowlog.recorded_total()
-            ));
-            Ok(lines)
-        }
+        Request::Stats => Ok(render_telemetry(
+            shared.metrics.registry(),
+            Registry::render_samples_into,
+        )
+        .lines()
+        .map(str::to_string)
+        .collect()),
         // The session engine intercepts HELLO before execute, so reaching this arm
         // means the request arrived over an already-upgraded connection
         // (a TEXT passthrough frame carrying "HELLO BINARY").

@@ -34,7 +34,7 @@ use crate::framing::{
     self, decode_request, encode_resp_err, encode_resp_f64, encode_resp_lines, encode_resp_str,
     encode_resp_u64, BinRequest,
 };
-use crate::metrics::{PhaseBatch, Protocol};
+use crate::metrics::PhaseBatch;
 use crate::protocol::{frame_err, frame_ok, parse_page_into, parse_request, Request};
 use crate::server::{apply_page_batch, execute, take_wal_time_us, OpenSession, Shared};
 use crate::slowlog::Phases;
@@ -163,7 +163,7 @@ impl Conn {
         if self.closed {
             return Control::Close;
         }
-        shared.metrics.add_bytes_in(data.len() as u64);
+        shared.metrics.bytes_in.add(data.len() as u64);
         self.batch_arrived = Some(Instant::now());
         self.pending.extend_from_slice(data);
         let step = self.process(shared, out);
@@ -179,7 +179,7 @@ impl Conn {
         if !self.closed && !self.ingest_next && self.pending.len() > shared.limits.max_pending_bytes
         {
             let limits = &shared.limits;
-            shared.metrics.limit_rejection();
+            shared.metrics.limit_rejections.inc();
             shared
                 .logger
                 .event(epfis_obs::Level::Warn, "server", "limit_pending")
@@ -224,7 +224,7 @@ impl Conn {
             // not idle.
             return Control::Continue;
         }
-        shared.metrics.limit_rejection();
+        shared.metrics.limit_rejections.inc();
         shared
             .logger
             .event(epfis_obs::Level::Warn, "server", "limit_idle")
@@ -312,7 +312,7 @@ impl Conn {
     }
 
     fn limit_line(&mut self, shared: &Shared, out: &mut Vec<u8>) {
-        shared.metrics.limit_rejection();
+        shared.metrics.limit_rejections.inc();
         shared
             .logger
             .event(epfis_obs::Level::Warn, "server", "limit_line")
@@ -333,7 +333,7 @@ impl Conn {
             .batch_arrived
             .map(|t| start.saturating_duration_since(t).as_micros() as u64)
             .unwrap_or(0);
-        shared.metrics.protocol_request(Protocol::Text);
+        shared.metrics.requests_text.inc();
         let first = line.split_whitespace().next().unwrap_or("");
         let (label, parsed_at, result) = if first.eq_ignore_ascii_case("PAGE") {
             // Fast path: parse into the scratch buffer and feed through the
@@ -362,7 +362,7 @@ impl Conn {
                     let micros = start.elapsed().as_micros() as u64;
                     shared.metrics.record("HELLO", micros, false);
                     out.extend_from_slice(frame_ok(&[framing::HELLO_ACK.to_string()]).as_bytes());
-                    shared.metrics.binary_upgrade();
+                    shared.metrics.binary_upgrades.inc();
                     shared
                         .logger
                         .event(epfis_obs::Level::Info, "server", "binary_upgrade")
@@ -399,7 +399,7 @@ impl Conn {
                 // Errors in the resource-limit family (`ERR limit ...`)
                 // count toward the limit_rejections metric.
                 if msg.starts_with("limit ") {
-                    shared.metrics.limit_rejection();
+                    shared.metrics.limit_rejections.inc();
                 }
                 frame_err(msg)
             }
@@ -469,7 +469,7 @@ impl Conn {
     /// Answers an oversized binary frame: the framing analogue of the text
     /// path's `ERR limit line ...` (counted, answered, connection closed).
     fn limit_frame(&mut self, shared: &Shared, bytes: usize, out: &mut Vec<u8>) {
-        shared.metrics.limit_rejection();
+        shared.metrics.limit_rejections.inc();
         shared
             .logger
             .event(epfis_obs::Level::Warn, "server", "limit_frame")
@@ -526,7 +526,7 @@ fn handle_binary_frame(
     let queue_us = batch_arrived
         .map(|t| start.saturating_duration_since(t).as_micros() as u64)
         .unwrap_or(0);
-    shared.metrics.protocol_request(Protocol::Binary);
+    shared.metrics.requests_binary.inc();
     // `wire` is the slow-log request preview; binary frames carry the
     // command name (the raw body is not meaningfully printable), TEXT
     // passthrough frames carry the inner line.
@@ -577,7 +577,7 @@ fn handle_binary_frame(
                 Ok(n) => encode_resp_u64(out, n),
                 Err(e) => {
                     if e.starts_with("limit ") {
-                        shared.metrics.limit_rejection();
+                        shared.metrics.limit_rejections.inc();
                     }
                     encode_resp_err(out, &e);
                     record("PAGE", "PAGE", true, parsed_at);
@@ -638,7 +638,7 @@ fn handle_binary_frame(
                 let result = execute(req, shared, session);
                 if let Err(msg) = &result {
                     if msg.starts_with("limit ") {
-                        shared.metrics.limit_rejection();
+                        shared.metrics.limit_rejections.inc();
                     }
                 }
                 encode_exec_result(out, &result);

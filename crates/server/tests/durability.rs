@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use epfis::EpfisConfig;
 use epfis_lrusim::AnalyzerSnapshot;
+use epfis_obs::series_value;
 use epfis_server::wal::{decode_record, encode_checkpoint};
 use epfis_server::{
     serve, Client, FsyncPolicy, IngestSession, ServerConfig, ServerWal, SessionCheckpoint,
@@ -168,22 +169,16 @@ fn tcp_restart_resumes_and_commits_bit_identical() {
             client.request(&line).unwrap();
         }
     };
-    let parked_sessions = |client: &mut Client| -> u64 {
-        client
-            .request("STATS")
-            .unwrap()
-            .iter()
-            .find_map(|l| {
-                l.strip_prefix("wal_parked_sessions ")
-                    .map(|v| v.parse().unwrap())
-            })
-            .expect("STATS must report wal_parked_sessions when the WAL is on")
+    let parked_sessions = |client: &mut Client| -> f64 {
+        let stats = client.request("STATS").unwrap().join("\n");
+        series_value(&stats, "epfis_wal_parked_sessions")
+            .expect("STATS must report epfis_wal_parked_sessions when the WAL is on")
     };
     let wait_parked = |client: &mut Client| {
         // Parking happens when the worker notices the disconnect; give it
         // a moment (bounded), polling through a separate control client.
         for _ in 0..500 {
-            if parked_sessions(client) == 1 {
+            if parked_sessions(client) == 1.0 {
                 return;
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -243,17 +238,11 @@ fn tcp_restart_resumes_and_commits_bit_identical() {
     drop(server);
     let server = serve(config()).unwrap();
     let mut c3 = Client::connect(server.addr()).unwrap();
-    let replayed: u64 = c3
-        .request("STATS")
-        .unwrap()
-        .iter()
-        .find_map(|l| {
-            l.strip_prefix("wal_replay_records_total ")
-                .map(|v| v.parse().unwrap())
-        })
-        .expect("STATS must report wal_replay_records_total");
-    assert!(replayed > 0, "restart must have replayed WAL records");
-    assert_eq!(parked_sessions(&mut c3), 1);
+    let stats = c3.request("STATS").unwrap().join("\n");
+    let replayed = series_value(&stats, "epfis_wal_replay_records_total")
+        .expect("STATS must report epfis_wal_replay_records_total");
+    assert!(replayed > 0.0, "restart must have replayed WAL records");
+    assert_eq!(parked_sessions(&mut c3), 1.0);
 
     let lines = c3.request("ANALYZE RESUME ix.r").unwrap();
     assert_eq!(lines[0], "resumed ix.r refs=2250");

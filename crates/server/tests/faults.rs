@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use epfis::EpfisConfig;
 use epfis_faults::{FaultKind, FaultVfs, OpKind, Rule, Vfs};
+use epfis_obs::series_value;
 use epfis_server::{
     serve, Client, FsyncPolicy, ResilientClient, RetryPolicy, ServerConfig, SharedCatalog,
     VersionedCatalog, WalConfig,
@@ -77,20 +78,13 @@ fn catalog_entries(path: &Path, context: &str) -> Vec<String> {
     catalog.iter().map(|(name, _)| name.to_string()).collect()
 }
 
-fn stat_value(lines: &[String], key: &str) -> Option<u64> {
-    lines
-        .iter()
-        .find_map(|l| l.strip_prefix(&format!("{key} ")))
-        .and_then(|v| v.parse().ok())
-}
-
 /// What one scripted run against a (possibly faulty) server observed.
 struct RunOutcome {
     /// The server failed to start at all.
     start_failed: bool,
     /// The `committed …` acknowledgment, if the commit was acknowledged.
     commit_ack: Option<String>,
-    /// `STATS degraded` at the end of the script.
+    /// `epfis_server_degraded` in `STATS` at the end of the script.
     degraded: bool,
 }
 
@@ -159,8 +153,8 @@ fn run_script(root: &Path, pre_bytes: &[u8], vfs: Arc<dyn Vfs>, context: &str) -
         .unwrap_or_else(|e| panic!("{context}: read path died: {e}"));
     assert!(!est.is_empty(), "{context}: empty estimate");
 
-    let stats = c.request("STATS").unwrap();
-    let degraded = stat_value(&stats, "degraded") == Some(1);
+    let stats = c.request("STATS").unwrap().join("\n");
+    let degraded = series_value(&stats, "epfis_server_degraded") == Some(1.0);
     if degraded {
         // Degraded mode must reject every ingest entry point with the
         // distinct readonly error — never accept silently.
@@ -271,9 +265,9 @@ fn degraded_mode_serves_reads_and_recover_restores_ingest() {
     // Degraded: reads serve, ingest rejects with the distinct error,
     // telemetry reports on every surface.
     let est_before = c.request("ESTIMATE base 0.5 10").unwrap();
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat_value(&stats, "degraded"), Some(1));
-    assert_eq!(stat_value(&stats, "wal_poisoned"), Some(1));
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(series_value(&stats, "epfis_server_degraded"), Some(1.0));
+    assert_eq!(series_value(&stats, "epfis_wal_poisoned"), Some(1.0));
     assert_eq!(http_status(metrics_addr, "/healthz"), 503);
     let body = http_body(metrics_addr, "/healthz");
     assert!(body.contains("\"status\":\"degraded\""), "{body}");
@@ -303,8 +297,11 @@ fn degraded_mode_serves_reads_and_recover_restores_ingest() {
     let err = c.request("RECOVER").expect_err("disk is still bad");
     assert!(err.to_string().contains("recover failed"), "{err}");
     assert_eq!(
-        stat_value(&c.request("STATS").unwrap(), "degraded"),
-        Some(1)
+        series_value(
+            &c.request("STATS").unwrap().join("\n"),
+            "epfis_server_degraded"
+        ),
+        Some(1.0)
     );
 
     // The disk heals; RECOVER re-probes and resumes full service.
@@ -318,8 +315,11 @@ fn degraded_mode_serves_reads_and_recover_restores_ingest() {
     );
     assert_eq!(http_status(metrics_addr, "/healthz"), 200);
     assert_eq!(
-        stat_value(&c.request("STATS").unwrap(), "degraded"),
-        Some(0)
+        series_value(
+            &c.request("STATS").unwrap().join("\n"),
+            "epfis_server_degraded"
+        ),
+        Some(0.0)
     );
     c.request("ANALYZE BEGIN ix.good table_pages=40").unwrap();
     for chunk in scan_pairs(180, 40).chunks(60) {
@@ -350,9 +350,11 @@ fn catalog_persist_failure_degrades_and_recovers() {
     let server = serve(ServerConfig {
         catalog_path: Some(cat_path.clone()),
         vfs: Some(fv.clone().shared()),
+        metrics_addr: Some("127.0.0.1:0".into()),
         ..ServerConfig::default()
     })
     .unwrap();
+    let metrics_addr = server.metrics_addr().unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
 
     // Only the catalog path is faulted (no WAL in this config): fail the
@@ -373,9 +375,20 @@ fn catalog_persist_failure_degrades_and_recovers() {
         pre_bytes,
         "old catalog must survive byte-identical"
     );
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat_value(&stats, "degraded"), Some(1));
-    assert!(stat_value(&stats, "catalog_persist_failures").unwrap() >= 1);
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(series_value(&stats, "epfis_server_degraded"), Some(1.0));
+    let failures = "epfis_server_catalog_persist_failures_total";
+    assert!(series_value(&stats, failures).unwrap() >= 1.0, "{stats}");
+    // A monotonic `_total` count, exported as a counter family.
+    let metrics = http_body(metrics_addr, "/metrics");
+    assert!(
+        metrics.contains(&format!("\n# TYPE {failures} counter\n")),
+        "{metrics}"
+    );
+    assert_eq!(
+        series_value(&metrics, failures),
+        series_value(&stats, failures)
+    );
     // Reads still serve the old snapshot.
     c.request("ESTIMATE base 0.5 10").unwrap();
 

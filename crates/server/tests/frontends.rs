@@ -7,12 +7,13 @@
 //!   binary framing (the binary run carries each command in a TEXT frame);
 //! * a peer that provokes a huge response and then stops reading (a write
 //!   stall) is reclaimed at the deadline, counted under
-//!   `sessions_disconnected`;
+//!   `epfis_server_sessions_disconnected_total`;
 //! * a pending-buffer overflow answers the distinct `ERR limit pending ...`
 //!   (it used to masquerade as an oversized-line/frame rejection);
 //! * the event loop sustains 10k concurrent idle connections with a fixed,
 //!   tiny thread count, while still serving them all.
 
+use epfis_obs::series_value;
 use epfis_server::{
     framing, hostile, serve, BinResponse, Client, ClientError, LimitsConfig, ServerConfig,
     ServerHandle,
@@ -27,16 +28,6 @@ fn server(limits: LimitsConfig) -> ServerHandle {
         ..ServerConfig::default()
     })
     .expect("bind server")
-}
-
-/// Pulls `<key> <value>` off a STATS global line.
-fn stat(lines: &[String], key: &str) -> u64 {
-    lines
-        .iter()
-        .find_map(|l| l.strip_prefix(&format!("{key} ")))
-        .unwrap_or_else(|| panic!("no STATS line for {key}: {lines:?}"))
-        .parse()
-        .unwrap()
 }
 
 /// A deterministic synthetic statistics scan (skewed page reuse).
@@ -203,8 +194,12 @@ fn write_stall_is_reclaimed() {
     let mut c = Client::connect(addr).unwrap();
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
     // ...and the reclaim was counted.
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "sessions_disconnected"), 1, "{stats:?}");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_sessions_disconnected_total"),
+        Some(1.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 

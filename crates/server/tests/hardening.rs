@@ -5,9 +5,11 @@
 //! newline-less flood, slow-loris trickling, idle pile-ups past the
 //! admission cap, mid-`ANALYZE` disconnects — and asserts both the client's
 //! view (the `ERR limit ...` / `SERVER_BUSY` response family) and the
-//! server's (`limit_rejections`, `connections_shed`,
-//! `sessions_disconnected`, bytes in/out counters).
+//! server's (`epfis_server_limit_rejections_total`,
+//! `epfis_server_connections_shed_total`,
+//! `epfis_server_sessions_disconnected_total`, bytes in/out counters).
 
+use epfis_obs::series_value;
 use epfis_server::{hostile, serve, Client, ClientError, LimitsConfig, ServerConfig};
 use std::io::Read;
 use std::time::{Duration, Instant};
@@ -19,16 +21,6 @@ fn tight_server(limits: LimitsConfig) -> epfis_server::ServerHandle {
         ..ServerConfig::default()
     })
     .expect("bind hardened server")
-}
-
-/// Pulls `<key> <value>` off a STATS global line.
-fn stat(lines: &[String], key: &str) -> u64 {
-    lines
-        .iter()
-        .find_map(|l| l.strip_prefix(&format!("{key} ")))
-        .unwrap_or_else(|| panic!("no STATS line for {key}: {lines:?}"))
-        .parse()
-        .unwrap()
 }
 
 #[test]
@@ -61,11 +53,15 @@ fn newline_less_flood_is_rejected_with_bounded_reads() {
     // Server-side accounting: it read at most max_line_bytes + one 4 KiB
     // chunk off the flood (plus this STATS request), nowhere near 100 MB.
     let mut c = Client::connect(addr).unwrap();
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "limit_rejections"), 1, "{stats:?}");
-    let bytes_in = stat(&stats, "bytes_in");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_limit_rejections_total"),
+        Some(1.0),
+        "{stats}"
+    );
+    let bytes_in = series_value(&stats, "epfis_server_bytes_in_total").unwrap();
     assert!(
-        bytes_in < 128 * 1024,
+        bytes_in < 128.0 * 1024.0,
         "bytes_in {bytes_in} must stay near the 64 KiB line limit"
     );
     server.shutdown_and_join();
@@ -160,8 +156,12 @@ fn saturated_pool_sheds_fresh_connections_with_server_busy() {
             }
         }
     };
-    let stats = served.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "connections_shed"), busy_attempts, "{stats:?}");
+    let stats = served.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_connections_shed_total"),
+        Some(busy_attempts as f64),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 
@@ -198,8 +198,12 @@ fn idle_deadline_reclaims_workers_and_answers_err_limit() {
             }
         }
     };
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "limit_rejections"), 2, "{stats:?}");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_limit_rejections_total"),
+        Some(2.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 
@@ -230,8 +234,12 @@ fn slow_loris_writer_is_disconnected_at_the_idle_deadline() {
         assert!(r.contains("limit idle"), "{r}");
     }
     let mut c = Client::connect(server.addr()).unwrap();
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "limit_rejections"), 1, "{stats:?}");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_limit_rejections_total"),
+        Some(1.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 
@@ -246,13 +254,13 @@ fn mid_session_disconnect_is_counted_and_cleaned_up() {
     let mut c = Client::connect(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = c.request("STATS").unwrap();
-        if stat(&stats, "sessions_disconnected") == 1 {
+        let stats = c.request("STATS").unwrap().join("\n");
+        if series_value(&stats, "epfis_server_sessions_disconnected_total") == Some(1.0) {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "sessions_disconnected never incremented: {stats:?}"
+            "sessions_disconnected never incremented: {stats}"
         );
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -264,8 +272,12 @@ fn mid_session_disconnect_is_counted_and_cleaned_up() {
     c.request("ANALYZE BEGIN clean.ix table_pages=8").unwrap();
     c.request("PAGE 1 0 1 3 2 5").unwrap();
     c.request("ANALYZE COMMIT").unwrap();
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "sessions_disconnected"), 1, "{stats:?}");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_sessions_disconnected_total"),
+        Some(1.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 
@@ -291,8 +303,12 @@ fn session_reference_cap_rejects_batches_without_corrupting_the_session() {
     assert_eq!(c.request("PAGE 4 4").unwrap(), vec!["fed 5".to_string()]);
     let commit = c.request("ANALYZE COMMIT").unwrap();
     assert!(commit[0].contains("N=5"), "{commit:?}");
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "limit_rejections"), 1, "{stats:?}");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_limit_rejections_total"),
+        Some(1.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 
@@ -429,12 +445,12 @@ fn bytes_counters_cover_both_directions() {
     let server = serve(ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
-    let stats = c.request("STATS").unwrap();
+    let stats = c.request("STATS").unwrap().join("\n");
     // "PING\n" in, "OK 1\npong\n" out, plus the STATS request itself.
-    let bytes_in = stat(&stats, "bytes_in");
-    let bytes_out = stat(&stats, "bytes_out");
-    assert_eq!(bytes_in, ("PING\n".len() + "STATS\n".len()) as u64);
-    assert_eq!(bytes_out, "OK 1\npong\n".len() as u64, "{stats:?}");
+    let bytes_in = series_value(&stats, "epfis_server_bytes_in_total").unwrap();
+    let bytes_out = series_value(&stats, "epfis_server_bytes_out_total").unwrap();
+    assert_eq!(bytes_in, ("PING\n".len() + "STATS\n".len()) as f64);
+    assert_eq!(bytes_out, "OK 1\npong\n".len() as f64, "{stats}");
     server.shutdown_and_join();
 }
 
@@ -468,12 +484,20 @@ fn binary_flood_is_rejected_from_the_frame_header_alone() {
     );
 
     let mut c = Client::connect(addr).unwrap();
-    let stats = c.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "limit_rejections"), 1, "{stats:?}");
-    assert_eq!(stat(&stats, "binary_upgrades"), 1, "{stats:?}");
-    let bytes_in = stat(&stats, "bytes_in");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_limit_rejections_total"),
+        Some(1.0),
+        "{stats}"
+    );
+    assert_eq!(
+        series_value(&stats, "epfis_server_binary_upgrades_total"),
+        Some(1.0),
+        "{stats}"
+    );
+    let bytes_in = series_value(&stats, "epfis_server_bytes_in_total").unwrap();
     assert!(
-        bytes_in < 2 * 128 * 1024,
+        bytes_in < 2.0 * 128.0 * 1024.0,
         "bytes_in {bytes_in} must stay near the pending-buffer cap"
     );
     server.shutdown_and_join();
@@ -503,8 +527,12 @@ fn binary_idle_connection_is_reclaimed_with_an_err_frame() {
     assert!(c.flush().is_err() || c.recv().is_err());
 
     let mut probe = Client::connect(server.addr()).unwrap();
-    let stats = probe.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "limit_rejections"), 1, "{stats:?}");
+    let stats = probe.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_limit_rejections_total"),
+        Some(1.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 
@@ -560,12 +588,34 @@ fn binary_session_reference_cap_preserves_atomic_batches() {
         other => panic!("{other:?}"),
     }
     let mut probe = Client::connect(server.addr()).unwrap();
-    let stats = probe.request("STATS").unwrap();
-    assert_eq!(stat(&stats, "limit_rejections"), 1, "{stats:?}");
+    let stats = probe.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_limit_rejections_total"),
+        Some(1.0),
+        "{stats}"
+    );
     // The HELLO upgrade line and the probe's STATS are the only text
     // requests; everything else went over binary frames.
-    assert_eq!(stat(&stats, "protocol_requests_text"), 2, "{stats:?}");
-    assert_eq!(stat(&stats, "protocol_requests_binary"), 5, "{stats:?}");
-    assert_eq!(stat(&stats, "binary_upgrades"), 1, "{stats:?}");
+    assert_eq!(
+        series_value(
+            &stats,
+            "epfis_server_protocol_requests_total{protocol=\"text\"}"
+        ),
+        Some(2.0),
+        "{stats}"
+    );
+    assert_eq!(
+        series_value(
+            &stats,
+            "epfis_server_protocol_requests_total{protocol=\"binary\"}"
+        ),
+        Some(5.0),
+        "{stats}"
+    );
+    assert_eq!(
+        series_value(&stats, "epfis_server_binary_upgrades_total"),
+        Some(1.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }

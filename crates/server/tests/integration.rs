@@ -9,6 +9,7 @@
 
 use epfis::{EpfisConfig, IndexStatistics, LruFit, ScanQuery};
 use epfis_lrusim::KeyedTrace;
+use epfis_obs::series_value;
 use epfis_server::{serve, Client, ClientError, ServerConfig};
 
 /// A deterministic synthetic statistics scan: T pages, fixed-length runs.
@@ -110,24 +111,30 @@ fn served_estimates_match_in_process_est_io_byte_for_byte() {
     }
 
     // STATS must account for every request this test sent.
-    let lines = c.request("STATS").unwrap();
-    let count_of = |label: &str| -> u64 {
-        lines
-            .iter()
-            .find(|l| l.starts_with(&format!("command {label} ")))
-            .unwrap_or_else(|| panic!("no STATS line for {label}: {lines:?}"))
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix("count="))
-            .unwrap()
-            .parse()
-            .unwrap()
+    let stats = c.request("STATS").unwrap().join("\n");
+    let count_of = |label: &str| {
+        series_value(
+            &stats,
+            &format!("epfis_server_requests_total{{command=\"{label}\"}}"),
+        )
     };
-    assert_eq!(count_of("ESTIMATE"), (CONNECTIONS * queries.len()) as u64);
-    assert_eq!(count_of("ANALYZE_BEGIN"), 1);
-    assert_eq!(count_of("ANALYZE_COMMIT"), 1);
-    assert_eq!(count_of("PAGE"), 3000 / 64 + 1);
-    assert!(lines.iter().any(|l| l == "catalog_epoch 1"), "{lines:?}");
-    assert!(lines.iter().any(|l| l == "catalog_entries 1"), "{lines:?}");
+    assert_eq!(
+        count_of("ESTIMATE"),
+        Some((CONNECTIONS * queries.len()) as f64)
+    );
+    assert_eq!(count_of("ANALYZE_BEGIN"), Some(1.0));
+    assert_eq!(count_of("ANALYZE_COMMIT"), Some(1.0));
+    assert_eq!(count_of("PAGE"), Some((3000 / 64 + 1) as f64));
+    assert_eq!(
+        series_value(&stats, "epfis_server_catalog_epoch"),
+        Some(1.0),
+        "{stats}"
+    );
+    assert_eq!(
+        series_value(&stats, "epfis_server_catalog_entries"),
+        Some(1.0),
+        "{stats}"
+    );
 
     server.shutdown_and_join();
 }
@@ -262,12 +269,12 @@ fn protocol_errors_leave_the_connection_usable() {
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
 
     // Errors are counted per command label.
-    let stats = c.request("STATS").unwrap();
-    let invalid = stats
-        .iter()
-        .find(|l| l.starts_with("command INVALID "))
-        .unwrap();
-    assert!(invalid.contains("count=1"), "{invalid}");
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_requests_total{command=\"INVALID\"}"),
+        Some(1.0),
+        "{stats}"
+    );
     server.shutdown_and_join();
 }
 

@@ -5,11 +5,12 @@
 
 use epfis::{EpfisConfig, IndexStatistics, LruFit, ScanQuery};
 use epfis_lrusim::KeyedTrace;
-use epfis_obs::{Level, Logger};
-use epfis_server::{serve, Client, ServerConfig};
+use epfis_obs::{series_value, Level, Logger};
+use epfis_server::{serve, Client, FsyncPolicy, ServerConfig, WalConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn test_trace() -> KeyedTrace {
     let pages: Vec<u32> = (0..3000u32)
@@ -72,20 +73,6 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     (status, body)
-}
-
-/// The value of a Prometheus series (exact line match on the name+labels
-/// prefix) parsed as f64.
-fn series_value(text: &str, series: &str) -> f64 {
-    text.lines()
-        .find_map(|l| {
-            l.strip_prefix(series)
-                .and_then(|rest| rest.strip_prefix(' '))
-        })
-        .unwrap_or_else(|| panic!("no series {series:?} in:\n{text}"))
-        .trim()
-        .parse()
-        .unwrap()
 }
 
 #[test]
@@ -152,44 +139,35 @@ fn metrics_exposition_matches_served_traffic_exactly() {
         ("epfis_server_catalog_epoch", 1.0),
         ("epfis_server_catalog_entries", 1.0),
     ] {
-        assert_eq!(series_value(&text, series), expect, "{series}");
+        assert_eq!(series_value(&text, series), Some(expect), "{series}");
     }
-    assert!(series_value(&text, "epfis_server_bytes_in_total") > 0.0);
-    assert!(series_value(&text, "epfis_server_bytes_out_total") > 0.0);
-    assert!(series_value(&text, "epfis_server_uptime_seconds") >= 0.0);
+    assert!(series_value(&text, "epfis_server_bytes_in_total").is_some_and(|v| v > 0.0));
+    assert!(series_value(&text, "epfis_server_bytes_out_total").is_some_and(|v| v > 0.0));
+    assert!(series_value(&text, "epfis_server_uptime_seconds").is_some_and(|v| v >= 0.0));
 
     // Histogram series render cumulatively and agree with _count.
     let inf = series_value(
         &text,
         "epfis_server_request_duration_us_bucket{command=\"PING\",le=\"+Inf\"}",
     );
-    assert_eq!(inf, 3.0);
+    assert_eq!(inf, Some(3.0));
 
     // The process-global families (buffer pool, analyzer) ride along in
     // the same body. Their values are process-wide — other tests in this
     // binary may feed them too — so assert floors, not exact counts.
-    assert!(series_value(&text, "epfis_analyzer_refs_total") >= 3000.0);
-    assert!(series_value(&text, "epfis_analyzer_sessions_total") >= 1.0);
+    assert!(series_value(&text, "epfis_analyzer_refs_total").is_some_and(|v| v >= 3000.0));
+    assert!(series_value(&text, "epfis_analyzer_sessions_total").is_some_and(|v| v >= 1.0));
     assert!(text.contains("epfis_analyzer_active_sessions"), "{text}");
     assert!(text.contains("epfis_bufferpool_requests_total"), "{text}");
 
-    // The exposition and STATS read the same atomics: the ESTIMATE counter
-    // must match (the STATS request itself only bumps the STATS label).
+    // The exposition and STATS render the same registry: the ESTIMATE
+    // counter line is identical on both surfaces (the STATS request itself
+    // only bumps the STATS label).
     let stats = c.request("STATS").unwrap();
-    let stats_estimate_count: f64 = stats
-        .iter()
-        .find(|l| l.starts_with("command ESTIMATE "))
-        .unwrap()
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("count="))
-        .unwrap()
-        .parse()
-        .unwrap();
     let (_, text) = http_get(metrics_addr, "/metrics");
-    assert_eq!(
-        series_value(&text, "epfis_server_requests_total{command=\"ESTIMATE\"}"),
-        stats_estimate_count
-    );
+    let line = "epfis_server_requests_total{command=\"ESTIMATE\"} 2";
+    assert!(stats.iter().any(|l| l == line), "{stats:?}");
+    assert!(text.lines().any(|l| l == line), "{text}");
 
     // /events serves the logger's ring buffer as JSON lines.
     let (status, events) = http_get(metrics_addr, "/events?n=128");
@@ -201,6 +179,64 @@ fn metrics_exposition_matches_served_traffic_exactly() {
         "{events}"
     );
 
+    server.shutdown_and_join();
+}
+
+/// The WAL's serving-side state (`epfis_wal_poisoned`,
+/// `epfis_wal_parked_sessions`) renders on both surfaces when the server
+/// runs with a WAL, and on neither without one.
+#[test]
+fn wal_gauges_render_on_both_surfaces_only_with_a_wal() {
+    let wal_dir = std::env::temp_dir().join(format!("epfis-obs-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let mut wal = WalConfig::new(&wal_dir);
+    wal.fsync = FsyncPolicy::Never;
+    let server = serve(ServerConfig {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        wal: Some(wal),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let metrics_addr = server.metrics_addr().unwrap();
+    let mut control = Client::connect(server.addr()).unwrap();
+    {
+        let mut c = Client::connect(server.addr()).unwrap();
+        c.request("ANALYZE BEGIN parked.ix table_pages=8").unwrap();
+        c.request("PAGE 1 0 1 3 2 5").unwrap();
+    }
+    // The disconnect parks the session once the server notices the EOF.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let stats = loop {
+        let stats = control.request("STATS").unwrap().join("\n");
+        if series_value(&stats, "epfis_wal_parked_sessions") == Some(1.0) {
+            break stats;
+        }
+        assert!(Instant::now() < deadline, "session never parked:\n{stats}");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let (_, text) = http_get(metrics_addr, "/metrics");
+    for line in ["epfis_wal_parked_sessions 1", "epfis_wal_poisoned 0"] {
+        assert!(stats.lines().any(|l| l == line), "{line}\n{stats}");
+        assert!(text.lines().any(|l| l == line), "{line}\n{text}");
+    }
+    server.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&wal_dir);
+
+    let server = serve(ServerConfig {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let stats = Client::connect(server.addr())
+        .unwrap()
+        .request("STATS")
+        .unwrap()
+        .join("\n");
+    let (_, text) = http_get(server.metrics_addr().unwrap(), "/metrics");
+    for family in ["epfis_wal_parked_sessions", "epfis_wal_poisoned"] {
+        assert!(!stats.contains(family), "{family}\n{stats}");
+        assert!(!text.contains(family), "{family}\n{text}");
+    }
     server.shutdown_and_join();
 }
 

@@ -9,6 +9,7 @@
 use epfis::{EpfisConfig, LruFit, ScanQuery};
 use epfis_faults::{FaultKind, FaultVfs, OpKind, Rule};
 use epfis_lrusim::KeyedTrace;
+use epfis_obs::series_value;
 use epfis_server::{
     parse_drift_line, serve, AccuracyConfig, BinaryClient, Client, ServerConfig, WalConfig,
 };
@@ -69,19 +70,6 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     (status, body)
 }
 
-/// The value of a Prometheus series (exact name+labels prefix match).
-fn series_value(text: &str, series: &str) -> f64 {
-    text.lines()
-        .find_map(|l| {
-            l.strip_prefix(series)
-                .and_then(|rest| rest.strip_prefix(' '))
-        })
-        .unwrap_or_else(|| panic!("no series {series:?} in:\n{text}"))
-        .trim()
-        .parse()
-        .unwrap()
-}
-
 /// One `key=value` token of a wire line.
 fn field(line: &str, key: &str) -> String {
     line.split_whitespace()
@@ -120,7 +108,10 @@ fn observe_pairs_ground_truth_with_the_current_estimate() {
     // An unspecified buffer defaults to the entry's fitted b_min.
     let default_line = c.request("OBSERVE orders.ck 250 77").unwrap()[0].clone();
     let expected_default = stats.estimate(&ScanQuery::range(0.25, stats.b_min.max(1)));
-    assert_eq!(field(&default_line, "estimate"), format!("{expected_default}"));
+    assert_eq!(
+        field(&default_line, "estimate"),
+        format!("{expected_default}")
+    );
 
     // Validation: unknown entries, zero buffers, malformed arguments.
     assert!(c.request("OBSERVE missing.ix 10 5").is_err());
@@ -181,34 +172,30 @@ fn biased_observations_flip_stale_and_reanalyze_resets() {
     let summary = parse_drift_line(&c.request("DRIFT orders.ck").unwrap()[0]).unwrap();
     assert!(summary.stale);
     assert_eq!(summary.observations, 10);
-    let stats = c.request("STATS").unwrap();
-    let accuracy_line = stats
-        .iter()
-        .find(|l| l.starts_with("accuracy "))
-        .expect("STATS accuracy line");
-    assert_eq!(field(accuracy_line, "observations"), "10");
-    assert_eq!(field(accuracy_line, "drift_detected"), "1");
-    assert_eq!(field(accuracy_line, "stale_entries"), "1");
-    assert_eq!(field(accuracy_line, "tracked"), "1");
+    let stats = c.request("STATS").unwrap().join("\n");
     let (_, text) = http_get(metrics_addr, "/metrics");
-    assert_eq!(
-        series_value(&text, "epfis_accuracy_observations_total"),
-        10.0
-    );
-    assert_eq!(
-        series_value(&text, "epfis_accuracy_drift_detected_total"),
-        1.0
-    );
-    assert_eq!(series_value(&text, "epfis_accuracy_stale_entries"), 1.0);
-    assert_eq!(series_value(&text, "epfis_accuracy_tracked_entries"), 1.0);
+    for (series, expect) in [
+        ("epfis_accuracy_observations_total", 10.0),
+        ("epfis_accuracy_drift_detected_total", 1.0),
+        ("epfis_accuracy_stale_entries", 1.0),
+        ("epfis_accuracy_tracked_entries", 1.0),
+        // The event-ring drop counter rides along as a counter family.
+        ("epfis_obs_events_dropped_total", 0.0),
+    ] {
+        assert_eq!(
+            series_value(&stats, series),
+            Some(expect),
+            "{series}\n{stats}"
+        );
+        assert_eq!(
+            series_value(&text, series),
+            Some(expect),
+            "{series}\n{text}"
+        );
+    }
     assert!(
-        series_value(&text, "epfis_accuracy_abs_rel_error_permille_count") >= 10.0
-    );
-    // The event-ring drop counter rides along as a counter family.
-    assert_eq!(series_value(&text, "epfis_obs_events_dropped_total"), 0.0);
-    assert!(
-        stats.iter().any(|l| l.starts_with("obs_events_dropped ")),
-        "{stats:?}"
+        series_value(&text, "epfis_accuracy_abs_rel_error_permille_count")
+            .is_some_and(|v| v >= 10.0)
     );
 
     // Refreshing the statistics bumps the epoch; the tracker starts the
@@ -232,10 +219,7 @@ fn binary_observe_answers_byte_identically_to_text() {
     let mut text = Client::connect(server.addr()).unwrap();
     ingest(&mut text, "orders.ck", &trace);
 
-    let text_line = text
-        .request("OBSERVE orders.ck 100 50 buffer=40")
-        .unwrap()[0]
-        .clone();
+    let text_line = text.request("OBSERVE orders.ck 100 50 buffer=40").unwrap()[0].clone();
     let mut binary = BinaryClient::connect(server.addr()).unwrap();
     let bin_line = binary.observe("orders.ck", 100, 50, Some(40)).unwrap();
     assert_eq!(bin_line, text_line);
@@ -268,16 +252,22 @@ fn slow_log_attributes_phases_on_both_surfaces() {
     // SLOWLOG: header plus newest-first entries carrying the phase split.
     let lines = c.request("SLOWLOG 8").unwrap();
     let header = &lines[0];
-    assert!(header.starts_with("slowlog threshold_us=0 recorded="), "{header}");
+    assert!(
+        header.starts_with("slowlog threshold_us=0 recorded="),
+        "{header}"
+    );
     assert!(lines.len() > 1, "{lines:?}");
     let newest = &lines[1];
     assert_eq!(field(newest, "command"), "ESTIMATE");
     for phase in ["queue_us", "parse_us", "execute_us", "wal_us", "total_us"] {
-        let _: u64 = field(newest, phase).parse().unwrap_or_else(|_| {
-            panic!("phase field {phase} must be an integer in {newest:?}")
-        });
+        let _: u64 = field(newest, phase)
+            .parse()
+            .unwrap_or_else(|_| panic!("phase field {phase} must be an integer in {newest:?}"));
     }
-    assert!(newest.contains("wire=\"ESTIMATE orders.ck 0.25 40\""), "{newest}");
+    assert!(
+        newest.contains("wire=\"ESTIMATE orders.ck 0.25 40\""),
+        "{newest}"
+    );
     let ids: Vec<u64> = lines[1..]
         .iter()
         .map(|l| field(l, "id").parse().unwrap())
@@ -288,33 +278,35 @@ fn slow_log_attributes_phases_on_both_surfaces() {
     let (status, body) = http_get(metrics_addr, "/slowlog?n=4");
     assert_eq!(status, 200);
     let first = body.lines().next().expect("slowlog json line");
-    for key in ["\"id\":", "\"command\":", "\"total_us\":", "\"queue_us\":", "\"wire\":"] {
+    for key in [
+        "\"id\":",
+        "\"command\":",
+        "\"total_us\":",
+        "\"queue_us\":",
+        "\"wire\":",
+    ] {
         assert!(first.contains(key), "{first}");
     }
 
     // Phase histograms and the slow-request counter are exported.
     let (_, text) = http_get(metrics_addr, "/metrics");
-    assert!(
-        series_value(
-            &text,
-            "epfis_server_phase_duration_us_count{command=\"ESTIMATE\",phase=\"execute\"}"
-        ) >= 1.0
-    );
-    assert!(
-        series_value(
-            &text,
-            "epfis_server_phase_duration_us_count{command=\"PAGE\",phase=\"parse\"}"
-        ) >= 1.0
-    );
-    assert!(series_value(&text, "epfis_server_slow_requests_total") > 0.0);
-    // STATS carries the slow-log counters too.
-    let stats = c.request("STATS").unwrap();
-    let slow_line = stats
-        .iter()
-        .find(|l| l.starts_with("slowlog "))
-        .expect("STATS slowlog line");
-    assert_eq!(field(slow_line, "threshold_us"), "0");
-    assert!(field(slow_line, "recorded").parse::<u64>().unwrap() > 0);
+    assert!(series_value(
+        &text,
+        "epfis_server_phase_duration_us_count{command=\"ESTIMATE\",phase=\"execute\"}"
+    )
+    .is_some_and(|v| v >= 1.0));
+    assert!(series_value(
+        &text,
+        "epfis_server_phase_duration_us_count{command=\"PAGE\",phase=\"parse\"}"
+    )
+    .is_some_and(|v| v >= 1.0));
+    assert!(series_value(&text, "epfis_server_slow_requests_total").is_some_and(|v| v > 0.0));
+    // STATS carries the slow-log counter too; the threshold is on the
+    // SLOWLOG header.
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert!(series_value(&stats, "epfis_server_slow_requests_total").is_some_and(|v| v > 0.0));
+    let header = &c.request("SLOWLOG 0").unwrap()[0];
+    assert_eq!(field(header, "threshold_us"), "0");
 
     // The binary surface feeds the same ring: a binary ESTIMATE lands as
     // a slow entry named after its command.
