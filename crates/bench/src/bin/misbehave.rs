@@ -47,15 +47,18 @@ use epfis_server::hostile;
 use std::io::Read;
 use std::time::Duration;
 
+/// Every `--scenario` this binary runs, for its usage messages.
+const SCENARIOS: &str = "flood|idle|loris|binflood|stall|crashloop|diskfull|recover";
+
 fn main() {
     let opts = Options::from_env();
     let addr = opts
         .get_str("addr")
         .expect("--addr HOST:PORT is required")
         .to_string();
-    let scenario = opts
-        .get_str("scenario")
-        .expect("--scenario flood|idle|loris is required (see the doc comment in misbehave.rs)");
+    let Some(scenario) = opts.get_str("scenario") else {
+        panic!("--scenario {SCENARIOS} is required (see the doc comment in misbehave.rs)")
+    };
     match scenario {
         "flood" => {
             let bytes: u64 = opts.get("bytes", 8 * 1024 * 1024u64);
@@ -265,9 +268,6 @@ fn main() {
                 1
             });
         }
-        other => panic!(
-            "unknown --scenario {other:?} \
-             (flood|idle|loris|binflood|stall|crashloop|diskfull|recover)"
-        ),
+        other => panic!("unknown --scenario {other:?} ({SCENARIOS})"),
     }
 }

@@ -5,7 +5,6 @@
 //! with `--csv DIR`, also writes one CSV per figure for plotting.
 
 pub mod loadgen;
-pub mod loopback;
 pub mod selfcheck;
 
 use std::collections::HashMap;

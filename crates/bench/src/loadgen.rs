@@ -483,9 +483,21 @@ mod tests {
         // Split across two feeds mid-line to exercise the incremental path.
         let bytes = b"OK 2\nline a\nline b\nERR nope\nSERVER_BUSY\nOK 0\n";
         conn.inbuf.extend_from_slice(&bytes[..9]);
-        drain_responses(&mut conn, &latency, &per_command, &mut completed, &mut errors);
+        drain_responses(
+            &mut conn,
+            &latency,
+            &per_command,
+            &mut completed,
+            &mut errors,
+        );
         conn.inbuf.extend_from_slice(&bytes[9..]);
-        drain_responses(&mut conn, &latency, &per_command, &mut completed, &mut errors);
+        drain_responses(
+            &mut conn,
+            &latency,
+            &per_command,
+            &mut completed,
+            &mut errors,
+        );
         assert_eq!((completed, errors), (2, 2));
         assert_eq!(latency.count(), 2);
         // The two OK completions were commands 0 and 1; the ERR/BUSY pair

@@ -282,7 +282,10 @@ mod tests {
             report.median_abs_rel_err < 0.25,
             "fresh stats must estimate accurately: {report:?}"
         );
-        assert!(!report.stale, "accurate stats must stay trusted: {report:?}");
+        assert!(
+            !report.stale,
+            "accurate stats must stay trusted: {report:?}"
+        );
         let mut c = Client::connect(addr).unwrap();
         c.request("SHUTDOWN").ok();
         server.join();

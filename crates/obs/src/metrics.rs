@@ -241,7 +241,10 @@ mod tests {
         // Out-of-range indices clamp to the last bucket instead of
         // panicking (the caller's bucketing may outlive a BUCKETS change).
         b.record_aggregated(1, 0, 0, &[(BUCKETS + 5, 1)]);
-        assert_eq!(b.bucket_counts()[BUCKETS - 1], a.bucket_counts()[BUCKETS - 1] + 1);
+        assert_eq!(
+            b.bucket_counts()[BUCKETS - 1],
+            a.bucket_counts()[BUCKETS - 1] + 1
+        );
     }
 
     #[test]

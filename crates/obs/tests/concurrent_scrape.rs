@@ -89,13 +89,13 @@ fn scrape_stays_coherent_under_concurrent_writes() {
                 gauge.add(1);
                 hist.record(i % 4096);
                 external.fetch_add(1, Ordering::Relaxed);
-                if i % 64 == 0 {
+                if i.is_multiple_of(64) {
                     // New series appear mid-scrape too (a fresh command
                     // label registering its histogram on first use).
                     registry.counter(
                         "hammer_ops_total",
                         "ops",
-                        &[("kind", if (i / 64) % 2 == 0 { "a" } else { "b" })],
+                        &[("kind", if (i / 64).is_multiple_of(2) { "a" } else { "b" })],
                     );
                 }
                 gauge.sub(1);
@@ -120,7 +120,10 @@ fn scrape_stays_coherent_under_concurrent_writes() {
                     .find(|(s, _)| s == "hammer_ops_total{kind=\"write\"}")
                     .map(|&(_, v)| v)
                     .expect("write counter present");
-                assert!(ops >= last_ops, "counter went backwards: {ops} < {last_ops}");
+                assert!(
+                    ops >= last_ops,
+                    "counter went backwards: {ops} < {last_ops}"
+                );
                 last_ops = ops;
                 let count = samples
                     .iter()

@@ -35,7 +35,10 @@ pub const HIST_EDGES: [f64; 10] = [-1.0, -0.5, -0.25, -0.1, -0.02, 0.02, 0.1, 0.
 pub const HIST_BINS: usize = HIST_EDGES.len() + 1;
 
 fn hist_bin(err: f64) -> usize {
-    HIST_EDGES.iter().position(|&e| err < e).unwrap_or(HIST_EDGES.len())
+    HIST_EDGES
+        .iter()
+        .position(|&e| err < e)
+        .unwrap_or(HIST_EDGES.len())
 }
 
 /// Tracker tuning knobs (all have serving-ready defaults).
@@ -172,7 +175,10 @@ pub fn parse_drift_line(line: &str) -> Result<EntrySummary, String> {
     if toks.next() != Some("drift") {
         return Err(format!("not a drift line: {line:?}"));
     }
-    let name = toks.next().ok_or("drift line missing entry name")?.to_string();
+    let name = toks
+        .next()
+        .ok_or("drift line missing entry name")?
+        .to_string();
     let mut summary = EntrySummary {
         name,
         epoch: 0,
@@ -189,14 +195,14 @@ pub fn parse_drift_line(line: &str) -> Result<EntrySummary, String> {
         let (key, value) = tok
             .split_once('=')
             .ok_or_else(|| format!("bad drift field {tok:?}"))?;
-        let parse_f = || -> Result<f64, String> {
-            value.parse().map_err(|e| format!("bad {key}: {e}"))
-        };
+        let parse_f =
+            || -> Result<f64, String> { value.parse().map_err(|e| format!("bad {key}: {e}")) };
         match key {
             "epoch" => summary.epoch = value.parse().map_err(|e| format!("bad epoch: {e}"))?,
             "observations" => {
-                summary.observations =
-                    value.parse().map_err(|e| format!("bad observations: {e}"))?;
+                summary.observations = value
+                    .parse()
+                    .map_err(|e| format!("bad observations: {e}"))?;
             }
             "window" => summary.window = value.parse().map_err(|e| format!("bad window: {e}"))?,
             "median_err" => summary.median_err = parse_f()?,
@@ -282,7 +288,12 @@ impl AccuracyTracker {
     }
 
     fn entry(&self, name: &str, epoch: u64) -> Arc<Mutex<EntryAccuracy>> {
-        if let Some(e) = self.entries.read().expect("accuracy map poisoned").get(name) {
+        if let Some(e) = self
+            .entries
+            .read()
+            .expect("accuracy map poisoned")
+            .get(name)
+        {
             return Arc::clone(e);
         }
         let mut entries = self.entries.write().expect("accuracy map poisoned");
@@ -346,7 +357,9 @@ impl AccuracyTracker {
     pub fn summaries(&self) -> Vec<EntrySummary> {
         let entries: Vec<(String, Arc<Mutex<EntryAccuracy>>)> = {
             let map = self.entries.read().expect("accuracy map poisoned");
-            map.iter().map(|(n, e)| (n.clone(), Arc::clone(e))).collect()
+            map.iter()
+                .map(|(n, e)| (n.clone(), Arc::clone(e)))
+                .collect()
         };
         let mut out: Vec<EntrySummary> = entries
             .iter()

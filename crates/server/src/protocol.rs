@@ -519,15 +519,24 @@ mod tests {
                 buffer: Some(64)
             }
         );
-        assert_eq!(parse_request("DRIFT").unwrap(), Request::Drift { name: None });
+        assert_eq!(
+            parse_request("DRIFT").unwrap(),
+            Request::Drift { name: None }
+        );
         assert_eq!(
             parse_request("drift t.k").unwrap(),
             Request::Drift {
                 name: Some("t.k".into())
             }
         );
-        assert_eq!(parse_request("SLOWLOG").unwrap(), Request::Slowlog { limit: 32 });
-        assert_eq!(parse_request("slowlog 5").unwrap(), Request::Slowlog { limit: 5 });
+        assert_eq!(
+            parse_request("SLOWLOG").unwrap(),
+            Request::Slowlog { limit: 32 }
+        );
+        assert_eq!(
+            parse_request("slowlog 5").unwrap(),
+            Request::Slowlog { limit: 5 }
+        );
         assert_eq!(parse_request("STATS").unwrap(), Request::Stats);
         assert_eq!(parse_request("RECOVER").unwrap(), Request::Recover);
         assert_eq!(parse_request("SHUTDOWN").unwrap(), Request::Shutdown);

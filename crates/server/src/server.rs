@@ -5,7 +5,7 @@
 //! hot serving path. One `epfis-net` event-loop thread (`crate::evloop`)
 //! multiplexes every connection with epoll (poll(2) fallback) readiness, so
 //! tens of thousands of mostly-idle connections cost slots and buffers, not
-//! threads; each connection's protocol engine is a [`crate::session::Conn`].
+//! threads; each connection's protocol engine is a `crate::session::Conn`.
 //! Requests that use a connection's `ANALYZE` session (`PAGE`, `ANALYZE
 //! ...`) run on a few ingest threads beside the loop, so a statistics scan
 //! or a whole-catalog commit never stalls another connection's estimate.

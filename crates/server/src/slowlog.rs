@@ -12,6 +12,7 @@
 //! concurrent scrape is the right trade; blocking the serving path on
 //! observability is not.
 
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -44,8 +45,8 @@ pub struct SlowEntry {
     pub unix_micros: u64,
     /// Command label (the same label `STATS` uses).
     pub command: &'static str,
-    /// Up to [`WIRE_PREVIEW_BYTES`] of the request text (binary frames
-    /// carry the command name only).
+    /// Up to 128 bytes (`WIRE_PREVIEW_BYTES`) of the request text (binary
+    /// frames carry the command name only).
     pub wire: String,
     /// End-to-end latency.
     pub total_us: u64,
@@ -143,13 +144,7 @@ impl SlowLog {
 
     /// Records one request if it crossed the threshold. Never blocks:
     /// a contended slot drops the entry. Returns whether it was kept.
-    pub fn record(
-        &self,
-        command: &'static str,
-        wire: &str,
-        total_us: u64,
-        phases: Phases,
-    ) -> bool {
+    pub fn record(&self, command: &'static str, wire: &str, total_us: u64, phases: Phases) -> bool {
         if total_us < self.threshold_us {
             return false;
         }
@@ -192,7 +187,7 @@ impl SlowLog {
                 }
             }
         }
-        entries.sort_by(|a, b| b.id.cmp(&a.id));
+        entries.sort_by_key(|e| Reverse(e.id));
         entries.truncate(limit);
         entries
     }

@@ -543,7 +543,7 @@ pub struct RecoveryReport {
 /// The server's durable-ingestion state: the segment log plus session-id
 /// and commit-sequence allocation, parked sessions, and replay.
 ///
-/// Lock order: [`ServerWal::state`] before [`ServerWal::inner`]; the commit
+/// Lock order: the `state` mutex before the `inner` mutex; the commit
 /// guard is independent and taken first on the commit path.
 pub struct ServerWal {
     inner: Mutex<WalInner>,

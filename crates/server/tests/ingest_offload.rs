@@ -148,7 +148,7 @@ fn estimates_are_answered_while_another_connection_ingests() {
     let mut catalog = VersionedCatalog::new();
     for i in 0..10_000 {
         catalog
-            .insert(&format!("ballast.{i}"), stats.clone(), 0, None)
+            .insert(format!("ballast.{i}"), stats.clone(), 0, None)
             .unwrap();
     }
     std::fs::write(dir.join("catalog.scat"), catalog.to_text_checksummed()).unwrap();
