@@ -12,7 +12,7 @@
 //!     asserts the accuracy metric families moved. Exit code 1 when the
 //!     fresh median |rel_err| exceeds --tolerance (default 0.35), when
 //!     fresh stats get flagged stale, or when the shifted workload fails
-//!     to flip the stale flag — so CI can run it as a smoke test.
+//!     to flip the stale flag, so a script can gate on it.
 //! ```
 
 use epfis_bench::selfcheck::{self, SelfCheckConfig};

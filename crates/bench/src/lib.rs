@@ -58,6 +58,16 @@ impl Options {
         self.values.get(key).map(|s| s.as_str())
     }
 
+    /// Panics, naming the flag, on any `--key` outside `known`.
+    pub fn reject_unknown(&self, known: &[&str]) {
+        if let Some(key) = self.values.keys().find(|k| !known.contains(&k.as_str())) {
+            panic!(
+                "unknown flag --{key}; expected one of --{}",
+                known.join(" --")
+            );
+        }
+    }
+
     /// The CSV output directory, if `--csv` was given.
     pub fn csv_dir(&self) -> Option<PathBuf> {
         self.get_str("csv").map(PathBuf::from)

@@ -1,19 +1,18 @@
 //! Open-loop load generation for the EPFIS server.
 //!
-//! Closed-loop benchmarks (like the loopback ingest bench) measure how fast
-//! a cooperating client/server pair can go; they hide queueing delay
-//! because the client politely waits for each response before issuing the
-//! next request. This module drives the opposite contract: requests arrive
+//! Closed-loop clients measure how fast a cooperating client/server pair
+//! can go; they hide queueing delay because the client politely waits for
+//! each response before issuing the next request. This module drives the opposite contract: requests arrive
 //! on a fixed schedule (`rate` per second) whether or not earlier ones have
 //! completed, and **latency is measured from the scheduled arrival** — so
 //! server-side queueing shows up in the percentiles instead of silently
 //! stretching the run (the coordinated-omission trap).
 //!
 //! The generator is a single thread multiplexing every client connection
-//! over an [`epfis_net::Poller`] — the same readiness core the event-loop
-//! front end uses — so one process can hold thousands of connections
-//! (`idle_conns`) while pushing requests through a few active ones, which
-//! is exactly the shape that separates the two serving front ends.
+//! over an [`epfis_net::Poller`] — the same readiness core the server's
+//! event loop uses — so one process can hold thousands of connections
+//! (`idle_conns`) while pushing requests through a few active ones: the
+//! mostly-idle fleet whose cost the event loop must keep flat.
 
 use epfis_net::{Event, Interest, Poller, Token};
 use epfis_obs::Histogram;
@@ -38,8 +37,6 @@ pub struct LoadgenConfig {
     /// run — the "10k idle connections" background.
     pub idle_conns: usize,
     /// Text request issued on every arrival (without trailing newline).
-    /// A comma-separated list cycles through its commands round-robin, and
-    /// the report then breaks latency out per command.
     pub request: String,
 }
 
@@ -80,45 +77,15 @@ pub struct LoadgenReport {
     pub max_us: u64,
     /// Mean latency (µs).
     pub mean_us: u64,
-    /// Per-command latency breakdown, in the order the commands appeared in
-    /// [`LoadgenConfig::request`]. One entry even for a single command.
-    pub commands: Vec<CommandLatency>,
-}
-
-/// One command's slice of a mixed-workload run.
-#[derive(Debug, Clone)]
-pub struct CommandLatency {
-    /// The request text (one element of the comma-separated mix).
-    pub command: String,
-    /// Completions recorded for this command.
-    pub count: u64,
-    /// Median latency (µs), scheduled-arrival → completion.
-    pub p50_us: u64,
-    /// 99th percentile latency (µs).
-    pub p99_us: u64,
 }
 
 impl LoadgenReport {
     /// Renders the report as a single JSON object line.
     pub fn to_json(&self) -> String {
-        let mut commands = String::from("[");
-        for (i, c) in self.commands.iter().enumerate() {
-            if i > 0 {
-                commands.push_str(", ");
-            }
-            commands.push_str(&format!(
-                "{{\"command\": \"{}\", \"count\": {}, \"p50_us\": {}, \"p99_us\": {}}}",
-                c.command.escape_default(),
-                c.count,
-                c.p50_us,
-                c.p99_us
-            ));
-        }
-        commands.push(']');
         format!(
             "{{\"sent\": {}, \"completed\": {}, \"errors\": {}, \"elapsed_s\": {:.3}, \
              \"achieved_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-             \"max_us\": {}, \"mean_us\": {}, \"commands\": {commands}}}",
+             \"max_us\": {}, \"mean_us\": {}}}",
             self.sent,
             self.completed,
             self.errors,
@@ -147,9 +114,9 @@ struct ClientConn {
     /// Unwritten request bytes (requests are appended as they arrive).
     out: Vec<u8>,
     written: usize,
-    /// Scheduled-arrival stamp and command index per in-flight request,
-    /// FIFO — responses come back in request order on each connection.
-    in_flight: VecDeque<(Instant, usize)>,
+    /// Scheduled-arrival stamp per in-flight request, FIFO — responses
+    /// come back in request order on each connection.
+    in_flight: VecDeque<Instant>,
     inbuf: Vec<u8>,
     parse: Parse,
     dead: bool,
@@ -167,20 +134,6 @@ impl ClientConn {
 
 /// Runs one open-loop load generation against a live server.
 pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
-    // The request mix: arrivals cycle through these round-robin.
-    let commands: Vec<String> = {
-        let split: Vec<String> = config
-            .request
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if split.is_empty() {
-            vec![config.request.clone()]
-        } else {
-            split
-        }
-    };
     let total = (config.rate * config.duration.as_secs_f64()).round() as u64;
     let interval = Duration::from_secs_f64(1.0 / config.rate.max(1e-9));
     // Both endpoints of idle connections may live in this process.
@@ -214,7 +167,6 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     }
 
     let latency = Histogram::new();
-    let per_command: Vec<Histogram> = commands.iter().map(|_| Histogram::new()).collect();
     let mut sent = 0u64;
     let mut completed = 0u64;
     let mut errors = 0u64;
@@ -243,10 +195,9 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                 return Err(io::Error::other("all loadgen connections closed"));
             };
             let conn = &mut conns[idx];
-            let cmd = (sent % commands.len() as u64) as usize;
-            conn.out.extend_from_slice(commands[cmd].as_bytes());
+            conn.out.extend_from_slice(config.request.as_bytes());
             conn.out.push(b'\n');
-            conn.in_flight.push_back((next_arrival, cmd));
+            conn.in_flight.push_back(next_arrival);
             sent += 1;
             next_arrival += interval;
         }
@@ -278,14 +229,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                 continue;
             }
             if event.readable {
-                read_conn(
-                    conn,
-                    &latency,
-                    &per_command,
-                    &mut completed,
-                    &mut errors,
-                    &mut poller,
-                )?;
+                read_conn(conn, &latency, &mut completed, &mut errors, &mut poller)?;
             }
             if event.writable && !conn.dead {
                 flush_conn(conn, &mut poller)?;
@@ -306,16 +250,6 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         p999_us: latency.quantile(0.999),
         max_us: latency.max(),
         mean_us: latency.mean(),
-        commands: commands
-            .iter()
-            .zip(&per_command)
-            .map(|(command, h)| CommandLatency {
-                command: command.clone(),
-                count: h.count(),
-                p50_us: h.quantile(0.50),
-                p99_us: h.quantile(0.99),
-            })
-            .collect(),
     })
 }
 
@@ -348,7 +282,6 @@ fn flush_conn(conn: &mut ClientConn, poller: &mut Poller) -> io::Result<()> {
 fn read_conn(
     conn: &mut ClientConn,
     latency: &Histogram,
-    per_command: &[Histogram],
     completed: &mut u64,
     errors: &mut u64,
     poller: &mut Poller,
@@ -362,7 +295,7 @@ fn read_conn(
             }
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&buf[..n]);
-                drain_responses(conn, latency, per_command, completed, errors);
+                drain_responses(conn, latency, completed, errors);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -381,7 +314,6 @@ fn read_conn(
 fn drain_responses(
     conn: &mut ClientConn,
     latency: &Histogram,
-    per_command: &[Histogram],
     completed: &mut u64,
     errors: &mut u64,
 ) {
@@ -398,19 +330,19 @@ fn drain_responses(
                         .and_then(|s| s.trim().parse().ok())
                         .unwrap_or(0);
                     if n == 0 {
-                        finish(conn, latency, per_command, completed, true);
+                        finish(conn, latency, completed, true);
                     } else {
                         conn.parse = Parse::Body(n);
                     }
                 } else {
                     // ERR, SERVER_BUSY, or anything unexpected.
-                    finish(conn, latency, per_command, errors, false);
+                    finish(conn, latency, errors, false);
                 }
             }
             Parse::Body(left) => {
                 if left <= 1 {
                     conn.parse = Parse::Header;
-                    finish(conn, latency, per_command, completed, true);
+                    finish(conn, latency, completed, true);
                 } else {
                     conn.parse = Parse::Body(left - 1);
                 }
@@ -420,23 +352,14 @@ fn drain_responses(
     conn.inbuf.drain(..consumed);
 }
 
-fn finish(
-    conn: &mut ClientConn,
-    histogram: &Histogram,
-    per_command: &[Histogram],
-    counter: &mut u64,
-    record: bool,
-) {
-    if let Some((scheduled, cmd)) = conn.in_flight.pop_front() {
+fn finish(conn: &mut ClientConn, histogram: &Histogram, counter: &mut u64, record: bool) {
+    if let Some(scheduled) = conn.in_flight.pop_front() {
         if record {
             let micros = Instant::now()
                 .saturating_duration_since(scheduled)
                 .as_micros()
                 .min(u128::from(u64::MAX)) as u64;
             histogram.record(micros);
-            if let Some(h) = per_command.get(cmd) {
-                h.record(micros);
-            }
         }
         *counter += 1;
     }
@@ -461,87 +384,28 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             TcpStream::connect(listener.local_addr().unwrap()).unwrap()
         };
-        // Requests alternate between two commands of a mix.
         let mut conn = ClientConn {
             stream,
             token: Token(0),
             out: Vec::new(),
             written: 0,
-            in_flight: VecDeque::from(vec![
-                (Instant::now(), 0),
-                (Instant::now(), 1),
-                (Instant::now(), 0),
-                (Instant::now(), 1),
-            ]),
+            in_flight: VecDeque::from(vec![Instant::now(); 4]),
             inbuf: Vec::new(),
             parse: Parse::Header,
             dead: false,
         };
         let latency = Histogram::new();
-        let per_command = [Histogram::new(), Histogram::new()];
         let (mut completed, mut errors) = (0u64, 0u64);
         // Split across two feeds mid-line to exercise the incremental path.
         let bytes = b"OK 2\nline a\nline b\nERR nope\nSERVER_BUSY\nOK 0\n";
         conn.inbuf.extend_from_slice(&bytes[..9]);
-        drain_responses(
-            &mut conn,
-            &latency,
-            &per_command,
-            &mut completed,
-            &mut errors,
-        );
+        drain_responses(&mut conn, &latency, &mut completed, &mut errors);
         conn.inbuf.extend_from_slice(&bytes[9..]);
-        drain_responses(
-            &mut conn,
-            &latency,
-            &per_command,
-            &mut completed,
-            &mut errors,
-        );
+        drain_responses(&mut conn, &latency, &mut completed, &mut errors);
         assert_eq!((completed, errors), (2, 2));
+        // The ERR/BUSY pair is counted but not recorded.
         assert_eq!(latency.count(), 2);
-        // The two OK completions were commands 0 and 1; the ERR/BUSY pair
-        // (commands 1 and 0) is counted but not recorded.
-        assert_eq!(per_command[0].count(), 1);
-        assert_eq!(per_command[1].count(), 1);
         assert!(conn.inbuf.is_empty());
         assert!(conn.in_flight.is_empty());
-    }
-
-    #[test]
-    fn report_json_breaks_out_the_command_mix() {
-        let report = LoadgenReport {
-            sent: 4,
-            completed: 4,
-            errors: 0,
-            elapsed: Duration::from_secs(1),
-            achieved_rps: 4.0,
-            p50_us: 10,
-            p99_us: 20,
-            p999_us: 20,
-            max_us: 20,
-            mean_us: 12,
-            commands: vec![
-                CommandLatency {
-                    command: "PING".to_string(),
-                    count: 2,
-                    p50_us: 9,
-                    p99_us: 11,
-                },
-                CommandLatency {
-                    command: "ESTIMATE ix 0.1 100".to_string(),
-                    count: 2,
-                    p50_us: 14,
-                    p99_us: 19,
-                },
-            ],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"commands\": ["), "{json}");
-        assert!(
-            json.contains("{\"command\": \"PING\", \"count\": 2, \"p50_us\": 9, \"p99_us\": 11}"),
-            "{json}"
-        );
-        assert!(json.contains("ESTIMATE ix 0.1 100"), "{json}");
     }
 }

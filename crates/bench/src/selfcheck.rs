@@ -286,6 +286,9 @@ mod tests {
             !report.stale,
             "accurate stats must stay trusted: {report:?}"
         );
+        let json = report.to_json("fresh");
+        assert!(json.starts_with("{\"mode\": \"fresh\""), "{json}");
+        assert!(json.contains("\"stale\": false"), "{json}");
         let mut c = Client::connect(addr).unwrap();
         c.request("SHUTDOWN").ok();
         server.join();
@@ -313,6 +316,9 @@ mod tests {
             report.mean_rel_err > 0.25,
             "scattered layout must make the estimator undershoot: {report:?}"
         );
+        let json = report.to_json("shifted");
+        assert!(json.starts_with("{\"mode\": \"shifted\""), "{json}");
+        assert!(json.contains("\"stale\": true"), "{json}");
         let mut c = Client::connect(addr).unwrap();
         c.request("SHUTDOWN").ok();
         server.join();

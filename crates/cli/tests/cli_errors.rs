@@ -5,6 +5,8 @@
 //! exit 1 for runtime errors (missing files, unknown entries) — and errors
 //! always go to stderr, never stdout.
 
+mod support;
+
 use std::process::{Command, Output, Stdio};
 
 fn epfis(args: &[&str]) -> Output {
@@ -247,51 +249,18 @@ fn serve_rejects_invalid_limits_before_binding() {
 
 #[test]
 fn serve_and_client_round_trip_through_the_binary() {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::Write;
 
-    // Start `epfis serve` on ephemeral ports and learn both from stdout —
-    // the same handshake the CI smoke test scripts.
-    let mut server = Command::new(env!("CARGO_BIN_EXE_epfis"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--metrics-addr",
-            "127.0.0.1:0",
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn epfis serve");
-    // Keep the reader alive for the server's lifetime: dropping it closes
-    // the pipe and the server's final status print would hit EPIPE.
-    let mut server_stdout = BufReader::new(server.stdout.take().unwrap());
-    let mut first_line = String::new();
-    server_stdout.read_line(&mut first_line).unwrap();
-    let addr = first_line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {first_line:?}"))
-        .to_string();
-    let mut metrics_line = String::new();
-    server_stdout.read_line(&mut metrics_line).unwrap();
-    let metrics_addr = metrics_line
-        .trim()
-        .strip_prefix("metrics on ")
-        .unwrap_or_else(|| panic!("unexpected metrics banner {metrics_line:?}"))
-        .to_string();
+    let mut server = support::spawn_serve(
+        &["--addr", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0"],
+        &[],
+    );
+    let addr = server.addr.clone();
 
     // The observability endpoint answers its liveness probe.
-    {
-        use std::io::Read;
-        let mut stream = std::net::TcpStream::connect(&metrics_addr).unwrap();
-        write!(stream, "GET /healthz HTTP/1.1\r\nHost: epfis\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-        assert!(raw.contains("\"status\":\"ok\""), "{raw}");
-    }
+    let (status, body) = server.http_get("/healthz");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
 
     // Script a full ANALYZE session plus queries through `epfis client`.
     let mut client = Command::new(env!("CARGO_BIN_EXE_epfis"))
@@ -340,8 +309,5 @@ fn serve_and_client_round_trip_through_the_binary() {
     assert_runtime_error(&bad, "server ERR response");
 
     // SHUTDOWN stops the serve process cleanly (exit 0).
-    let stop = epfis(&["client", "--addr", &addr, "--send", "SHUTDOWN"]);
-    assert_eq!(stop.status.code(), Some(0), "{stop:?}");
-    let status = server.wait().unwrap();
-    assert!(status.success(), "{status:?}");
+    server.shutdown();
 }

@@ -23,8 +23,8 @@
 //! well as on the caller's own path. [`FaultVfs::from_spec`] parses the
 //! same schedules from a text form (`op=sync_data kind=eio after=10
 //! times=3 path=wal`), which `epfis serve` exposes through the
-//! `EPFIS_FAULTS` environment variable for chaos smoke tests that need a
-//! real server binary to hit a scripted disk failure.
+//! `EPFIS_FAULTS` environment variable for tests that need a real server
+//! process to hit a scripted disk failure (`crates/cli/tests/process.rs`).
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};

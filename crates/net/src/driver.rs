@@ -640,7 +640,8 @@ mod tests {
         echo_roundtrip(true);
     }
 
-    /// Hands each line to a worker thread and parks until it answers.
+    /// Hands each line to a helper thread and parks until it answers, the
+    /// way the server hands `PAGE` work to an ingest lane.
     struct Offload {
         waker: Waker,
         done: Arc<Mutex<Option<Vec<u8>>>>,

@@ -36,8 +36,7 @@
 //!   request-line and pending-buffer bytes, an idle deadline that also
 //!   defeats slow-loris writers, an admission cap that sheds excess
 //!   connections with `SERVER_BUSY` instead of queueing them forever, and
-//!   a per-session reference cap. [`hostile`] packages the corresponding
-//!   misbehaving clients for fault-injection tests.
+//!   a per-session reference cap.
 //!
 //! * With [`ServerConfig::wal`], `ANALYZE` sessions are write-ahead logged
 //!   ([`wal`], on the `epfis-wal` segment log): `PAGE` batches append before
@@ -63,7 +62,6 @@ pub mod catalog;
 pub mod client;
 mod evloop;
 pub mod framing;
-pub mod hostile;
 pub mod ingest;
 pub mod metrics;
 pub mod protocol;

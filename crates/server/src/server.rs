@@ -21,8 +21,9 @@
 //! waits for in-flight ingest work, flushes, and stops. Process signals
 //! (SIGTERM) are *not* caught — std offers no portable handler — but every
 //! catalog save is atomic, so killing the process at any instant leaves the
-//! last committed version intact on disk; that is exactly what the CI smoke
-//! test asserts.
+//! last committed version intact on disk; that is exactly what the test
+//! `sigterm_kills_by_signal_and_the_restart_shows_the_commit`
+//! (`crates/cli/tests/process.rs`) asserts against the real binary.
 
 use crate::accuracy::{AccuracyConfig, AccuracyTracker};
 use crate::catalog::SharedCatalog;

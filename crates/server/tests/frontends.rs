@@ -13,14 +13,16 @@
 //! * the event loop sustains 10k concurrent idle connections with a fixed,
 //!   tiny thread count, while still serving them all.
 
+mod support;
+
 use epfis_obs::series_value;
 use epfis_server::{
-    framing, hostile, serve, BinResponse, Client, ClientError, LimitsConfig, ServerConfig,
-    ServerHandle,
+    framing, serve, BinResponse, Client, ClientError, LimitsConfig, ServerConfig, ServerHandle,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+use support::hostile;
 
 fn server(limits: LimitsConfig) -> ServerHandle {
     serve(ServerConfig {

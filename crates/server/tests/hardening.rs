@@ -1,7 +1,7 @@
 //! Fault-injection tests: hostile and unlucky clients against a live
 //! server, with exact `STATS` accounting for every limit.
 //!
-//! Each test drives one of the `epfis_server::hostile` scenarios — a
+//! Each test drives one of the `support::hostile` scenarios — a
 //! newline-less flood, slow-loris trickling, idle pile-ups past the
 //! admission cap, mid-`ANALYZE` disconnects — and asserts both the client's
 //! view (the `ERR limit ...` / `SERVER_BUSY` response family) and the
@@ -9,10 +9,13 @@
 //! `epfis_server_connections_shed_total`,
 //! `epfis_server_sessions_disconnected_total`, bytes in/out counters).
 
+mod support;
+
 use epfis_obs::series_value;
-use epfis_server::{hostile, serve, Client, ClientError, LimitsConfig, ServerConfig};
+use epfis_server::{serve, Client, ClientError, LimitsConfig, ServerConfig};
 use std::io::Read;
 use std::time::{Duration, Instant};
+use support::hostile;
 
 /// A server with tight, test-sized limits.
 fn tight_server(limits: LimitsConfig) -> epfis_server::ServerHandle {
@@ -90,7 +93,7 @@ fn oversized_single_request_line_closes_the_connection() {
 }
 
 #[test]
-fn saturated_pool_sheds_fresh_connections_with_server_busy() {
+fn full_admission_sheds_fresh_connections_with_server_busy() {
     let limits = LimitsConfig {
         max_connections: 2,
         ..LimitsConfig::default()
@@ -166,7 +169,7 @@ fn saturated_pool_sheds_fresh_connections_with_server_busy() {
 }
 
 #[test]
-fn idle_deadline_reclaims_workers_and_answers_err_limit() {
+fn idle_deadline_reclaims_connection_slots_and_answers_err_limit() {
     let limits = LimitsConfig {
         max_connections: 2,
         idle_timeout: Duration::from_millis(300),
@@ -177,7 +180,8 @@ fn idle_deadline_reclaims_workers_and_answers_err_limit() {
 
     let idle = hostile::hold_idle_connections(addr, 2).unwrap();
     // After the idle deadline both silent clients are disconnected with an
-    // ERR limit response and the pool serves fresh clients again.
+    // ERR limit response and their admission slots serve fresh clients
+    // again.
     for mut s in idle {
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut response = String::new();
@@ -193,7 +197,7 @@ fn idle_deadline_reclaims_workers_and_answers_err_limit() {
         match c.request("PING") {
             Ok(_) => break c,
             Err(_) => {
-                assert!(Instant::now() < deadline, "pool never recovered");
+                assert!(Instant::now() < deadline, "admission never recovered");
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
@@ -250,7 +254,7 @@ fn mid_session_disconnect_is_counted_and_cleaned_up() {
 
     hostile::abandon_mid_analyze(addr, "ghost.ix").unwrap();
 
-    // The worker notices the EOF and discards the session.
+    // The server notices the EOF and discards the session.
     let mut c = Client::connect(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
