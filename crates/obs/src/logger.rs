@@ -31,7 +31,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 256;
 pub struct Logger {
     threshold: AtomicU8,
     sinks: Vec<Box<dyn Sink>>,
-    ring: RingBuffer,
+    ring: RingBuffer<Arc<Event>>,
 }
 
 impl std::fmt::Debug for Logger {

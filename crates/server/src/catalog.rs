@@ -124,6 +124,13 @@ impl VersionedCatalog {
         self.entries.get(name)
     }
 
+    /// [`VersionedCatalog::get_arc`], or the error every command answers
+    /// for an unknown name.
+    pub(crate) fn lookup(&self, name: &str) -> Result<&Arc<VersionedEntry>, String> {
+        self.get_arc(name)
+            .ok_or_else(|| format!("no catalog entry named {name:?} (try SHOW)"))
+    }
+
     /// Iterates entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &VersionedEntry)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), &**v))

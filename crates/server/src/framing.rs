@@ -397,16 +397,6 @@ pub fn encode_resp_lines(buf: &mut Vec<u8>, lines: &[String]) {
     end_frame(buf, start);
 }
 
-/// Appends a LINES response frame holding exactly one line, without
-/// requiring an owned `String` (hot-path alternative to
-/// [`encode_resp_lines`]).
-pub fn encode_resp_str(buf: &mut Vec<u8>, line: &str) {
-    let start = begin_frame(buf);
-    buf.push(RESP_LINES);
-    buf.extend_from_slice(line.as_bytes());
-    end_frame(buf, start);
-}
-
 /// Appends an F64 response frame.
 pub fn encode_resp_f64(buf: &mut Vec<u8>, value: f64) {
     buf.extend_from_slice(&9u32.to_le_bytes());
@@ -464,27 +454,21 @@ pub fn decode_response(body: &[u8]) -> Result<BinResponse, String> {
                 text.split('\n').map(|l| l.to_string()).collect(),
             ))
         }
-        RESP_F64 => {
-            if payload.len() != 8 {
-                return Err(format!("bad frame: F64 payload is {} bytes", payload.len()));
-            }
-            Ok(BinResponse::F64(f64::from_bits(u64::from_le_bytes(
-                payload.try_into().expect("8 bytes"),
-            ))))
-        }
-        RESP_U64 => {
-            if payload.len() != 8 {
-                return Err(format!("bad frame: U64 payload is {} bytes", payload.len()));
-            }
-            Ok(BinResponse::U64(u64::from_le_bytes(
-                payload.try_into().expect("8 bytes"),
-            )))
-        }
+        RESP_F64 => word(payload, "F64").map(|w| BinResponse::F64(f64::from_bits(w))),
+        RESP_U64 => word(payload, "U64").map(BinResponse::U64),
         RESP_ERR => Ok(BinResponse::Err(
             String::from_utf8_lossy(payload).into_owned(),
         )),
         other => Err(format!("bad frame: unknown response tag 0x{other:02x}")),
     }
+}
+
+/// The little-endian `u64` an F64 or U64 response carries.
+fn word(payload: &[u8], what: &str) -> Result<u64, String> {
+    let bytes = payload
+        .try_into()
+        .map_err(|_| format!("bad frame: {what} payload is {} bytes", payload.len()))?;
+    Ok(u64::from_le_bytes(bytes))
 }
 
 #[cfg(test)]

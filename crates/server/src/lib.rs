@@ -49,10 +49,11 @@
 //! * A `HELLO BINARY` line upgrades a connection to **binary framing v2**
 //!   ([`framing`]): length-prefixed frames, pipelined request batching,
 //!   zero-copy `PAGE` decode straight into the stack analyzer, and a
-//!   zero-alloc `ESTIMATE` fast path over cached catalog-entry handles.
-//!   [`BinaryClient`] is the matching pipelining client; both protocols
-//!   share the same governance semantics and produce bit-identical
-//!   answers (the cross-validation tests prove it).
+//!   zero-alloc `ESTIMATE` over cached catalog-entry handles.
+//!   [`BinaryClient`] is the matching pipelining client. Both protocols
+//!   are a decode and a render step around one request path (the same
+//!   dispatch, entry cache, governance and accounting), so they produce
+//!   bit-identical answers (the cross-validation tests prove it).
 //!
 //! The wire format is documented in `docs/protocol.md`; `epfis serve` and
 //! `epfis client` (with `--binary`) expose the server from the CLI.
@@ -77,7 +78,7 @@ pub use client::{BinaryClient, Client, ClientError};
 pub use framing::{BinRequest, BinResponse};
 pub use ingest::{IngestSession, SessionCheckpoint};
 pub use metrics::Metrics;
-pub use protocol::{frame_busy, frame_err, frame_ok, parse_page_into, parse_request, Request};
+pub use protocol::{frame_busy, frame_err, frame_ok, parse_request, Request};
 pub use retry::{ResilientClient, RetryPolicy};
 pub use server::{serve, LimitsConfig, ServerConfig, ServerHandle};
 pub use slowlog::{Phases, SlowEntry, SlowLog};

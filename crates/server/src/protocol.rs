@@ -23,9 +23,10 @@
 //! in-process Est-IO result. The full command reference lives in
 //! `docs/protocol.md`.
 
-/// A parsed request line.
+/// A parsed request. Names borrow the bytes the request arrived in, so a
+/// text line and a binary frame both parse without copying them.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Liveness probe.
     Ping,
     /// List catalog entries with their version metadata.
@@ -33,7 +34,7 @@ pub enum Request {
     /// Est-IO on a stored entry.
     Estimate {
         /// Catalog entry name.
-        name: String,
+        name: &'a str,
         /// Range selectivity `σ` in `[0, 1]`.
         sigma: f64,
         /// Buffer pages `B >= 1`.
@@ -46,7 +47,7 @@ pub enum Request {
     /// `ESTIMATE` would serve.
     Explain {
         /// Catalog entry name.
-        name: String,
+        name: &'a str,
         /// Range selectivity `σ` in `[0, 1]`.
         sigma: f64,
         /// Buffer pages `B >= 1`.
@@ -57,21 +58,21 @@ pub enum Request {
     /// Sample a stored entry's FPF curve.
     Fpf {
         /// Catalog entry name.
-        name: String,
+        name: &'a str,
         /// Number of sample rows.
         points: usize,
     },
     /// Exact LRU fetches vs all five estimators for a served-analyzed entry.
     Compare {
         /// Catalog entry name.
-        name: String,
+        name: &'a str,
         /// Number of buffer-size rows.
         points: usize,
     },
     /// Open a streaming ingestion session on this connection.
     AnalyzeBegin {
         /// Name the committed entry will get.
-        name: String,
+        name: &'a str,
         /// Segment budget override (`segments=N`).
         segments: Option<usize>,
         /// Declared table size (`table_pages=T`); default `max(page)+1`.
@@ -90,7 +91,7 @@ pub enum Request {
     /// connection. Only meaningful on a server running with `--wal-dir`.
     AnalyzeResume {
         /// Entry name the parked session was opened under.
-        name: String,
+        name: &'a str,
     },
     /// Report an observed (ground-truth) fetch count for a scan of a stored
     /// entry. The server pairs it with the estimate it would serve right now
@@ -98,7 +99,7 @@ pub enum Request {
     /// drift").
     Observe {
         /// Catalog entry name.
-        name: String,
+        name: &'a str,
         /// Distinct keys the scan touched; selectivity is `nkeys / I`.
         nkeys: u64,
         /// Page fetches the scan actually performed.
@@ -110,7 +111,7 @@ pub enum Request {
     /// Render per-entry estimator-accuracy summaries (all entries, or one).
     Drift {
         /// Restrict to one catalog entry.
-        name: Option<String>,
+        name: Option<&'a str>,
     },
     /// Render the newest entries of the slow-request log.
     Slowlog {
@@ -131,7 +132,7 @@ pub enum Request {
     Hello,
 }
 
-impl Request {
+impl Request<'_> {
     /// Stable label used for per-command metrics and `STATS` output.
     pub fn label(&self) -> &'static str {
         match self {
@@ -189,7 +190,7 @@ where
 
 /// Parses one request line. Command words are case-insensitive; names and
 /// values are taken verbatim.
-pub fn parse_request(line: &str) -> Result<Request, String> {
+pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
     let mut toks = line.split_whitespace();
     let cmd = toks.next().ok_or("empty request")?.to_ascii_uppercase();
     let rest: Vec<&str> = toks.collect();
@@ -231,7 +232,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "ESTIMATE" => {
             exactly(3, 4, "ESTIMATE <name> <sigma> <buffer> [<sargable>]")?;
             Ok(Request::Estimate {
-                name: rest[0].to_string(),
+                name: rest[0],
                 sigma: parse_token(rest[1], "sigma")?,
                 buffer: parse_token(rest[2], "buffer")?,
                 sargable: rest
@@ -252,7 +253,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             exactly(4, 5, USAGE)?;
             Ok(Request::Explain {
-                name: rest[1].to_string(),
+                name: rest[1],
                 sigma: parse_token(rest[2], "sigma")?,
                 buffer: parse_token(rest[3], "buffer")?,
                 sargable: rest
@@ -265,7 +266,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "FPF" => {
             exactly(1, 2, "FPF <name> [<points>]")?;
             Ok(Request::Fpf {
-                name: rest[0].to_string(),
+                name: rest[0],
                 points: rest
                     .get(1)
                     .map(|t| parse_token(t, "points"))
@@ -276,7 +277,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "COMPARE" => {
             exactly(1, 2, "COMPARE <name> [<points>]")?;
             Ok(Request::Compare {
-                name: rest[0].to_string(),
+                name: rest[0],
                 points: rest
                     .get(1)
                     .map(|t| parse_token(t, "points"))
@@ -295,7 +296,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
             }
             Ok(Request::Observe {
-                name: rest[0].to_string(),
+                name: rest[0],
                 nkeys: parse_token(rest[1], "nkeys")?,
                 actual: parse_token(rest[2], "actual_fetches")?,
                 buffer,
@@ -304,7 +305,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "DRIFT" => {
             exactly(0, 1, "DRIFT [<name>]")?;
             Ok(Request::Drift {
-                name: rest.first().map(|s| s.to_string()),
+                name: rest.first().copied(),
             })
         }
         "SLOWLOG" => {
@@ -318,8 +319,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "PAGE" => {
-            let mut pairs = Vec::with_capacity(rest.len() / 2);
-            parse_page_into(line, &mut pairs)?;
+            if rest.is_empty() || !rest.len().is_multiple_of(2) {
+                return Err("usage: PAGE <key> <page> [<key> <page> ...]".into());
+            }
+            let pairs = rest
+                .chunks_exact(2)
+                .map(|kp| Ok((parse_token(kp[0], "key")?, parse_token(kp[1], "page")?)))
+                .collect::<Result<_, String>>()?;
             Ok(Request::Page { pairs })
         }
         "ANALYZE" => {
@@ -341,15 +347,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
                 "RESUME" => {
                     exactly(2, 2, "ANALYZE RESUME <name>")?;
-                    Ok(Request::AnalyzeResume {
-                        name: rest[1].to_string(),
-                    })
+                    Ok(Request::AnalyzeResume { name: rest[1] })
                 }
                 "BEGIN" => {
-                    let name = rest
+                    let name = *rest
                         .get(1)
-                        .ok_or("usage: ANALYZE BEGIN <name> [segments=N] [table_pages=T]")?
-                        .to_string();
+                        .ok_or("usage: ANALYZE BEGIN <name> [segments=N] [table_pages=T]")?;
                     let mut segments = None;
                     let mut table_pages = None;
                     for opt in &rest[2..] {
@@ -374,25 +377,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         other => Err(format!("unknown command {other:?}")),
     }
-}
-
-/// Parses a `PAGE` request line's pairs into a caller-owned buffer —
-/// the hot-path alternative to [`parse_request`]'s `Request::Page`, letting
-/// a connection reuse one scratch `Vec` across batches instead of
-/// allocating per line. `line` is the whole request line (the leading
-/// `PAGE` token is skipped case-insensitively); `out` is cleared first.
-/// Errors are identical to [`parse_request`]'s for the same line.
-pub fn parse_page_into(line: &str, out: &mut Vec<(i64, u32)>) -> Result<(), String> {
-    out.clear();
-    let values = line.split_whitespace().count().saturating_sub(1);
-    if values == 0 || !values.is_multiple_of(2) {
-        return Err("usage: PAGE <key> <page> [<key> <page> ...]".into());
-    }
-    let mut toks = line.split_whitespace().skip(1);
-    while let (Some(k), Some(p)) = (toks.next(), toks.next()) {
-        out.push((parse_token(k, "key")?, parse_token(p, "page")?));
-    }
-    Ok(())
 }
 
 /// Frames a successful response: `OK <n>` plus the data lines.
@@ -432,7 +416,7 @@ mod tests {
         assert_eq!(
             parse_request("ESTIMATE t.k 0.5 100").unwrap(),
             Request::Estimate {
-                name: "t.k".into(),
+                name: "t.k",
                 sigma: 0.5,
                 buffer: 100,
                 sargable: 1.0
@@ -441,7 +425,7 @@ mod tests {
         assert_eq!(
             parse_request("estimate t.k 0.5 100 0.25").unwrap(),
             Request::Estimate {
-                name: "t.k".into(),
+                name: "t.k",
                 sigma: 0.5,
                 buffer: 100,
                 sargable: 0.25
@@ -450,7 +434,7 @@ mod tests {
         assert_eq!(
             parse_request("explain estimate t.k 0.5 100").unwrap(),
             Request::Explain {
-                name: "t.k".into(),
+                name: "t.k",
                 sigma: 0.5,
                 buffer: 100,
                 sargable: 1.0
@@ -459,7 +443,7 @@ mod tests {
         assert_eq!(
             parse_request("EXPLAIN ESTIMATE t.k 0.5 100 0.25").unwrap(),
             Request::Explain {
-                name: "t.k".into(),
+                name: "t.k",
                 sigma: 0.5,
                 buffer: 100,
                 sargable: 0.25
@@ -468,21 +452,21 @@ mod tests {
         assert_eq!(
             parse_request("FPF ix 7").unwrap(),
             Request::Fpf {
-                name: "ix".into(),
+                name: "ix",
                 points: 7
             }
         );
         assert_eq!(
             parse_request("COMPARE ix").unwrap(),
             Request::Compare {
-                name: "ix".into(),
+                name: "ix",
                 points: 10
             }
         );
         assert_eq!(
             parse_request("ANALYZE BEGIN ix segments=4 table_pages=99").unwrap(),
             Request::AnalyzeBegin {
-                name: "ix".into(),
+                name: "ix",
                 segments: Some(4),
                 table_pages: Some(99)
             }
@@ -504,7 +488,7 @@ mod tests {
         assert_eq!(
             parse_request("OBSERVE t.k 250 1234").unwrap(),
             Request::Observe {
-                name: "t.k".into(),
+                name: "t.k",
                 nkeys: 250,
                 actual: 1234,
                 buffer: None
@@ -513,7 +497,7 @@ mod tests {
         assert_eq!(
             parse_request("observe t.k 250 1234 buffer=64").unwrap(),
             Request::Observe {
-                name: "t.k".into(),
+                name: "t.k",
                 nkeys: 250,
                 actual: 1234,
                 buffer: Some(64)
@@ -525,9 +509,7 @@ mod tests {
         );
         assert_eq!(
             parse_request("drift t.k").unwrap(),
-            Request::Drift {
-                name: Some("t.k".into())
-            }
+            Request::Drift { name: Some("t.k") }
         );
         assert_eq!(
             parse_request("SLOWLOG").unwrap(),
@@ -545,18 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_page_into_matches_parse_request() {
-        let mut scratch = vec![(9i64, 9u32)]; // stale contents must be cleared
-        parse_page_into("PAGE 5 0 5 1 6 2", &mut scratch).unwrap();
-        assert_eq!(scratch, vec![(5, 0), (5, 1), (6, 2)]);
-        for bad in ["PAGE", "PAGE 1", "PAGE 1 2 3", "PAGE 1 x", "PAGE x 1"] {
-            let by_into = parse_page_into(bad, &mut scratch).unwrap_err();
-            let by_parse = parse_request(bad).unwrap_err();
-            assert_eq!(by_into, by_parse, "{bad}");
-        }
-    }
-
-    #[test]
     fn rejects_malformed_requests() {
         assert!(parse_request("").is_err());
         assert!(parse_request("FROB").is_err());
@@ -568,6 +538,9 @@ mod tests {
         assert!(parse_request("EXPLAIN ESTIMATE ix notafloat 10").is_err());
         assert!(parse_request("PAGE 1").is_err());
         assert!(parse_request("PAGE").is_err());
+        assert!(parse_request("PAGE 1 2 3").is_err());
+        assert!(parse_request("PAGE 1 x").is_err());
+        assert!(parse_request("PAGE x 1").is_err());
         assert!(parse_request("ANALYZE").is_err());
         assert!(parse_request("ANALYZE BEGIN ix bogus=1").is_err());
         assert!(parse_request("PING extra").is_err());
@@ -590,27 +563,27 @@ mod tests {
             Request::Ping,
             Request::Show,
             Request::Estimate {
-                name: "x".into(),
+                name: "x",
                 sigma: 0.0,
                 buffer: 1,
                 sargable: 1.0,
             },
             Request::Explain {
-                name: "x".into(),
+                name: "x",
                 sigma: 0.0,
                 buffer: 1,
                 sargable: 1.0,
             },
             Request::Fpf {
-                name: "x".into(),
+                name: "x",
                 points: 1,
             },
             Request::Compare {
-                name: "x".into(),
+                name: "x",
                 points: 1,
             },
             Request::AnalyzeBegin {
-                name: "x".into(),
+                name: "x",
                 segments: None,
                 table_pages: None,
             },
@@ -620,7 +593,7 @@ mod tests {
             Request::AnalyzeCommit,
             Request::AnalyzeAbort,
             Request::Observe {
-                name: "x".into(),
+                name: "x",
                 nkeys: 1,
                 actual: 1,
                 buffer: None,

@@ -26,7 +26,7 @@
 //! (`crates/cli/tests/process.rs`) asserts against the real binary.
 
 use crate::accuracy::{AccuracyConfig, AccuracyTracker};
-use crate::catalog::SharedCatalog;
+use crate::catalog::{SharedCatalog, VersionedEntry};
 use crate::evloop::IngestPool;
 use crate::ingest::IngestSession;
 use crate::metrics::Metrics;
@@ -277,17 +277,15 @@ impl Shared {
         }
     }
 
-    /// The `ERR readonly ...` message for ingest commands while degraded,
-    /// `None` when healthy.
-    pub(crate) fn readonly_error(&self) -> Option<String> {
+    /// Ingest commands answer `ERR readonly ...` while degraded.
+    pub(crate) fn check_writable(&self) -> Result<(), String> {
         if self.health.is_degraded() {
-            Some(format!(
+            return Err(format!(
                 "readonly {}",
                 self.health.cause().unwrap_or_else(|| "degraded".into())
-            ))
-        } else {
-            None
+            ));
         }
+        Ok(())
     }
 
     /// After a failed WAL operation: if the writer is poisoned, the failure
@@ -645,26 +643,16 @@ fn start_metrics_endpoint(
                     }
                 }
                 "/slowlog" => {
-                    let n = query
-                        .split('&')
-                        .find_map(|kv| kv.strip_prefix("n="))
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or(32);
                     let mut body = String::new();
-                    for entry in slowlog.snapshot(n) {
+                    for entry in slowlog.snapshot(query_n(query, 32)) {
                         body.push_str(&entry.render_json());
                         body.push('\n');
                     }
                     Some(Response::ok("application/json; charset=utf-8", body))
                 }
                 "/events" => {
-                    let n = query
-                        .split('&')
-                        .find_map(|kv| kv.strip_prefix("n="))
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or(64);
                     let mut body = String::new();
-                    for event in logger.recent(n) {
+                    for event in logger.recent(query_n(query, 64)) {
                         body.push_str(&event.render_json());
                         body.push('\n');
                     }
@@ -674,6 +662,15 @@ fn start_metrics_endpoint(
             }
         }),
     )
+}
+
+/// The `n=K` parameter of a ring route's query string, or `default`.
+fn query_n(query: &str, default: usize) -> usize {
+    query
+        .split('&')
+        .find_map(|kv| kv.strip_prefix("n="))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Rejects a connection at admission: writes one `SERVER_BUSY` line (with a
@@ -774,9 +771,7 @@ pub(crate) fn apply_page_batch(
 ) -> Result<u64, String> {
     // Degraded mode is read-only: reject before touching the session so a
     // client can never grow state the server cannot make durable.
-    if let Some(e) = shared.readonly_error() {
-        return Err(e);
-    }
+    shared.check_writable()?;
     let open = session
         .as_mut()
         .ok_or("no open session (send ANALYZE BEGIN first)")?;
@@ -794,20 +789,16 @@ pub(crate) fn apply_page_batch(
     match &shared.wal {
         Some(wal) => {
             open.inner.check_batch_iter(pairs.clone())?;
-            timed_wal(|| wal.append_page(open.wal_id, batch_len, pairs.clone())).map_err(|e| {
-                shared.note_wal_failure();
-                format!("wal append failed: {e}")
-            })?;
+            timed_wal(|| wal.append_page(open.wal_id, batch_len, pairs.clone()))
+                .map_err(|e| wal_failed(shared, e))?;
             open.inner.feed_batch_unchecked_iter(pairs);
             // Periodic analyzer checkpoint: bounds replay to one interval
             // of PAGE records per in-flight session.
             if open.inner.records().saturating_sub(open.checkpointed_refs) >= wal.checkpoint_refs()
             {
                 let cp = open.inner.checkpoint();
-                timed_wal(|| wal.append_checkpoint(open.wal_id, &cp)).map_err(|e| {
-                    shared.note_wal_failure();
-                    format!("wal append failed: {e}")
-                })?;
+                timed_wal(|| wal.append_checkpoint(open.wal_id, &cp))
+                    .map_err(|e| wal_failed(shared, e))?;
                 open.checkpointed_refs = open.inner.records();
             }
         }
@@ -824,8 +815,58 @@ pub(crate) fn apply_page_batch(
     Ok(open.inner.records())
 }
 
+/// Validates an `ESTIMATE`/`EXPLAIN` query into the [`ScanQuery`] Est-IO
+/// runs.
+pub(crate) fn scan_query(sigma: f64, buffer: u64, sargable: f64) -> Result<ScanQuery, String> {
+    if !(0.0..=1.0).contains(&sigma) || !(0.0..=1.0).contains(&sargable) {
+        return Err("selectivities must be in [0, 1]".into());
+    }
+    if buffer == 0 {
+        return Err("buffer must be at least 1".into());
+    }
+    Ok(ScanQuery::range(sigma, buffer).with_sargable(sargable))
+}
+
+/// The entry `FPF`/`COMPARE` sample, and their `points` buffer sizes spread
+/// evenly over its `[b_min, b_max]`.
+fn sample_buffers(
+    shared: &Shared,
+    name: &str,
+    points: usize,
+) -> Result<(Arc<VersionedEntry>, impl Iterator<Item = u64>), String> {
+    if points == 0 || points > 10_000 {
+        return Err("points must be in [1, 10000]".into());
+    }
+    let entry = Arc::clone(shared.catalog.snapshot().lookup(name)?);
+    let (lo, hi) = (entry.stats.b_min, entry.stats.b_max);
+    let span = (points - 1).max(1) as f64;
+    Ok((
+        entry,
+        (0..points).map(move |i| lo + ((hi - lo) as f64 * i as f64 / span) as u64),
+    ))
+}
+
+/// Refuses a second `ANALYZE` session on one connection.
+fn check_no_session(session: &Option<OpenSession>) -> Result<(), String> {
+    match session {
+        Some(open) => Err(format!(
+            "a session for {:?} is already open on this connection (COMMIT or ABORT it first)",
+            open.inner.name()
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Notes a failed WAL append (degrading the server if it poisoned the log)
+/// and words the request's error.
+fn wal_failed(shared: &Shared, e: std::io::Error) -> String {
+    shared.note_wal_failure();
+    format!("wal append failed: {e}")
+}
+
 /// Executes one parsed request against the shared state, returning response
-/// data lines.
+/// data lines. The session engine (`crate::session`) serves `ESTIMATE`,
+/// `PAGE`, `HELLO` and `SHUTDOWN` itself and sends everything else here.
 pub(crate) fn execute(
     req: Request,
     shared: &Shared,
@@ -833,7 +874,6 @@ pub(crate) fn execute(
 ) -> Result<Vec<String>, String> {
     match req {
         Request::Ping => Ok(vec!["pong".to_string()]),
-        Request::Shutdown => Ok(vec!["bye".to_string()]),
         Request::Show => {
             let snap = shared.catalog.snapshot();
             Ok(snap
@@ -852,43 +892,15 @@ pub(crate) fn execute(
                 })
                 .collect())
         }
-        Request::Estimate {
-            name,
-            sigma,
-            buffer,
-            sargable,
-        } => {
-            if !(0.0..=1.0).contains(&sigma) || !(0.0..=1.0).contains(&sargable) {
-                return Err("selectivities must be in [0, 1]".into());
-            }
-            if buffer == 0 {
-                return Err("buffer must be at least 1".into());
-            }
-            let snap = shared.catalog.snapshot();
-            let entry = snap
-                .get(&name)
-                .ok_or_else(|| format!("no catalog entry named {name:?} (try SHOW)"))?;
-            let q = ScanQuery::range(sigma, buffer).with_sargable(sargable);
-            let f = entry.stats.estimate(&q);
-            Ok(vec![format!("{f}")])
-        }
         Request::Explain {
             name,
             sigma,
             buffer,
             sargable,
         } => {
-            if !(0.0..=1.0).contains(&sigma) || !(0.0..=1.0).contains(&sargable) {
-                return Err("selectivities must be in [0, 1]".into());
-            }
-            if buffer == 0 {
-                return Err("buffer must be at least 1".into());
-            }
+            let q = scan_query(sigma, buffer, sargable)?;
             let snap = shared.catalog.snapshot();
-            let entry = snap
-                .get(&name)
-                .ok_or_else(|| format!("no catalog entry named {name:?} (try SHOW)"))?;
-            let q = ScanQuery::range(sigma, buffer).with_sargable(sargable);
+            let entry = snap.lookup(name)?;
             let trace = entry.stats.estimate_traced(&q);
             // Line 0 is the estimate exactly as ESTIMATE would serve it
             // (same arithmetic, same `{}` formatting — see EstimateTrace);
@@ -898,30 +910,13 @@ pub(crate) fn execute(
             Ok(lines)
         }
         Request::Fpf { name, points } => {
-            if points == 0 || points > 10_000 {
-                return Err("points must be in [1, 10000]".into());
-            }
-            let snap = shared.catalog.snapshot();
-            let entry = snap
-                .get(&name)
-                .ok_or_else(|| format!("no catalog entry named {name:?} (try SHOW)"))?;
-            let s = &entry.stats;
-            let mut lines = Vec::with_capacity(points);
-            for i in 0..points {
-                let b = s.b_min
-                    + ((s.b_max - s.b_min) as f64 * i as f64 / (points - 1).max(1) as f64) as u64;
-                lines.push(format!("{b} {}", s.full_scan_fetches(b)));
-            }
-            Ok(lines)
+            let (entry, buffers) = sample_buffers(shared, name, points)?;
+            Ok(buffers
+                .map(|b| format!("{b} {}", entry.stats.full_scan_fetches(b)))
+                .collect())
         }
         Request::Compare { name, points } => {
-            if points == 0 || points > 10_000 {
-                return Err("points must be in [1, 10000]".into());
-            }
-            let snap = shared.catalog.snapshot();
-            let entry = snap
-                .get(&name)
-                .ok_or_else(|| format!("no catalog entry named {name:?} (try SHOW)"))?;
+            let (entry, buffers) = sample_buffers(shared, name, points)?;
             let summary = entry.summary.as_ref().ok_or_else(|| {
                 format!(
                     "no trace summary for {name:?}: COMPARE needs an entry analyzed by this \
@@ -942,9 +937,7 @@ pub(crate) fn execute(
                 header.push_str(e.name());
             }
             lines.push(header);
-            for i in 0..points {
-                let b = s.b_min
-                    + ((s.b_max - s.b_min) as f64 * i as f64 / (points - 1).max(1) as f64) as u64;
+            for b in buffers {
                 let mut row = format!(
                     "{b} {} {}",
                     summary.fetch_curve.fetches(b),
@@ -964,16 +957,8 @@ pub(crate) fn execute(
             segments,
             table_pages,
         } => {
-            if let Some(e) = shared.readonly_error() {
-                return Err(e);
-            }
-            if let Some(open) = session {
-                return Err(format!(
-                    "a session for {:?} is already open on this connection \
-                     (COMMIT or ABORT it first)",
-                    open.inner.name()
-                ));
-            }
+            shared.check_writable()?;
+            check_no_session(session)?;
             if name.is_empty() || name.chars().any(|c| c.is_whitespace() || c.is_control()) {
                 return Err(format!("invalid entry name {name:?}"));
             }
@@ -991,19 +976,14 @@ pub(crate) fn execute(
                 Some(wal) => {
                     // A fresh BEGIN supersedes any parked session under the
                     // same name: the client is starting over.
-                    timed_wal(|| wal.discard_parked(&name)).map_err(|e| {
-                        shared.note_wal_failure();
-                        format!("wal append failed: {e}")
-                    })?;
-                    timed_wal(|| wal.begin(&name, segments, table_pages)).map_err(|e| {
-                        shared.note_wal_failure();
-                        format!("wal append failed: {e}")
-                    })?
+                    timed_wal(|| wal.discard_parked(name)).map_err(|e| wal_failed(shared, e))?;
+                    timed_wal(|| wal.begin(name, segments, table_pages))
+                        .map_err(|e| wal_failed(shared, e))?
                 }
                 None => 0,
             };
             *session = Some(OpenSession {
-                inner: IngestSession::new(name.clone(), config, table_pages),
+                inner: IngestSession::new(name.to_string(), config, table_pages),
                 wal_id,
                 checkpointed_refs: 0,
             });
@@ -1013,21 +993,15 @@ pub(crate) fn execute(
             shared
                 .logger
                 .event(Level::Info, "server", "analyze_begin")
-                .field("entry", name.as_str())
+                .field("entry", name)
                 .emit();
             Ok(vec![format!("session {name}")])
-        }
-        Request::Page { pairs } => {
-            let n = apply_page_batch(shared, session, pairs.len(), pairs.iter().copied())?;
-            Ok(vec![format!("fed {n}")])
         }
         Request::AnalyzeCommit => {
             // Checked before taking the session: a degraded-mode COMMIT
             // leaves the session open, so the client can RECOVER (or wait
             // for an operator to) and then commit the same session.
-            if let Some(e) = shared.readonly_error() {
-                return Err(e);
-            }
+            shared.check_writable()?;
             let open = session
                 .take()
                 .ok_or("no open session (send ANALYZE BEGIN first)")?;
@@ -1058,7 +1032,8 @@ pub(crate) fn execute(
                 stats.distinct_keys,
                 stats.clustering_factor,
             );
-            let epoch = match &shared.wal {
+            let summary = Some(Arc::new(summary));
+            let committed = match &shared.wal {
                 Some(wal) => {
                     // The COMMIT record (with its commit sequence and this
                     // timestamp) goes durable first; the catalog write runs
@@ -1069,41 +1044,32 @@ pub(crate) fn execute(
                     let analyzed_at = crate::catalog::unix_now();
                     // The WAL phase here includes the catalog persist run
                     // under the commit guard — it is all durability time.
+                    // Either failure (the COMMIT record poisoning the WAL,
+                    // or the catalog save) is a durability loss.
                     timed_wal(|| {
                         wal.commit_session(wal_id, analyzed_at, |commit_seq| {
                             shared.catalog.commit_analyzed(
                                 &name,
                                 stats,
-                                Some(Arc::new(summary)),
+                                summary,
                                 analyzed_at,
                                 Some(commit_seq),
                             )
                         })
                     })
-                    .map_err(|e| {
-                        // The failure may be the COMMIT record (WAL
-                        // poisoned) or the catalog save; either is a
-                        // durability loss — degrade so no later ingest can
-                        // be acknowledged against broken storage.
-                        shared.note_wal_failure();
-                        let msg = e.to_string();
-                        if msg.contains("catalog persist failed") {
-                            shared.enter_degraded(&msg);
-                        }
-                        format!("commit failed: {e}")
-                    })?
+                    .inspect_err(|_| shared.note_wal_failure())
                 }
-                None => shared
-                    .catalog
-                    .commit(&name, stats, Some(Arc::new(summary)))
-                    .map_err(|e| {
-                        let msg = e.to_string();
-                        if msg.contains("catalog persist failed") {
-                            shared.enter_degraded(&msg);
-                        }
-                        format!("commit failed: {e}")
-                    })?,
+                None => shared.catalog.commit(&name, stats, summary),
             };
+            // A failed catalog save degrades the server, so no later ingest
+            // can be acknowledged against broken storage.
+            let epoch = committed.map_err(|e| {
+                let msg = e.to_string();
+                if msg.contains("catalog persist failed") {
+                    shared.enter_degraded(&msg);
+                }
+                format!("commit failed: {e}")
+            })?;
             Ok(vec![format!(
                 "committed {name} epoch={epoch} T={t} N={n} I={i} C={c}"
             )])
@@ -1139,29 +1105,21 @@ pub(crate) fn execute(
             Ok(vec![format!("aborted {name} dropped={dropped}")])
         }
         Request::AnalyzeResume { name } => {
-            if let Some(e) = shared.readonly_error() {
-                return Err(e);
-            }
+            shared.check_writable()?;
             let wal = shared
                 .wal
                 .as_ref()
                 .ok_or("session recovery requires a server started with --wal-dir")?;
-            if let Some(open) = session {
-                return Err(format!(
-                    "a session for {:?} is already open on this connection \
-                     (COMMIT or ABORT it first)",
-                    open.inner.name()
-                ));
-            }
+            check_no_session(session)?;
             let (inner, wal_id) = wal
-                .take_parked(&name)
+                .take_parked(name)
                 .ok_or_else(|| format!("no recoverable session named {name:?}"))?;
             let refs = inner.records();
             epfis_obs::wellknown::analyzer().active_sessions.add(1);
             shared
                 .logger
                 .event(Level::Info, "server", "analyze_resume")
-                .field("entry", name.as_str())
+                .field("entry", name)
                 .field("refs", refs)
                 .emit();
             *session = Some(OpenSession {
@@ -1206,9 +1164,7 @@ pub(crate) fn execute(
                 return Err("buffer must be at least 1".into());
             }
             let snap = shared.catalog.snapshot();
-            let entry = snap
-                .get(&name)
-                .ok_or_else(|| format!("no catalog entry named {name:?} (try SHOW)"))?;
+            let entry = snap.lookup(name)?;
             let s = &entry.stats;
             // Pair the observation with the estimate the server would serve
             // right now: nkeys out of the entry's distinct keys is the
@@ -1221,9 +1177,7 @@ pub(crate) fn execute(
             };
             let b = buffer.unwrap_or_else(|| s.b_min.max(1));
             let estimate = s.estimate(&ScanQuery::range(sigma, b));
-            let obs = shared
-                .accuracy
-                .observe(&name, entry.epoch, estimate, actual);
+            let obs = shared.accuracy.observe(name, entry.epoch, estimate, actual);
             shared
                 .accuracy_err_hist
                 .record((obs.rel_err.abs() * 1000.0).min(1e15) as u64);
@@ -1231,7 +1185,7 @@ pub(crate) fn execute(
                 shared
                     .logger
                     .event(Level::Warn, "accuracy", "drift_detected")
-                    .field("entry", name.as_str())
+                    .field("entry", name)
                     .field("epoch", entry.epoch)
                     .field("rel_err", obs.rel_err)
                     .field("threshold", shared.accuracy.drift_threshold())
@@ -1246,7 +1200,7 @@ pub(crate) fn execute(
             Some(name) => {
                 let summary = shared
                     .accuracy
-                    .summary(&name)
+                    .summary(name)
                     .ok_or_else(|| format!("no observations for {name:?} (send OBSERVE first)"))?;
                 Ok(vec![summary.render()])
             }
@@ -1274,9 +1228,8 @@ pub(crate) fn execute(
         .lines()
         .map(str::to_string)
         .collect()),
-        // The session engine intercepts HELLO before execute, so reaching this arm
-        // means the request arrived over an already-upgraded connection
-        // (a TEXT passthrough frame carrying "HELLO BINARY").
-        Request::Hello => Err("connection already uses binary framing".into()),
+        Request::Estimate { .. } | Request::Page { .. } | Request::Hello | Request::Shutdown => {
+            unreachable!("the session engine serves ESTIMATE, PAGE, HELLO and SHUTDOWN itself")
+        }
     }
 }

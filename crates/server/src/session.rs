@@ -3,20 +3,33 @@
 //! Bytes are *pushed* into a [`Conn`] and response bytes come out, with no
 //! I/O anywhere; the event loop (`crate::evloop`) moves the bytes.
 //!
-//! What [`Conn`] owns (everything [`crate::server::LimitsConfig`] promises):
+//! Every request takes one path, whatever wire carried it:
+//!
+//! 1. **Decode.** A text line, a TEXT frame and a typed binary frame each
+//!    decode to a [`Call`]: a [`Request`] borrowing the received bytes, or
+//!    for a typed `PAGE` frame a zero-copy view of its records.
+//! 2. **Dispatch.** `ESTIMATE` runs against the connection's catalog-entry
+//!    cache, `PAGE` through [`apply_page_batch`], `HELLO` and `SHUTDOWN`
+//!    here, and every other command through [`execute`]. The outcome is
+//!    one [`Reply`]: data lines, an `f64`, or a fed-reference count.
+//! 3. **Account and render.** [`Conn::serve`] times the request and
+//!    records it — per-command counters, the phase batch, SLOWLOG and the
+//!    `limit` family — then renders the reply in the request's wire
+//!    format: text `OK`/`ERR` lines, typed F64/U64/LINES/ERR frames, or
+//!    LINES for a TEXT frame.
+//!
+//! What [`Conn`] owns besides (everything [`crate::server::LimitsConfig`]
+//! promises):
 //!
 //! * the pending buffer, bounded by `max_pending_bytes` — a genuine backlog
-//!   overflow (complete requests buffered faster than responses drain) now
-//!   answers a distinct `ERR limit pending ...` instead of masquerading as
-//!   `ERR limit line`; oversized lines and frames keep their specific
-//!   diagnoses,
+//!   overflow (complete requests buffered faster than responses drain)
+//!   answers a distinct `ERR limit pending ...`; oversized lines and frames
+//!   keep their specific diagnoses,
 //! * request-line / frame-body bounds (`ERR limit line`, `ERR limit frame`),
 //! * the idle clock: reset only by a *complete* request, checked by the
 //!   front end via [`Conn::check_idle`] (`ERR limit idle`),
 //! * the text → binary upgrade (`HELLO BINARY`), including bytes a
-//!   pipelining client sent behind its upgrade line,
-//! * atomic `PAGE` batches, the binary `ESTIMATE` entry cache, per-request
-//!   metrics and the `limit_rejections` family.
+//!   pipelining client sent behind its upgrade line.
 //!
 //! Output growth is bounded: once `out` crosses [`BINARY_FLUSH_BYTES`] the
 //! engine parks ([`Conn::has_deferred_work`]) until the front end has
@@ -31,15 +44,15 @@
 
 use crate::catalog::VersionedEntry;
 use crate::framing::{
-    self, decode_request, encode_resp_err, encode_resp_f64, encode_resp_lines, encode_resp_str,
-    encode_resp_u64, BinRequest,
+    self, decode_request, encode_resp_err, encode_resp_f64, encode_resp_lines, encode_resp_u64,
+    BinRequest, PageRefs,
 };
 use crate::metrics::PhaseBatch;
-use crate::protocol::{frame_err, frame_ok, parse_page_into, parse_request, Request};
-use crate::server::{apply_page_batch, execute, take_wal_time_us, OpenSession, Shared};
+use crate::protocol::{frame_err, frame_ok, parse_request, Request};
+use crate::server::{apply_page_batch, execute, scan_query, take_wal_time_us, OpenSession, Shared};
 use crate::slowlog::Phases;
-use epfis::ScanQuery;
 use epfis_net::Control;
+use epfis_obs::{EventBuilder, Level};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,17 +67,94 @@ enum Mode {
     Binary,
 }
 
-/// The binary `ESTIMATE` fast path's per-connection cache: the entry handle
-/// a previous request resolved, revalidated against
+/// The `ESTIMATE` path's per-connection cache: the entry handle a previous
+/// request resolved, revalidated against
 /// [`crate::catalog::SharedCatalog::epoch_hint`] — a relaxed atomic load —
 /// instead of re-taking the snapshot lock and re-walking the name lookup.
 /// While the catalog epoch and queried name stay put (the overwhelmingly
-/// common case for an estimate-hammering client), a request allocates
-/// nothing.
+/// common case for an estimate-hammering client), a typed `ESTIMATE` frame
+/// allocates nothing.
 struct EntryCache {
     epoch: u64,
     name: Vec<u8>,
     entry: Arc<VersionedEntry>,
+}
+
+/// What arrived: one complete text line (without its line ending) or one
+/// binary frame body.
+enum Input<'a> {
+    Line(&'a [u8]),
+    Frame(&'a [u8]),
+}
+
+impl Input<'_> {
+    /// Whether the request uses the connection's `ANALYZE` session.
+    fn uses_session(&self) -> bool {
+        let line = match *self {
+            Input::Line(line) | Input::Frame([framing::REQ_TEXT, line @ ..]) => line,
+            Input::Frame([tag, ..]) => {
+                return matches!(
+                    *tag,
+                    framing::REQ_PAGE
+                        | framing::REQ_ANALYZE_BEGIN
+                        | framing::REQ_ANALYZE_COMMIT
+                        | framing::REQ_ANALYZE_ABORT
+                )
+            }
+            Input::Frame([]) => return false,
+        };
+        let word = line
+            .split(|b| b.is_ascii_whitespace())
+            .find(|w| !w.is_empty())
+            .unwrap_or_default();
+        word.eq_ignore_ascii_case(b"PAGE") || word.eq_ignore_ascii_case(b"ANALYZE")
+    }
+}
+
+/// The wire a request arrived on, which fixes how its reply is rendered.
+#[derive(Clone, Copy)]
+enum Wire {
+    Line,
+    TextFrame,
+    Typed,
+}
+
+/// One decoded request, whatever wire carried it. Both borrow the bytes
+/// the request arrived in: a typed `PAGE` frame's records are read straight
+/// off the frame, and every other request is a [`Request`].
+enum Call<'a> {
+    Page(PageRefs<'a>),
+    Request(Request<'a>),
+}
+
+impl Call<'_> {
+    fn label(&self) -> &'static str {
+        match self {
+            Call::Page(_) => "PAGE",
+            Call::Request(req) => req.label(),
+        }
+    }
+}
+
+/// A served request's outcome before rendering: the three response shapes
+/// binary framing has.
+enum Reply {
+    Lines(Vec<String>),
+    /// An `ESTIMATE` answer.
+    F64(f64),
+    /// A `PAGE` answer: the session's total references fed.
+    Fed(u64),
+}
+
+impl Reply {
+    /// The reply as data lines, the form text lines and TEXT frames carry.
+    fn into_lines(self) -> Vec<String> {
+        match self {
+            Reply::Lines(lines) => lines,
+            Reply::F64(f) => vec![format!("{f}")],
+            Reply::Fed(n) => vec![format!("fed {n}")],
+        }
+    }
 }
 
 /// One connection's protocol state. Pure: never touches a socket.
@@ -75,10 +165,6 @@ pub(crate) struct Conn {
     /// The open `ANALYZE` session, if any.
     session: Option<OpenSession>,
     cache: Option<EntryCache>,
-    /// `PAGE` is the text protocol's hot line: its pairs parse into this
-    /// connection-lifetime scratch buffer instead of a fresh `Vec` per
-    /// batch.
-    page_scratch: Vec<(i64, u32)>,
     /// When the last *complete* request finished arriving (or the
     /// connection opened). Trickled partial bytes do not move it, which is
     /// what defeats slow-loris writers.
@@ -107,7 +193,6 @@ impl Conn {
             pending: Vec::new(),
             session: None,
             cache: None,
-            page_scratch: Vec::new(),
             idle_since: Instant::now(),
             batch_arrived: None,
             phases: PhaseBatch::new(),
@@ -176,24 +261,19 @@ impl Conn {
         // connection closes on the first violation. Requests waiting for an
         // ingest thread are not a backlog: the loop stops reading until
         // they are served.
-        if !self.closed && !self.ingest_next && self.pending.len() > shared.limits.max_pending_bytes
-        {
-            let limits = &shared.limits;
-            shared.metrics.limit_rejections.inc();
-            shared
+        let max = shared.limits.max_pending_bytes;
+        if !self.closed && !self.ingest_next && self.pending.len() > max {
+            let bytes = self.pending.len();
+            let event = shared
                 .logger
-                .event(epfis_obs::Level::Warn, "server", "limit_pending")
-                .field("bytes", self.pending.len() as u64)
-                .field("max_pending_bytes", limits.max_pending_bytes as u64)
-                .emit();
+                .event(Level::Warn, "server", "limit_pending")
+                .field("bytes", bytes as u64)
+                .field("max_pending_bytes", max as u64);
             let msg = format!(
-                "limit pending: {} bytes buffered without a complete request, exceeding {} \
-                 bytes; closing connection",
-                self.pending.len(),
-                limits.max_pending_bytes
+                "limit pending: {bytes} bytes buffered without a complete request, exceeding \
+                 {max} bytes; closing connection"
             );
-            self.emit_err(&msg, out);
-            self.closed = true;
+            self.reject(shared, event, &msg, out);
             return Control::Close;
         }
         step
@@ -224,491 +304,319 @@ impl Conn {
             // not idle.
             return Control::Continue;
         }
-        shared.metrics.limit_rejections.inc();
-        shared
+        let event = shared
             .logger
-            .event(epfis_obs::Level::Warn, "server", "limit_idle")
-            .field("timeout_s", timeout.as_secs_f64())
-            .emit();
+            .event(Level::Warn, "server", "limit_idle")
+            .field("timeout_s", timeout.as_secs_f64());
         let msg = format!(
             "limit idle: no complete request within {}s; closing connection",
             timeout.as_secs_f64()
         );
-        self.emit_err(&msg, out);
-        self.closed = true;
+        self.reject(shared, event, &msg, out);
         Control::Close
     }
 
-    /// Append an error response in the connection's current wire format.
-    fn emit_err(&mut self, msg: &str, out: &mut Vec<u8>) {
+    /// Answers a connection-fatal limit violation: counts it under
+    /// `limit_rejections`, emits its warning `event`, answers `msg` in the
+    /// connection's current wire format, and closes.
+    fn reject(&mut self, shared: &Shared, event: EventBuilder<'_>, msg: &str, out: &mut Vec<u8>) {
+        shared.metrics.limit_rejections.inc();
+        event.emit();
         match self.mode {
             Mode::Text => out.extend_from_slice(frame_err(msg).as_bytes()),
             Mode::Binary => encode_resp_err(out, msg),
         }
+        self.closed = true;
     }
 
     /// Consume as many buffered requests as the output budget allows, then
     /// merge the wakeup's accumulated phase timings in one pass.
     fn process(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Control {
-        let step = self.process_requests(shared, out);
+        self.serve_buffered(shared, out);
         shared.metrics.flush_phases(&mut self.phases);
-        step
+        if self.closed {
+            Control::Close
+        } else {
+            Control::Continue
+        }
     }
 
-    fn process_requests(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Control {
+    /// Serves every complete buffered request — text lines or binary
+    /// frames, by the connection's current mode — until the input runs
+    /// out, the output budget is spent, a session request needs an ingest
+    /// thread, or the connection closes. Several requests per read is the
+    /// pipelining win.
+    fn serve_buffered(&mut self, shared: &Shared, out: &mut Vec<u8>) {
         self.deferred = false;
-        loop {
-            if self.closed {
-                return Control::Close;
-            }
+        // Move `pending` out so requests decode zero-copy while serving
+        // borrows the rest of `self`.
+        let pending = std::mem::take(&mut self.pending);
+        let max = shared.limits.max_line_bytes;
+        let mut consumed = 0;
+        while !self.closed {
             if out.len() >= BINARY_FLUSH_BYTES {
                 self.deferred = true;
-                return Control::Continue;
+                break;
             }
-            let progressed = match self.mode {
-                Mode::Text => self.text_step(shared, out),
-                Mode::Binary => self.binary_step(shared, out),
-            };
-            if !progressed {
-                return if self.closed {
-                    Control::Close
-                } else {
-                    Control::Continue
-                };
-            }
-        }
-    }
-
-    /// Consume one text line (or detect a limit violation). Returns whether
-    /// any progress was made.
-    fn text_step(&mut self, shared: &Shared, out: &mut Vec<u8>) -> bool {
-        let limits = &shared.limits;
-        let Some(pos) = self.pending.iter().position(|&b| b == b'\n') else {
-            if self.pending.len() > limits.max_line_bytes {
-                self.limit_line(shared, out);
-            }
-            return false;
-        };
-        if pos > limits.max_line_bytes {
-            self.limit_line(shared, out);
-            return false;
-        }
-        if !self.on_ingest && uses_session(&self.pending[..pos]) {
-            self.ingest_next = true;
-            return false;
-        }
-        let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-        line.pop(); // the newline
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        self.idle_since = Instant::now();
-        let line = String::from_utf8_lossy(&line).into_owned();
-        if line.trim().is_empty() {
-            return true;
-        }
-        self.handle_text_line(shared, &line, out);
-        true
-    }
-
-    fn limit_line(&mut self, shared: &Shared, out: &mut Vec<u8>) {
-        shared.metrics.limit_rejections.inc();
-        shared
-            .logger
-            .event(epfis_obs::Level::Warn, "server", "limit_line")
-            .field("max_line_bytes", shared.limits.max_line_bytes as u64)
-            .emit();
-        let msg = format!(
-            "limit line: request line exceeds {} bytes; closing connection",
-            shared.limits.max_line_bytes
-        );
-        self.emit_err(&msg, out);
-        self.closed = true;
-    }
-
-    /// Serve one complete text request line.
-    fn handle_text_line(&mut self, shared: &Shared, line: &str, out: &mut Vec<u8>) {
-        let start = Instant::now();
-        let queue_us = self
-            .batch_arrived
-            .map(|t| start.saturating_duration_since(t).as_micros() as u64)
-            .unwrap_or(0);
-        shared.metrics.requests_text.inc();
-        let first = line.split_whitespace().next().unwrap_or("");
-        let (label, parsed_at, result) = if first.eq_ignore_ascii_case("PAGE") {
-            // Fast path: parse into the scratch buffer and feed through the
-            // same batch-apply the full parser's Request::Page uses. Parse
-            // errors label INVALID exactly as parse_request's would.
-            match parse_page_into(line, &mut self.page_scratch) {
-                Ok(()) => {
-                    let parsed_at = Instant::now();
+            let rest = &pending[consumed..];
+            let (input, len) = match self.mode {
+                Mode::Text => {
+                    let newline = rest.iter().position(|&b| b == b'\n');
+                    if newline.unwrap_or(rest.len()) > max {
+                        let event = shared
+                            .logger
+                            .event(Level::Warn, "server", "limit_line")
+                            .field("max_line_bytes", max as u64);
+                        let msg = format!(
+                            "limit line: request line exceeds {max} bytes; closing connection"
+                        );
+                        self.reject(shared, event, &msg, out);
+                        break;
+                    }
+                    let Some(pos) = newline else {
+                        break;
+                    };
+                    let line = &rest[..pos];
                     (
-                        "PAGE",
-                        parsed_at,
-                        apply_page_batch(
-                            shared,
-                            &mut self.session,
-                            self.page_scratch.len(),
-                            self.page_scratch.iter().copied(),
-                        )
-                        .map(|n| vec![format!("fed {n}")]),
+                        Input::Line(line.strip_suffix(b"\r").unwrap_or(line)),
+                        pos + 1,
                     )
                 }
-                Err(e) => ("INVALID", Instant::now(), Err(e)),
+                Mode::Binary => {
+                    let Some(header) = rest.first_chunk::<4>() else {
+                        break;
+                    };
+                    let body_len = u32::from_le_bytes(*header) as usize;
+                    if body_len > max {
+                        // The framing analogue of the text path's `limit line`.
+                        let event = shared
+                            .logger
+                            .event(Level::Warn, "server", "limit_frame")
+                            .field("bytes", body_len as u64)
+                            .field("max_line_bytes", max as u64);
+                        let msg = format!(
+                            "limit frame: frame of {body_len} bytes exceeds {max} bytes; \
+                             closing connection"
+                        );
+                        self.reject(shared, event, &msg, out);
+                        break;
+                    }
+                    let Some(body) = rest.get(4..4 + body_len) else {
+                        break;
+                    };
+                    (Input::Frame(body), 4 + body_len)
+                }
+            };
+            if !self.on_ingest && input.uses_session() {
+                self.ingest_next = true;
+                break;
             }
-        } else {
-            match parse_request(line) {
-                Ok(Request::Hello) => {
-                    let micros = start.elapsed().as_micros() as u64;
-                    shared.metrics.record("HELLO", micros, false);
-                    out.extend_from_slice(frame_ok(&[framing::HELLO_ACK.to_string()]).as_bytes());
-                    shared.metrics.binary_upgrades.inc();
-                    shared
-                        .logger
-                        .event(epfis_obs::Level::Info, "server", "binary_upgrade")
-                        .emit();
-                    // Everything after the HELLO line — including bytes a
-                    // pipelining client already sent, sitting in the pending
-                    // buffer — is binary frames.
-                    self.mode = Mode::Binary;
+            self.serve(shared, input, out);
+            consumed += len;
+        }
+        if consumed > 0 {
+            self.idle_since = Instant::now();
+        }
+        self.pending = pending;
+        self.pending.drain(..consumed);
+    }
+
+    /// Serves one request: decode, dispatch, account, render. This is the
+    /// one place a request is timed and recorded, whatever wire carried it.
+    fn serve(&mut self, shared: &Shared, input: Input<'_>, out: &mut Vec<u8>) {
+        let start = Instant::now();
+        let line;
+        // `preview` is the slow-log request text: the line a text request
+        // or TEXT frame carried; typed frames show their command label.
+        let (wire, preview, decoded) = match input {
+            Input::Line(raw) => {
+                line = String::from_utf8_lossy(raw);
+                if line.trim().is_empty() {
                     return;
                 }
-                Ok(req) => {
-                    let parsed_at = Instant::now();
-                    let label = req.label();
-                    let is_shutdown = matches!(req, Request::Shutdown);
-                    let result = execute(req, shared, &mut self.session);
-                    if let (true, Ok(lines)) = (is_shutdown, &result) {
-                        let micros = start.elapsed().as_micros() as u64;
-                        shared.metrics.record(label, micros, false);
-                        out.extend_from_slice(frame_ok(lines).as_bytes());
-                        shared.request_shutdown();
-                        self.closed = true;
-                        return;
-                    }
-                    (label, parsed_at, result)
-                }
-                Err(e) => ("INVALID", Instant::now(), Err(e)),
+                shared.metrics.requests_text.inc();
+                (
+                    Wire::Line,
+                    Some(&*line),
+                    parse_request(&line).map(Call::Request),
+                )
+            }
+            Input::Frame(body) => {
+                shared.metrics.requests_binary.inc();
+                decode_frame(body)
             }
         };
+        let parsed_at = Instant::now();
+        let label = decoded.as_ref().map_or("INVALID", Call::label);
+        let shutdown = matches!(decoded, Ok(Call::Request(Request::Shutdown)));
+        let result = decoded.and_then(|call| self.run(shared, call));
+
         let end = Instant::now();
         let micros = end.saturating_duration_since(start).as_micros() as u64;
-        let response = match &result {
-            Ok(lines) => frame_ok(lines),
-            Err(msg) => {
-                // Errors in the resource-limit family (`ERR limit ...`)
-                // count toward the limit_rejections metric.
-                if msg.starts_with("limit ") {
-                    shared.metrics.limit_rejections.inc();
-                }
-                frame_err(msg)
+        if let Err(msg) = &result {
+            // Errors in the resource-limit family (`ERR limit ...`) count
+            // toward the limit_rejections metric.
+            if msg.starts_with("limit ") {
+                shared.metrics.limit_rejections.inc();
             }
-        };
+        }
         let phases = Phases {
-            queue_us,
+            queue_us: self
+                .batch_arrived
+                .map_or(0, |t| start.saturating_duration_since(t).as_micros() as u64),
             parse_us: parsed_at.saturating_duration_since(start).as_micros() as u64,
             execute_us: end.saturating_duration_since(parsed_at).as_micros() as u64,
             wal_us: take_wal_time_us(),
         };
         shared.metrics.record(label, micros, result.is_err());
-        self.phases.add(label, &phases);
-        shared.slowlog.record(label, line, micros, phases);
-        out.extend_from_slice(response.as_bytes());
+        // The upgrade line is counted and timed like any request, but stays
+        // out of the phase histograms: it is the one request a binary
+        // client sends that a text client does not, so keeping it out keeps
+        // the two clients' phase series comparable.
+        if label != "HELLO" {
+            self.phases.add(label, &phases);
+        }
+        let wire_preview = preview.unwrap_or(label);
+        shared.slowlog.record(label, wire_preview, micros, phases);
+
+        render(wire, result, out);
+        if shutdown {
+            shared.request_shutdown();
+            self.closed = true;
+        }
     }
 
-    /// Drain every complete buffered binary frame within the output budget
-    /// (the pipelining win: several frames served per read). Returns whether
-    /// any progress was made.
-    fn binary_step(&mut self, shared: &Shared, out: &mut Vec<u8>) -> bool {
-        // Move `pending` out so frame bodies can be decoded zero-copy while
-        // the handlers borrow the rest of `self`.
-        let pending = std::mem::take(&mut self.pending);
-        let mut consumed = 0;
-        let mut progressed = false;
-        while !self.closed && out.len() < BINARY_FLUSH_BYTES {
-            let rest = &pending[consumed..];
-            if rest.len() < 4 {
-                break;
+    /// Dispatches one decoded request.
+    fn run(&mut self, shared: &Shared, call: Call<'_>) -> Result<Reply, String> {
+        match call {
+            Call::Page(refs) => {
+                apply_page_batch(shared, &mut self.session, refs.len(), refs.iter()).map(Reply::Fed)
             }
-            let body_len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-            if body_len > shared.limits.max_line_bytes {
-                self.limit_frame(shared, body_len, out);
-                break;
-            }
-            if rest.len() < 4 + body_len {
-                break;
-            }
-            let body = &rest[4..4 + body_len];
-            if !self.on_ingest && frame_uses_session(body) {
-                self.ingest_next = true;
-                break;
-            }
-            self.idle_since = Instant::now();
-            let open = handle_binary_frame(
-                body,
+            Call::Request(Request::Estimate {
+                name,
+                sigma,
+                buffer,
+                sargable,
+            }) => self.estimate(shared, name, sigma, buffer, sargable),
+            Call::Request(Request::Page { pairs }) => apply_page_batch(
                 shared,
                 &mut self.session,
-                &mut self.cache,
-                &mut self.phases,
-                self.batch_arrived,
-                out,
-            );
-            if !open {
-                self.closed = true;
+                pairs.len(),
+                pairs.iter().copied(),
+            )
+            .map(Reply::Fed),
+            Call::Request(Request::Hello) => {
+                if self.mode == Mode::Binary {
+                    return Err("connection already uses binary framing".into());
+                }
+                shared.metrics.binary_upgrades.inc();
+                shared
+                    .logger
+                    .event(Level::Info, "server", "binary_upgrade")
+                    .emit();
+                // Everything after the HELLO line — including bytes a
+                // pipelining client already sent, sitting in the pending
+                // buffer — is binary frames.
+                self.mode = Mode::Binary;
+                Ok(Reply::Lines(vec![framing::HELLO_ACK.to_string()]))
             }
-            consumed += 4 + body_len;
-            progressed = true;
+            Call::Request(Request::Shutdown) => Ok(Reply::Lines(vec!["bye".to_string()])),
+            Call::Request(req) => execute(req, shared, &mut self.session).map(Reply::Lines),
         }
-        self.pending = pending;
-        if consumed > 0 {
-            self.pending.drain(..consumed);
-        }
-        progressed
     }
 
-    /// Answers an oversized binary frame: the framing analogue of the text
-    /// path's `ERR limit line ...` (counted, answered, connection closed).
-    fn limit_frame(&mut self, shared: &Shared, bytes: usize, out: &mut Vec<u8>) {
-        shared.metrics.limit_rejections.inc();
-        shared
-            .logger
-            .event(epfis_obs::Level::Warn, "server", "limit_frame")
-            .field("bytes", bytes as u64)
-            .field("max_line_bytes", shared.limits.max_line_bytes as u64)
-            .emit();
-        let msg = format!(
-            "limit frame: frame of {bytes} bytes exceeds {} bytes; closing connection",
-            shared.limits.max_line_bytes
-        );
-        self.emit_err(&msg, out);
-        self.closed = true;
-    }
-}
-
-/// Whether a text request line uses the connection's `ANALYZE` session.
-fn uses_session(line: &[u8]) -> bool {
-    let word = line
-        .split(|b| b.is_ascii_whitespace())
-        .find(|w| !w.is_empty())
-        .unwrap_or_default();
-    word.eq_ignore_ascii_case(b"PAGE") || word.eq_ignore_ascii_case(b"ANALYZE")
-}
-
-/// [`uses_session`] for a binary frame body.
-fn frame_uses_session(body: &[u8]) -> bool {
-    match body.first() {
-        Some(&framing::REQ_TEXT) => uses_session(&body[1..]),
-        Some(&tag) => matches!(
-            tag,
-            framing::REQ_PAGE
-                | framing::REQ_ANALYZE_BEGIN
-                | framing::REQ_ANALYZE_COMMIT
-                | framing::REQ_ANALYZE_ABORT
-        ),
-        None => false,
+    /// `ESTIMATE` through the [`EntryCache`]: the catalog entry comes from
+    /// the cache when the epoch hint and name match — no lock, no B-tree
+    /// walk, no allocation.
+    fn estimate(
+        &mut self,
+        shared: &Shared,
+        name: &str,
+        sigma: f64,
+        buffer: u64,
+        sargable: f64,
+    ) -> Result<Reply, String> {
+        let query = scan_query(sigma, buffer, sargable)?;
+        let hint = shared.catalog.epoch_hint();
+        let hit = matches!(&self.cache, Some(c) if c.epoch == hint && c.name == name.as_bytes());
+        if !hit {
+            let snap = shared.catalog.snapshot();
+            let entry = Arc::clone(snap.lookup(name)?);
+            let cache = self.cache.get_or_insert_with(|| EntryCache {
+                epoch: 0,
+                name: Vec::new(),
+                entry: Arc::clone(&entry),
+            });
+            cache.epoch = snap.epoch();
+            cache.name.clear();
+            cache.name.extend_from_slice(name.as_bytes());
+            cache.entry = entry;
+        }
+        let entry = &self.cache.as_ref().expect("cache populated above").entry;
+        Ok(Reply::F64(entry.stats.estimate(&query)))
     }
 }
 
-/// Decodes and executes one binary frame body, appending its response to
-/// `out`. Returns `false` when the connection must close after the next
-/// flush (a served `SHUTDOWN`). Malformed bodies answer a recoverable
-/// `bad frame ...` error — the length prefix kept the framing in sync.
-fn handle_binary_frame(
-    body: &[u8],
-    shared: &Shared,
-    session: &mut Option<OpenSession>,
-    cache: &mut Option<EntryCache>,
-    phase_batch: &mut PhaseBatch,
-    batch_arrived: Option<Instant>,
-    out: &mut Vec<u8>,
-) -> bool {
-    let start = Instant::now();
-    let queue_us = batch_arrived
-        .map(|t| start.saturating_duration_since(t).as_micros() as u64)
-        .unwrap_or(0);
-    shared.metrics.requests_binary.inc();
-    // `wire` is the slow-log request preview; binary frames carry the
-    // command name (the raw body is not meaningfully printable), TEXT
-    // passthrough frames carry the inner line.
-    let mut record = |label: &'static str, wire: &str, is_error: bool, parsed_at: Instant| {
-        let end = Instant::now();
-        let micros = end.saturating_duration_since(start).as_micros() as u64;
-        let phases = Phases {
-            queue_us,
-            parse_us: parsed_at.saturating_duration_since(start).as_micros() as u64,
-            execute_us: end.saturating_duration_since(parsed_at).as_micros() as u64,
-            wal_us: take_wal_time_us(),
-        };
-        shared.metrics.record(label, micros, is_error);
-        phase_batch.add(label, &phases);
-        shared.slowlog.record(label, wire, micros, phases);
-    };
-    let req = match decode_request(body) {
-        Ok(req) => req,
-        Err(e) => {
-            encode_resp_err(out, &e);
-            record("INVALID", "INVALID", true, Instant::now());
-            return true;
+/// Decodes a binary frame body: the one mapping from typed frames to
+/// requests. Returns the frame's wire, its slow-log preview (a TEXT
+/// frame's line; `None` for typed frames) and the call.
+fn decode_frame(body: &[u8]) -> (Wire, Option<&str>, Result<Call<'_>, String>) {
+    let call = match decode_request(body) {
+        Err(e) => return (Wire::Typed, None, Err(e)),
+        Ok(BinRequest::Text(line)) => {
+            return (
+                Wire::TextFrame,
+                Some(line),
+                parse_request(line).map(Call::Request),
+            )
         }
-    };
-    let parsed_at = Instant::now();
-    match req {
-        BinRequest::Ping => {
-            encode_resp_str(out, "pong");
-            record("PING", "PING", false, parsed_at);
-        }
-        BinRequest::Estimate {
+        Ok(BinRequest::Estimate {
             name,
             sigma,
             buffer,
             sargable,
-        } => match binary_estimate(shared, cache, name, sigma, buffer, sargable) {
-            Ok(f) => {
-                encode_resp_f64(out, f);
-                record("ESTIMATE", "ESTIMATE", false, parsed_at);
-            }
-            Err(e) => {
-                encode_resp_err(out, &e);
-                record("ESTIMATE", "ESTIMATE", true, parsed_at);
-            }
-        },
-        BinRequest::Page(refs) => {
-            match apply_page_batch(shared, session, refs.len(), refs.iter()) {
-                Ok(n) => encode_resp_u64(out, n),
-                Err(e) => {
-                    if e.starts_with("limit ") {
-                        shared.metrics.limit_rejections.inc();
-                    }
-                    encode_resp_err(out, &e);
-                    record("PAGE", "PAGE", true, parsed_at);
-                    return true;
-                }
-            }
-            record("PAGE", "PAGE", false, parsed_at);
-        }
-        BinRequest::AnalyzeBegin {
+        }) => Call::Request(Request::Estimate {
+            name,
+            sigma,
+            buffer,
+            sargable,
+        }),
+        Ok(BinRequest::Page(refs)) => Call::Page(refs),
+        Ok(BinRequest::Ping) => Call::Request(Request::Ping),
+        Ok(BinRequest::AnalyzeBegin {
             name,
             segments,
             table_pages,
-        } => {
-            let req = Request::AnalyzeBegin {
-                name: name.to_string(),
-                segments: (segments > 0).then_some(segments as usize),
-                table_pages: (table_pages > 0).then_some(table_pages),
-            };
-            let result = execute(req, shared, session);
-            encode_exec_result(out, &result);
-            record("ANALYZE_BEGIN", "ANALYZE_BEGIN", result.is_err(), parsed_at);
-        }
-        BinRequest::AnalyzeCommit => {
-            let result = execute(Request::AnalyzeCommit, shared, session);
-            encode_exec_result(out, &result);
-            record(
-                "ANALYZE_COMMIT",
-                "ANALYZE_COMMIT",
-                result.is_err(),
-                parsed_at,
-            );
-        }
-        BinRequest::AnalyzeAbort => {
-            let result = execute(Request::AnalyzeAbort, shared, session);
-            encode_exec_result(out, &result);
-            record("ANALYZE_ABORT", "ANALYZE_ABORT", result.is_err(), parsed_at);
-        }
-        BinRequest::Observe {
+        }) => Call::Request(Request::AnalyzeBegin {
+            name,
+            segments: (segments > 0).then_some(segments as usize),
+            table_pages: (table_pages > 0).then_some(table_pages),
+        }),
+        Ok(BinRequest::AnalyzeCommit) => Call::Request(Request::AnalyzeCommit),
+        Ok(BinRequest::AnalyzeAbort) => Call::Request(Request::AnalyzeAbort),
+        Ok(BinRequest::Observe {
             name,
             nkeys,
             actual,
             buffer,
-        } => {
-            let req = Request::Observe {
-                name: name.to_string(),
-                nkeys,
-                actual,
-                buffer: (buffer > 0).then_some(buffer),
-            };
-            let result = execute(req, shared, session);
-            encode_exec_result(out, &result);
-            record("OBSERVE", "OBSERVE", result.is_err(), parsed_at);
-        }
-        BinRequest::Text(line) => match parse_request(line) {
-            Ok(req) => {
-                let label = req.label();
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let result = execute(req, shared, session);
-                if let Err(msg) = &result {
-                    if msg.starts_with("limit ") {
-                        shared.metrics.limit_rejections.inc();
-                    }
-                }
-                encode_exec_result(out, &result);
-                record(label, line, result.is_err(), parsed_at);
-                if is_shutdown && result.is_ok() {
-                    shared.request_shutdown();
-                    return false;
-                }
-            }
-            Err(e) => {
-                encode_resp_err(out, &e);
-                record("INVALID", line, true, parsed_at);
-            }
-        },
-    }
-    true
+        }) => Call::Request(Request::Observe {
+            name,
+            nkeys,
+            actual,
+            buffer: (buffer > 0).then_some(buffer),
+        }),
+    };
+    (Wire::Typed, None, Ok(call))
 }
 
-/// Encodes an `execute` outcome as a binary response frame.
-fn encode_exec_result(out: &mut Vec<u8>, result: &Result<Vec<String>, String>) {
-    match result {
-        Ok(lines) => encode_resp_lines(out, lines),
-        Err(msg) => encode_resp_err(out, msg),
+/// Renders a reply in the wire format its request arrived in.
+fn render(wire: Wire, result: Result<Reply, String>, out: &mut Vec<u8>) {
+    match (wire, result) {
+        (Wire::Line, Ok(reply)) => out.extend_from_slice(frame_ok(&reply.into_lines()).as_bytes()),
+        (Wire::Line, Err(msg)) => out.extend_from_slice(frame_err(&msg).as_bytes()),
+        (_, Err(msg)) => encode_resp_err(out, &msg),
+        (Wire::Typed, Ok(Reply::F64(f))) => encode_resp_f64(out, f),
+        (Wire::Typed, Ok(Reply::Fed(n))) => encode_resp_u64(out, n),
+        (_, Ok(reply)) => encode_resp_lines(out, &reply.into_lines()),
     }
-}
-
-/// The zero-alloc `ESTIMATE` path: validation and arithmetic identical to
-/// [`execute`]'s `Request::Estimate` arm (so the served `f64` bits equal
-/// what the text protocol's decimal would parse back to), but the catalog
-/// entry comes from the per-connection [`EntryCache`] when the epoch hint
-/// and name match — no lock, no B-tree walk, no allocation.
-fn binary_estimate(
-    shared: &Shared,
-    cache: &mut Option<EntryCache>,
-    name: &str,
-    sigma: f64,
-    buffer: u64,
-    sargable: f64,
-) -> Result<f64, String> {
-    if !(0.0..=1.0).contains(&sigma) || !(0.0..=1.0).contains(&sargable) {
-        return Err("selectivities must be in [0, 1]".into());
-    }
-    if buffer == 0 {
-        return Err("buffer must be at least 1".into());
-    }
-    let hint = shared.catalog.epoch_hint();
-    let hit = matches!(cache, Some(c) if c.epoch == hint && c.name == name.as_bytes());
-    if !hit {
-        let snap = shared.catalog.snapshot();
-        let entry = snap
-            .get_arc(name)
-            .ok_or_else(|| format!("no catalog entry named {name:?} (try SHOW)"))?
-            .clone();
-        match cache {
-            Some(c) => {
-                c.epoch = snap.epoch();
-                c.name.clear();
-                c.name.extend_from_slice(name.as_bytes());
-                c.entry = entry;
-            }
-            None => {
-                *cache = Some(EntryCache {
-                    epoch: snap.epoch(),
-                    name: name.as_bytes().to_vec(),
-                    entry,
-                });
-            }
-        }
-    }
-    let entry = &cache.as_ref().expect("cache populated above").entry;
-    let q = ScanQuery::range(sigma, buffer).with_sargable(sargable);
-    Ok(entry.stats.estimate(&q))
 }

@@ -5,16 +5,13 @@
 //!
 //! The ring is shared between the serving threads (writers) and the
 //! `/slowlog` HTTP route + `SLOWLOG` protocol command (readers), so the
-//! recording path must never stall a request: each slot has its own
-//! mutex and [`SlowLog::record`] uses `try_lock` — if a reader (or
-//! another writer racing on the same slot) holds it, the entry is
-//! dropped and a drop counter bumped. Losing one slow-log entry under a
-//! concurrent scrape is the right trade; blocking the serving path on
-//! observability is not.
+//! recording path must never stall a request. It is the logger's
+//! [`RingBuffer`]: if a reader (or another writer racing on the same slot)
+//! holds a slot, the entry is dropped and a drop counter bumped. Losing one
+//! slow-log entry under a concurrent scrape is the right trade; blocking
+//! the serving path on observability is not.
 
-use std::cmp::Reverse;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use epfis_obs::RingBuffer;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// How many bytes of the request text a slot preserves.
@@ -39,7 +36,8 @@ pub struct Phases {
 /// One recorded slow request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowEntry {
-    /// Monotonically increasing id (1-based, across the whole process).
+    /// Monotonically increasing id (1-based): the ring's push sequence, so
+    /// an entry dropped under contention leaves a gap.
     pub id: u64,
     /// Wall-clock capture time, microseconds since the Unix epoch.
     pub unix_micros: u64,
@@ -104,11 +102,7 @@ impl SlowEntry {
 #[derive(Debug)]
 pub struct SlowLog {
     threshold_us: u64,
-    next_id: AtomicU64,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
-    head: AtomicUsize,
-    slots: Vec<Mutex<Option<SlowEntry>>>,
+    ring: RingBuffer<SlowEntry>,
 }
 
 impl SlowLog {
@@ -116,14 +110,9 @@ impl SlowLog {
     /// `threshold_us` (a threshold of 0 records everything — useful in
     /// tests, ruinous in production).
     pub fn new(threshold_us: u64, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         SlowLog {
             threshold_us,
-            next_id: AtomicU64::new(1),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            head: AtomicUsize::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            ring: RingBuffer::new(capacity.max(1)),
         }
     }
 
@@ -134,12 +123,12 @@ impl SlowLog {
 
     /// Entries ever recorded (not the ring occupancy).
     pub fn recorded_total(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.pushed() - self.ring.dropped()
     }
 
     /// Entries lost to slot contention.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Records one request if it crossed the threshold. Never blocks:
@@ -159,36 +148,21 @@ impl SlowLog {
             }
             preview.push(c);
         }
-        let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        let Ok(mut guard) = self.slots[slot].try_lock() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        *guard = Some(SlowEntry {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+        self.ring.push_with(|seq| SlowEntry {
+            id: seq + 1,
             unix_micros,
             command,
             wire: preview,
             total_us,
             phases,
-        });
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        true
+        })
     }
 
     /// The newest `limit` entries, newest first. Slots a writer holds at
     /// snapshot time are skipped rather than waited on.
     pub fn snapshot(&self, limit: usize) -> Vec<SlowEntry> {
-        let mut entries: Vec<SlowEntry> = Vec::new();
-        for slot in &self.slots {
-            if let Ok(guard) = slot.try_lock() {
-                if let Some(e) = guard.as_ref() {
-                    entries.push(e.clone());
-                }
-            }
-        }
-        entries.sort_by_key(|e| Reverse(e.id));
-        entries.truncate(limit);
+        let mut entries = self.ring.recent(limit);
+        entries.reverse();
         entries
     }
 }

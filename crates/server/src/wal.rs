@@ -43,7 +43,8 @@
 //! plus the `PAGE` records after it — and *parked* under its entry name.
 //! `ANALYZE RESUME <name>` attaches a parked session to a connection and
 //! streaming continues exactly where it stopped. Periodic checkpoints bound
-//! replay cost: at most one checkpoint interval of `PAGE` records is
+//! replay cost: a session's records before its last checkpoint are skipped
+//! undecoded, so at most one checkpoint interval of `PAGE` records is
 //! re-fed per session.
 
 use std::collections::HashMap;
@@ -372,6 +373,13 @@ pub fn encode_abort(out: &mut Vec<u8>, session_id: u64) {
     put_u64(out, session_id);
 }
 
+/// The `(tag, session id)` every record body starts with, read without
+/// decoding the payload.
+fn record_head(body: &[u8]) -> Option<(u8, u64)> {
+    let mut cur = Cur::new(body);
+    Some((cur.u8().ok()?, cur.u64().ok()?))
+}
+
 fn decode_len(cur: &mut Cur<'_>, what: &str, max: u64) -> Result<usize, String> {
     let n = cur.u64()?;
     if n > max {
@@ -536,6 +544,9 @@ pub struct RecoveryReport {
     pub committed: usize,
     /// In-flight sessions parked for `ANALYZE RESUME`.
     pub parked: usize,
+    /// References re-fed from `PAGE` records: only those after each
+    /// session's last checkpoint.
+    pub refed_refs: u64,
     /// Bytes of torn tail truncated from the last segment.
     pub truncated_bytes: u64,
 }
@@ -589,13 +600,32 @@ impl ServerWal {
             segments: Option<usize>,
             session: IngestSession,
         }
+        let session_config = |segments: Option<usize>| {
+            segments.map_or(base_config, |m| base_config.with_segments(m))
+        };
         let mut live: HashMap<u64, Recovering> = HashMap::new();
         let mut max_sid = 0u64;
         let mut max_seq = watermark;
         let mut committed = 0usize;
+        let mut refed_refs = 0u64;
         let record_count = replay.records.len();
 
-        for body in &replay.records {
+        // A checkpoint holds the whole session state, so a session's PAGE
+        // and CHECKPOINT records before its last checkpoint are superseded:
+        // replay skips them undecoded.
+        let mut last_checkpoint: HashMap<u64, usize> = HashMap::new();
+        for (i, body) in replay.records.iter().enumerate() {
+            if let Some((TAG_CHECKPOINT, sid)) = record_head(body) {
+                last_checkpoint.insert(sid, i);
+            }
+        }
+
+        for (i, body) in replay.records.iter().enumerate() {
+            if let Some((TAG_PAGE | TAG_CHECKPOINT, sid)) = record_head(body) {
+                if last_checkpoint.get(&sid).is_some_and(|&at| i < at) {
+                    continue;
+                }
+            }
             let rec = match decode_record(body) {
                 Ok(rec) => rec,
                 Err(e) => {
@@ -617,11 +647,8 @@ impl ServerWal {
                     table_pages,
                 } => {
                     max_sid = max_sid.max(session_id);
-                    let mut cfg = base_config;
-                    if let Some(m) = segments {
-                        cfg = cfg.with_segments(m);
-                    }
-                    let session = IngestSession::new(name.clone(), cfg, table_pages);
+                    let session =
+                        IngestSession::new(name.clone(), session_config(segments), table_pages);
                     live.insert(
                         session_id,
                         Recovering {
@@ -633,6 +660,7 @@ impl ServerWal {
                 }
                 WalRecord::Page { session_id, pairs } => {
                     if let Some(rec) = live.get_mut(&session_id) {
+                        refed_refs += pairs.len() as u64;
                         // Live appends happen after validation, so a
                         // replayed batch re-validates cleanly; an error
                         // here means the log predates a rule change.
@@ -652,16 +680,11 @@ impl ServerWal {
                 } => {
                     max_sid = max_sid.max(session_id);
                     let segments = live.get(&session_id).and_then(|r| r.segments);
-                    let mut cfg = base_config;
-                    if let Some(m) = segments {
-                        cfg = cfg.with_segments(m);
-                    }
-                    let name = checkpoint.name.clone();
-                    let session = IngestSession::restore(&checkpoint, cfg);
+                    let session = IngestSession::restore(&checkpoint, session_config(segments));
                     live.insert(
                         session_id,
                         Recovering {
-                            name,
+                            name: checkpoint.name,
                             segments,
                             session,
                         },
@@ -748,6 +771,7 @@ impl ServerWal {
                 records: record_count,
                 committed,
                 parked,
+                refed_refs,
                 truncated_bytes: replay.truncated_bytes,
             }),
         };
@@ -769,6 +793,7 @@ impl ServerWal {
             .field("records", record_count as u64)
             .field("committed", committed as u64)
             .field("parked", parked as u64)
+            .field("refed_refs", refed_refs)
             .field("truncated_bytes", replay.truncated_bytes)
             .emit();
         Ok(server_wal)
@@ -1188,6 +1213,51 @@ mod tests {
         assert_eq!(catalog.snapshot().epoch(), 1);
         assert!(reopened.parked_names().is_empty());
         let _ = Path::new("");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_refeeds_only_the_pages_after_the_last_checkpoint() {
+        let dir = temp_dir("checkpoint-replay");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cat_path = dir.join("catalog.scat");
+        let wal_cfg = WalConfig::new(dir.join("wal"));
+        let logger = Logger::disabled();
+        let base = EpfisConfig::default();
+
+        let pairs: Vec<(i64, u32)> = (0..5000i64)
+            .map(|i| (i / 2, ((i * 2654435761) % 500) as u32))
+            .collect();
+        let expected = {
+            let mut s = IngestSession::new("ix.c".into(), base, Some(500));
+            s.feed_batch(&pairs).unwrap();
+            s.commit().unwrap().0
+        };
+
+        // BEGIN, 3 PAGE, CHECKPOINT, 2 PAGE, then the process "dies".
+        {
+            let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
+            let wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
+            let sid = wal.begin("ix.c", None, Some(500)).unwrap();
+            let mut live = IngestSession::new("ix.c".into(), base, Some(500));
+            for (i, batch) in pairs.chunks(1000).enumerate() {
+                if i == 3 {
+                    wal.append_checkpoint(sid, &live.checkpoint()).unwrap();
+                }
+                wal.append_page(sid, batch.len(), batch.iter().copied())
+                    .unwrap();
+                live.feed_batch(batch).unwrap();
+            }
+        }
+
+        let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
+        let mut wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
+        let report = wal.take_report().unwrap();
+        assert_eq!(report.parked, 1);
+        assert_eq!(report.refed_refs, 2000, "only the last 2 batches re-feed");
+        let (resumed, _) = wal.take_parked("ix.c").unwrap();
+        assert_eq!(resumed.records(), pairs.len() as u64);
+        assert_eq!(resumed.commit().unwrap().0, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,8 +3,10 @@
 //! `epfis serve` runs one `epfis-net` event loop around the shared protocol
 //! engine. This suite proves:
 //!
-//! * the same deterministic workload answers **identically** over text and
-//!   binary framing (the binary run carries each command in a TEXT frame);
+//! * the same deterministic workload answers **identically** over text
+//!   lines, TEXT frames and typed frames, and is accounted identically
+//!   (per-command request and error counters, limit rejections); a cached
+//!   `ESTIMATE` on either wire serves a re-analyzed entry's new value;
 //! * a peer that provokes a huge response and then stops reading (a write
 //!   stall) is reclaimed at the deadline, counted under
 //!   `epfis_server_sessions_disconnected_total`;
@@ -17,7 +19,8 @@ mod support;
 
 use epfis_obs::series_value;
 use epfis_server::{
-    framing, serve, BinResponse, Client, ClientError, LimitsConfig, ServerConfig, ServerHandle,
+    framing, serve, BinResponse, BinaryClient, Client, ClientError, LimitsConfig, ServerConfig,
+    ServerHandle,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -57,8 +60,13 @@ fn commit_small_entry(addr: SocketAddr, name: &str) {
     );
 }
 
-/// The deterministic command script both framings must answer
-/// identically: happy paths, every protocol error family, and an ingest.
+/// The session cap the cross-wire servers run with: exactly the trace, so
+/// one more reference answers `ERR limit session-refs`.
+const SCRIPT_SESSION_REFS: u64 = 2400;
+
+/// The deterministic command script every wire must answer identically:
+/// happy paths, every protocol error family (a resource limit included),
+/// and an ingest.
 fn text_script() -> Vec<String> {
     let mut script = vec![
         "PING".to_string(),
@@ -71,8 +79,10 @@ fn text_script() -> Vec<String> {
         let line: String = chunk.iter().map(|(k, p)| format!(" {k} {p}")).collect();
         script.push(format!("PAGE{line}"));
     }
+    assert_eq!(trace_pairs().len() as u64, SCRIPT_SESSION_REFS);
     script.extend(
         [
+            "PAGE 600 0", // ERR: limit session-refs
             "ANALYZE COMMIT",
             "ESTIMATE ix 0.5 64",
             "ESTIMATE ix 0.001 1",
@@ -81,6 +91,7 @@ fn text_script() -> Vec<String> {
             "FPF ix 7",
             "COMPARE ix 5",
             "SHOW",
+            "OBSERVE ix 100 50",
             "FPF ix 0", // ERR: points out of range
         ]
         .map(String::from),
@@ -104,20 +115,25 @@ fn normalize(rendered: String) -> String {
 }
 
 /// Runs the text script against `addr`, rendering every outcome (response
-/// lines and `ERR` payloads alike) into one comparable transcript.
+/// lines and `ERR` payloads alike) into one comparable transcript, then the
+/// text form of the binary runs' trailing `ESTIMATE` and `PAGE`.
 fn run_text_script(addr: SocketAddr) -> Vec<String> {
     let mut c = Client::connect(addr).unwrap();
-    text_script()
+    let transcript = text_script()
         .iter()
-        .map(|cmd| {
-            let outcome = match c.request(cmd) {
-                Ok(lines) => Ok(lines),
-                Err(ClientError::Server(msg)) => Err(msg),
-                Err(e) => panic!("{cmd}: {e:?}"),
-            };
-            normalize(format!("{cmd} => {outcome:?}"))
-        })
-        .collect()
+        .map(|cmd| normalize(format!("{cmd} => {:?}", text_outcome(&mut c, cmd))))
+        .collect();
+    assert!(text_outcome(&mut c, "ESTIMATE ix 0.5 64").is_ok());
+    assert!(text_outcome(&mut c, "PAGE 900 3").is_err());
+    transcript
+}
+
+fn text_outcome(c: &mut Client, cmd: &str) -> Result<Vec<String>, String> {
+    match c.request(cmd) {
+        Ok(lines) => Ok(lines),
+        Err(ClientError::Server(msg)) => Err(msg),
+        Err(e) => panic!("{cmd}: {e:?}"),
+    }
 }
 
 /// Runs the same script over binary framing v2, each command in a TEXT
@@ -146,14 +162,151 @@ fn run_binary_script(addr: SocketAddr) -> (Vec<String>, Vec<BinResponse>) {
     (transcript, vec![c.recv().unwrap(), c.recv().unwrap()])
 }
 
+/// Runs the script over binary framing v2 with every command that has a
+/// typed frame (PING, ESTIMATE, PAGE, ANALYZE BEGIN/COMMIT, OBSERVE) sent
+/// typed and the rest in TEXT frames, plus the same trailing `ESTIMATE` and
+/// `PAGE`. Typed answers render as the text protocol's data lines.
+fn run_typed_script(addr: SocketAddr) -> Vec<String> {
+    let mut c = BinaryClient::connect(addr).unwrap();
+    let script = text_script();
+    for cmd in &script {
+        queue_typed(&mut c, cmd);
+    }
+    c.queue_estimate("ix", 0.5, 64, 1.0);
+    c.queue_page(&[(900, 3)]);
+    c.flush().unwrap();
+    let transcript = script
+        .iter()
+        .map(|cmd| {
+            let outcome = match c.recv().unwrap() {
+                BinResponse::Lines(lines) => Ok(lines),
+                BinResponse::F64(f) => Ok(vec![format!("{f}")]),
+                BinResponse::U64(n) => Ok(vec![format!("fed {n}")]),
+                BinResponse::Err(msg) => Err(msg),
+            };
+            normalize(format!("{cmd} => {outcome:?}"))
+        })
+        .collect();
+    assert!(matches!(c.recv().unwrap(), BinResponse::F64(_)));
+    assert!(matches!(c.recv().unwrap(), BinResponse::Err(_)));
+    transcript
+}
+
+/// Queues one script line as its typed frame, or as a TEXT frame when the
+/// command has none.
+fn queue_typed(c: &mut BinaryClient, cmd: &str) {
+    let toks: Vec<&str> = cmd.split_whitespace().collect();
+    match toks.as_slice() {
+        ["PING"] => c.queue_ping(),
+        ["ESTIMATE", name, sigma, buffer] => {
+            c.queue_estimate(name, sigma.parse().unwrap(), buffer.parse().unwrap(), 1.0)
+        }
+        ["PAGE", rest @ ..] => {
+            let pairs: Vec<(i64, u32)> = rest
+                .chunks(2)
+                .map(|kp| (kp[0].parse().unwrap(), kp[1].parse().unwrap()))
+                .collect();
+            c.queue_page(&pairs);
+        }
+        ["ANALYZE", "BEGIN", name, opt] => {
+            let pages = opt.strip_prefix("table_pages=").unwrap().parse().unwrap();
+            c.queue_analyze_begin(name, None, Some(pages));
+        }
+        ["ANALYZE", "COMMIT"] => c.queue_analyze_commit(),
+        ["OBSERVE", name, nkeys, actual] => {
+            c.queue_observe(name, nkeys.parse().unwrap(), actual.parse().unwrap(), None)
+        }
+        _ => c.queue_text(cmd),
+    }
+}
+
+/// The accounting a run left behind: every per-command request and error
+/// counter plus the limit-rejection counter, read through `STATS`. The
+/// `HELLO` upgrade is left out — it is the one request only a binary
+/// client sends.
+fn request_counters(addr: SocketAddr) -> Vec<String> {
+    let stats = Client::connect(addr).unwrap().request("STATS").unwrap();
+    let counters: Vec<String> = stats
+        .into_iter()
+        .filter(|l| {
+            l.starts_with("epfis_server_requests_total{")
+                || l.starts_with("epfis_server_request_errors_total{")
+                || l.starts_with("epfis_server_limit_rejections_total ")
+        })
+        .filter(|l| !l.contains("command=\"HELLO\""))
+        .collect();
+    assert!(
+        counters.contains(&"epfis_server_limit_rejections_total 1".to_string()),
+        "{counters:?}"
+    );
+    counters
+}
+
+/// Serves the same `ESTIMATE` on a text and a binary connection across a
+/// re-`ANALYZE` of its entry from a third connection: both connections'
+/// entry caches must serve the new value.
+fn assert_cached_estimates_follow_a_recommit(addr: SocketAddr) {
+    let query = "ESTIMATE ix 0.5 64";
+    let mut text = Client::connect(addr).unwrap();
+    let mut binary = BinaryClient::connect(addr).unwrap();
+    let before = text.request(query).unwrap();
+    assert_eq!(
+        binary.estimate("ix", 0.5, 64, 1.0).unwrap().to_string(),
+        before[0]
+    );
+
+    // Re-analyze `ix` as a perfectly clustered index: far fewer fetches.
+    let mut writer = Client::connect(addr).unwrap();
+    writer.request("ANALYZE BEGIN ix table_pages=120").unwrap();
+    for chunk in (0..600i64).collect::<Vec<_>>().chunks(100) {
+        let line: String = chunk.iter().map(|k| format!(" {k} {}", k / 5)).collect();
+        writer.request(&format!("PAGE{line}")).unwrap();
+    }
+    let committed = writer.request("ANALYZE COMMIT").unwrap();
+    assert!(
+        committed[0].starts_with("committed ix epoch="),
+        "{committed:?}"
+    );
+
+    let fresh = Client::connect(addr).unwrap().request(query).unwrap();
+    assert_ne!(fresh, before, "the re-analysis must move the estimate");
+    assert_eq!(text.request(query).unwrap(), fresh, "text cache is stale");
+    assert_eq!(
+        binary.estimate("ix", 0.5, 64, 1.0).unwrap().to_string(),
+        fresh[0],
+        "binary cache is stale"
+    );
+}
+
 #[test]
 fn text_and_binary_framing_answer_identically() {
-    let text_server = server(LimitsConfig::default());
+    let limits = LimitsConfig {
+        max_session_refs: SCRIPT_SESSION_REFS,
+        ..LimitsConfig::default()
+    };
+    let text_server = server(limits);
     let text = run_text_script(text_server.addr());
+    let text_counters = request_counters(text_server.addr());
     text_server.shutdown_and_join();
-    let binary_server = server(LimitsConfig::default());
+    let binary_server = server(limits);
     let (binary, tail) = run_binary_script(binary_server.addr());
+    let binary_counters = request_counters(binary_server.addr());
     binary_server.shutdown_and_join();
+    let typed_server = server(limits);
+    let typed = run_typed_script(typed_server.addr());
+    let typed_counters = request_counters(typed_server.addr());
+    assert_cached_estimates_follow_a_recommit(typed_server.addr());
+    typed_server.shutdown_and_join();
+
+    assert_eq!(text, typed, "typed frames diverge from text lines");
+    assert_eq!(
+        text_counters, binary_counters,
+        "TEXT frames account differently"
+    );
+    assert_eq!(
+        text_counters, typed_counters,
+        "typed frames account differently"
+    );
     assert_eq!(text.len(), binary.len());
     for (t, b) in text.iter().zip(&binary) {
         assert_eq!(t, b, "framings diverge");
