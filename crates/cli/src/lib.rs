@@ -3,31 +3,35 @@
 //! The CLI mirrors the lifecycle a DBA would drive in a real system:
 //!
 //! ```text
-//! epfis analyze  --catalog cat.txt --name t.k --records 100000 --distinct 1000 \
-//!                --per-page 40 --k 0.2            # statistics collection (LRU-Fit)
-//! epfis analyze  --catalog cat.txt --gwl CMAC.BRAN --scale 4
-//! epfis show     --catalog cat.txt                 # list catalog entries
-//! epfis fpf      --catalog cat.txt --name t.k      # print the stored curve
-//! epfis estimate --catalog cat.txt --name t.k --sigma 0.1 --buffer 500 [--sargable 0.5]
-//! epfis explain  --catalog cat.txt --name t.k --sigma 0.1 --buffer 500
-//! epfis plan     --catalog cat.txt --name t.k --sigma 0.1 --buffer 500
+//! epfis analyze  --catalog cat.scat --name t.k --records 100000 --distinct 1000 \
+//!                --per-page 40 --k 0.2             # statistics collection (LRU-Fit)
+//! epfis analyze  --catalog cat.scat --gwl CMAC.BRAN --scale 4
+//! epfis show     --catalog cat.scat                # list catalog entries
+//! epfis fpf      --catalog cat.scat --name t.k     # print the stored curve
+//! epfis estimate --catalog cat.scat --name t.k --sigma 0.1 --buffer 500 [--sargable 0.5]
+//! epfis explain  --catalog cat.scat --name t.k --sigma 0.1 --buffer 500
+//! epfis plan     --catalog cat.scat --name t.k --sigma 0.1 --buffer 500
 //! ```
 //!
 //! `analyze` generates the named synthetic dataset (or GWL stand-in)
 //! deterministically from its parameters, runs the statistics scan, and
-//! stores the catalog entry; the other commands work purely from the
-//! catalog file, exactly as an optimizer would. `epfis serve` exposes the
-//! same catalog over TCP (see `epfis-server` and `docs/protocol.md`), and
-//! `epfis client` scripts that service from the shell.
+//! commits the catalog entry; the other commands work purely from the
+//! catalog file, exactly as an optimizer would. The file is the one
+//! `epfis serve` loads and commits into (one format, opened and written
+//! through `epfis_server::SharedCatalog`), so a catalog analyzed offline is
+//! served as is (see `epfis-server` and `docs/protocol.md`), and `epfis
+//! client` scripts that service from the shell.
 //!
 //! Exit codes: `0` success, `2` usage / argument parse errors, `1` runtime
 //! errors (missing files, unknown entries, server failures). Errors go to
 //! stderr; stdout carries only command output.
 
 use epfis::optimizer::{AccessPathSelector, IndexCandidate, QuerySpec};
-use epfis::{Catalog, EpfisConfig, LruFit, ScanQuery};
+use epfis::{EpfisConfig, LruFit, ScanQuery};
 use epfis_datagen::{gwl, Dataset, DatasetSpec};
+use epfis_server::{SharedCatalog, VersionedEntry};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A parsed command line: subcommand plus `--key value` options.
 pub struct Command {
@@ -327,107 +331,105 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// Loads the catalog file. Commands that only read statistics require the
-/// file to exist — a typo'd path must fail loudly, not estimate from an
-/// empty catalog. Only `analyze` may create the file.
-fn load_catalog(cmd: &Command, must_exist: bool) -> Result<(Catalog, String), CliError> {
+/// Opens the catalog file — the one format `epfis serve` also loads and
+/// commits into. Commands that only read statistics require the file to
+/// exist — a typo'd path must fail loudly, not estimate from an empty
+/// catalog. Only `analyze` may create the file.
+fn open_catalog(cmd: &Command, must_exist: bool) -> Result<(SharedCatalog, String), CliError> {
     let path: String = cmd.require("catalog")?;
-    let catalog = if std::path::Path::new(&path).exists() {
-        Catalog::load(&path).map_err(|e| err(format!("cannot read catalog {path}: {e}")))?
-    } else if must_exist {
+    if must_exist && !std::path::Path::new(&path).exists() {
         return Err(err(format!(
             "catalog file {path} does not exist (create it with `epfis analyze`)"
         )));
-    } else {
-        Catalog::new()
-    };
+    }
+    let catalog =
+        SharedCatalog::open(&path).map_err(|e| err(format!("cannot read catalog {path}: {e}")))?;
     Ok((catalog, path))
 }
 
-fn entry<'c>(
-    catalog: &'c Catalog,
-    cmd: &Command,
-) -> Result<(String, &'c epfis::IndexStatistics), CliError> {
+/// The `--name` entry of the catalog file.
+fn load_entry(cmd: &Command) -> Result<(String, Arc<VersionedEntry>), CliError> {
+    let catalog = open_catalog(cmd, true)?.0.snapshot();
     let name: String = cmd.require("name")?;
-    let stats = catalog.get(&name).ok_or_else(|| {
+    let entry = catalog.get_arc(&name).cloned().ok_or_else(|| {
         err(format!(
             "no catalog entry named {name:?} (try `epfis show`)"
         ))
     })?;
-    Ok((name, stats))
+    Ok((name, entry))
+}
+
+/// The query `estimate` and local `explain` run, validated as `ESTIMATE`.
+fn query(cmd: &Command) -> Result<ScanQuery, CliError> {
+    let sigma: f64 = cmd.require("sigma")?;
+    let buffer: u64 = cmd.require("buffer")?;
+    let sargable: f64 = cmd.get_or("sargable", 1.0)?;
+    epfis_server::server::scan_query(sigma, buffer, sargable).map_err(err)
 }
 
 fn analyze(cmd: &Command) -> Result<String, CliError> {
-    let (mut catalog, path) = load_catalog(cmd, false)?;
+    let (catalog, path) = open_catalog(cmd, false)?;
     let seed: u64 = cmd.get_or("seed", 0x5EED_EF15)?;
-    if let Some(trace_path) = cmd.get::<String>("trace")? {
+    let config = EpfisConfig::default().with_segments(cmd.get_or("segments", 6usize)?);
+    let (name, stats, summary) = if let Some(trace_path) = cmd.get::<String>("trace")? {
         // Captured-trace mode: run LRU-Fit directly on the file.
         let name: String = cmd.require("name")?;
         let text = std::fs::read_to_string(&trace_path)
             .map_err(|e| err(format!("cannot read trace {trace_path}: {e}")))?;
         let trace = parse_trace_file(&text, cmd.get("table-pages")?)?;
-        let config = EpfisConfig::default().with_segments(cmd.get_or("segments", 6usize)?);
         let stats = LruFit::new(config).collect(&trace);
         let summary = format!(
             "analyzed {name} from {trace_path}: T={} N={} I={} C={:.3}",
             stats.table_pages, stats.records, stats.distinct_keys, stats.clustering_factor
         );
-        catalog
-            .insert(name, stats)
-            .map_err(|e| err(e.to_string()))?;
-        catalog
-            .save(&path)
-            .map_err(|e| err(format!("cannot write catalog {path}: {e}")))?;
-        return Ok(format!("{summary}\nsaved to {path}"));
-    }
-    let (name, dataset) = if let Some(column) = cmd.get::<String>("gwl")? {
-        let scale: u32 = cmd.get_or("scale", 1)?;
-        let col = gwl::gwl_column(&column)
-            .ok_or_else(|| err(format!("unknown GWL column {column:?}")))?
-            .scaled_down(scale);
-        let (dataset, measured_c) = gwl::synthesize_gwl_column(&col, seed);
-        let name: String = cmd.get_or("name", column.clone())?;
-        let _ = measured_c;
-        (name, dataset)
+        (name, stats, summary)
     } else {
-        let name: String = cmd.require("name")?;
-        let spec = DatasetSpec {
-            name: name.clone(),
-            records: cmd.require("records")?,
-            distinct: cmd.require("distinct")?,
-            records_per_page: cmd.require("per-page")?,
-            theta: cmd.get_or("theta", 0.0)?,
-            window_fraction: cmd.get_or("k", 0.2)?,
-            noise: cmd.get_or("noise", 0.05)?,
-            shuffle_frequencies: true,
-            sorted_rids: false,
-            seed,
+        let (name, dataset) = if let Some(column) = cmd.get::<String>("gwl")? {
+            let scale: u32 = cmd.get_or("scale", 1)?;
+            let col = gwl::gwl_column(&column)
+                .ok_or_else(|| err(format!("unknown GWL column {column:?}")))?
+                .scaled_down(scale);
+            let (dataset, _measured_c) = gwl::synthesize_gwl_column(&col, seed);
+            (cmd.get_or("name", column)?, dataset)
+        } else {
+            let name: String = cmd.require("name")?;
+            let spec = DatasetSpec {
+                name: name.clone(),
+                records: cmd.require("records")?,
+                distinct: cmd.require("distinct")?,
+                records_per_page: cmd.require("per-page")?,
+                theta: cmd.get_or("theta", 0.0)?,
+                window_fraction: cmd.get_or("k", 0.2)?,
+                noise: cmd.get_or("noise", 0.05)?,
+                shuffle_frequencies: true,
+                sorted_rids: false,
+                seed,
+            };
+            (name, Dataset::generate(spec))
         };
-        (name, Dataset::generate(spec))
+        let stats = LruFit::new(config).collect(dataset.trace());
+        let summary = format!(
+            "analyzed {name}: T={} N={} I={} C={:.3}, {} segments over B in [{}, {}]",
+            stats.table_pages,
+            stats.records,
+            stats.distinct_keys,
+            stats.clustering_factor,
+            stats.fpf.segments(),
+            stats.b_min,
+            stats.b_max
+        );
+        (name, stats, summary)
     };
-    let config = EpfisConfig::default().with_segments(cmd.get_or("segments", 6usize)?);
-    let stats = LruFit::new(config).collect(dataset.trace());
-    let summary = format!(
-        "analyzed {name}: T={} N={} I={} C={:.3}, {} segments over B in [{}, {}]",
-        stats.table_pages,
-        stats.records,
-        stats.distinct_keys,
-        stats.clustering_factor,
-        stats.fpf.segments(),
-        stats.b_min,
-        stats.b_max
-    );
+    // The same commit a served `ANALYZE COMMIT` makes.
     catalog
-        .insert(name, stats)
-        .map_err(|e| err(e.to_string()))?;
-    catalog
-        .save(&path)
+        .commit(&name, stats, None)
         .map_err(|e| err(format!("cannot write catalog {path}: {e}")))?;
     Ok(format!("{summary}\nsaved to {path}"))
 }
 
 fn show(cmd: &Command) -> Result<String, CliError> {
-    let (catalog, path) = load_catalog(cmd, true)?;
+    let (catalog, path) = open_catalog(cmd, true)?;
+    let catalog = catalog.snapshot();
     if catalog.is_empty() {
         return Ok(format!("catalog {path}: empty"));
     }
@@ -441,7 +443,8 @@ fn show(cmd: &Command) -> Result<String, CliError> {
         "C",
         "segments"
     );
-    for (name, s) in catalog.iter() {
+    for (name, e) in catalog.iter() {
+        let s = &e.stats;
         out.push_str(&format!(
             "{:<24} {:>9} {:>10} {:>9} {:>7.3} {:>9}\n",
             name,
@@ -456,8 +459,8 @@ fn show(cmd: &Command) -> Result<String, CliError> {
 }
 
 fn fpf(cmd: &Command) -> Result<String, CliError> {
-    let (catalog, _) = load_catalog(cmd, true)?;
-    let (name, stats) = entry(&catalog, cmd)?;
+    let (name, entry) = load_entry(cmd)?;
+    let stats = &entry.stats;
     let points: usize = cmd.get_or("points", 12)?;
     let mut out = format!(
         "FPF curve for {name} (stored knots: {:?})\n{:>10} {:>12} {:>8}\n",
@@ -482,18 +485,10 @@ fn fpf(cmd: &Command) -> Result<String, CliError> {
 }
 
 fn estimate(cmd: &Command) -> Result<String, CliError> {
-    let (catalog, _) = load_catalog(cmd, true)?;
-    let (name, stats) = entry(&catalog, cmd)?;
-    let sigma: f64 = cmd.require("sigma")?;
-    let buffer: u64 = cmd.require("buffer")?;
-    let sargable: f64 = cmd.get_or("sargable", 1.0)?;
-    if !(0.0..=1.0).contains(&sigma) || !(0.0..=1.0).contains(&sargable) {
-        return Err(err("selectivities must be in [0, 1]"));
-    }
-    if buffer == 0 {
-        return Err(err("--buffer must be at least 1"));
-    }
-    let q = ScanQuery::range(sigma, buffer).with_sargable(sargable);
+    let (name, entry) = load_entry(cmd)?;
+    let stats = &entry.stats;
+    let q = query(cmd)?;
+    let (sigma, sargable, buffer) = (q.selectivity, q.sargable_selectivity, q.buffer_pages);
     let f = stats.estimate(&q);
     Ok(format!(
         "{name}: sigma={sigma} S={sargable} B={buffer} -> estimated page fetches = {f:.1}\n\
@@ -551,26 +546,15 @@ fn explain(cmd: &Command) -> Result<String, CliError> {
         let lines = client.request(&request).map_err(|e| err(e.to_string()))?;
         return render_explain(&lines);
     }
-    // Local mode: same validation and arithmetic as `estimate`, plus the
-    // decision trace (the traced value is bit-identical by construction).
-    let (catalog, _) = load_catalog(cmd, true)?;
-    let (_, stats) = entry(&catalog, cmd)?;
-    let sigma: f64 = cmd.require("sigma")?;
-    let buffer: u64 = cmd.require("buffer")?;
-    let sargable: f64 = cmd.get_or("sargable", 1.0)?;
-    if !(0.0..=1.0).contains(&sigma) || !(0.0..=1.0).contains(&sargable) {
-        return Err(err("selectivities must be in [0, 1]"));
-    }
-    if buffer == 0 {
-        return Err(err("--buffer must be at least 1"));
-    }
-    let q = ScanQuery::range(sigma, buffer).with_sargable(sargable);
-    render_explain(&stats.estimate_traced(&q).wire_lines())
+    // Local mode: the lines the server's EXPLAIN ESTIMATE answers, from the
+    // same catalog file (the traced value is bit-identical by construction).
+    let (name, entry) = load_entry(cmd)?;
+    render_explain(&entry.explain(&name, &query(cmd)?))
 }
 
 fn plan(cmd: &Command) -> Result<String, CliError> {
-    let (catalog, _) = load_catalog(cmd, true)?;
-    let (name, stats) = entry(&catalog, cmd)?;
+    let (name, entry) = load_entry(cmd)?;
+    let stats = &entry.stats;
     let sigma: f64 = cmd.require("sigma")?;
     let buffer: u64 = cmd.require("buffer")?;
     let sargable: f64 = cmd.get_or("sargable", 1.0)?;
@@ -830,45 +814,27 @@ fn client(cmd: &Command) -> Result<String, CliError> {
     // Either wire format serves the same commands: text sends raw lines,
     // binary wraps each line in a framing-v2 TEXT frame after the
     // HELLO BINARY upgrade. Responses are identical line-for-line.
-    // --retries/--timeout-ms switch to the self-healing client, which
-    // reconnects with backoff and reattaches ANALYZE sessions via
-    // ANALYZE RESUME (requires the server to run with --wal-dir).
-    enum Wire {
-        Text(epfis_server::Client),
-        Binary(epfis_server::BinaryClient),
-        Resilient(epfis_server::ResilientClient),
+    // --retries/--timeout-ms make the client self-healing: it reconnects
+    // with backoff and reattaches ANALYZE sessions via ANALYZE RESUME
+    // (requires the server to run with --wal-dir). Without them it fails
+    // on the first transport error and blocks on reads, like a plain
+    // connection.
+    let mut policy = epfis_server::RetryPolicy::default();
+    if retries.is_none() && timeout_ms.is_none() {
+        policy.retries = 0;
+        policy.io_timeout = std::time::Duration::ZERO;
     }
-    let mut client = if retries.is_some() || timeout_ms.is_some() {
-        let mut policy = epfis_server::RetryPolicy::default();
-        if let Some(n) = retries {
-            policy.retries = n;
-        }
-        if let Some(ms) = timeout_ms {
-            policy.io_timeout = std::time::Duration::from_millis(ms);
-            policy.connect_timeout = std::time::Duration::from_millis(ms.clamp(100, 10_000));
-        }
-        Wire::Resilient(
-            epfis_server::ResilientClient::connect(&addr, policy, binary)
-                .map_err(|e| err(format!("cannot connect to {addr}: {e}")))?,
-        )
-    } else if binary {
-        Wire::Binary(
-            epfis_server::BinaryClient::connect(&addr)
-                .map_err(|e| err(format!("cannot connect to {addr}: {e}")))?,
-        )
-    } else {
-        Wire::Text(
-            epfis_server::Client::connect(&addr)
-                .map_err(|e| err(format!("cannot connect to {addr}: {e}")))?,
-        )
-    };
+    if let Some(n) = retries {
+        policy.retries = n;
+    }
+    if let Some(ms) = timeout_ms {
+        policy.io_timeout = std::time::Duration::from_millis(ms);
+        policy.connect_timeout = std::time::Duration::from_millis(ms.clamp(100, 10_000));
+    }
+    let mut client = epfis_server::ResilientClient::connect(&addr, policy, binary)
+        .map_err(|e| err(format!("cannot connect to {addr}: {e}")))?;
     let mut send = |command: &str, out: &mut String| -> Result<(), CliError> {
-        let lines = match &mut client {
-            Wire::Text(c) => c.request(command),
-            Wire::Binary(c) => c.text(command),
-            Wire::Resilient(c) => c.request(command),
-        }
-        .map_err(|e| err(e.to_string()))?;
+        let lines = client.request(command).map_err(|e| err(e.to_string()))?;
         for line in lines {
             out.push_str(&line);
             out.push('\n');
@@ -963,10 +929,17 @@ mod tests {
             )))
             .unwrap();
         }
-        assert_eq!(
-            std::fs::read_to_string(&p1).unwrap(),
-            std::fs::read_to_string(&p2).unwrap()
-        );
+        // The files match byte for byte but for the analysis time: the
+        // entry's `analyzed_at` and the checksum over it.
+        let timeless = |p: &str| -> Vec<String> {
+            std::fs::read_to_string(p)
+                .unwrap()
+                .lines()
+                .filter(|l| !l.starts_with("meta ") && !l.starts_with("crc32c "))
+                .map(str::to_string)
+                .collect()
+        };
+        assert_eq!(timeless(&p1), timeless(&p2));
     }
 
     #[test]
@@ -1159,9 +1132,8 @@ mod tests {
         }
         // The first line carries the estimate byte-identical to `estimate`:
         // both print the same `{}`-formatted value.
-        let (catalog, _) =
-            load_catalog(&cmd(&format!("explain --catalog {path} --name ix")), true).unwrap();
-        let stats = catalog.get("ix").unwrap();
+        let (_, entry) = load_entry(&cmd(&format!("explain --catalog {path} --name ix"))).unwrap();
+        let stats = &entry.stats;
         let q = ScanQuery::range(0.2, 40).with_sargable(0.5);
         assert!(
             out.lines()

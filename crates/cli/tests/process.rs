@@ -555,3 +555,111 @@ fn drift_and_slowlog_answer_through_the_cli() {
     );
     server.shutdown();
 }
+
+/// `epfis <ARGS>`, asserting success; returns stdout.
+fn epfis(args: &[&str]) -> String {
+    let out = Command::new(EPFIS)
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run epfis");
+    assert!(out.status.success(), "epfis {args:?}: {out:?}");
+    stdout(&out)
+}
+
+/// A catalog in the bare core format, as `epfis analyze` wrote it before
+/// it shared the server's format.
+const LEGACY_CATALOG: &str = "epfis-catalog v1\n\
+    index legacy.ix\n\
+    table_pages 4\n\
+    records 5\n\
+    distinct_keys 4\n\
+    distinct_pages 4\n\
+    clustering_factor 1\n\
+    b_min 1\n\
+    b_max 4\n\
+    fpf 1:4 4:4\n\
+    config b_sml=12 segments=6 grid=arith phi=max corr=1 sarg=1 range=auto\n\
+    end\n";
+
+/// `epfis analyze` and `epfis serve` share one catalog file: the server
+/// loads what the CLI analyzed and serves the value the CLI explains, a
+/// served commit lands in the same file beside it, and a catalog written
+/// in the older bare core format opens in both.
+#[test]
+fn one_catalog_file_serves_offline_and_online() {
+    let dir = temp_dir("one-catalog");
+    let catalog = dir.join("cat.scat");
+    let catalog = catalog.to_str().unwrap();
+    let analyzed = epfis(&[
+        "analyze",
+        "--catalog",
+        catalog,
+        "--name",
+        "t.k",
+        "--records",
+        "5000",
+        "--distinct",
+        "100",
+        "--per-page",
+        "20",
+        "--k",
+        "0.3",
+    ]);
+    assert!(analyzed.starts_with("analyzed t.k: T=250 "), "{analyzed}");
+    let explained = epfis(&[
+        "explain",
+        "--catalog",
+        catalog,
+        "--name",
+        "t.k",
+        "--sigma",
+        "0.2",
+        "--buffer",
+        "50",
+    ]);
+    let value = explained
+        .lines()
+        .next()
+        .and_then(|l| l.strip_prefix("estimated page fetches = "))
+        .unwrap_or_else(|| panic!("no estimate line in {explained:?}"));
+    assert!(
+        explained
+            .lines()
+            .any(|l| l.starts_with("  catalog entry") && l.ends_with(" t.k epoch=1")),
+        "{explained}"
+    );
+
+    let mut server = spawn_serve(&["--addr", "127.0.0.1:0", "--catalog", catalog], &[]);
+    assert_eq!(server.send("ESTIMATE t.k 0.2 50"), value);
+    let out = script(&server.addr, &[], &smoke_script("online.ix"));
+    assert!(out.contains("committed online.ix epoch=2"), "{out}");
+    server.shutdown();
+
+    let show = epfis(&["show", "--catalog", catalog]);
+    assert!(
+        show.starts_with(&format!("catalog {catalog}: 2 entries\n")),
+        "{show}"
+    );
+    for name in ["online.ix", "t.k"] {
+        assert!(
+            show.lines()
+                .any(|l| l.split_whitespace().next() == Some(name)),
+            "{name} missing from {show}"
+        );
+    }
+
+    let legacy = dir.join("legacy.cat");
+    std::fs::write(&legacy, LEGACY_CATALOG).unwrap();
+    let legacy = legacy.to_str().unwrap();
+    let show = epfis(&["show", "--catalog", legacy]);
+    assert!(show.contains("1 entries"), "{show}");
+    assert!(show.lines().any(|l| l.starts_with("legacy.ix ")), "{show}");
+    let mut server = spawn_serve(&["--addr", "127.0.0.1:0", "--catalog", legacy], &[]);
+    let shown = server.send("SHOW");
+    assert!(
+        shown.starts_with("legacy.ix epoch=0 analyzed_at=0 T=4 N=5 I=4 "),
+        "{shown}"
+    );
+    server.shutdown();
+}

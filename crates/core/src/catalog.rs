@@ -7,6 +7,11 @@
 //! line) rather than an opaque binary dump; floating-point fields use Rust's
 //! shortest round-tripping decimal representation, so
 //! `from_text(to_text(c)) == c` exactly.
+//!
+//! This crate does no file I/O. The catalog file — this text embedded in a
+//! versioned, checksummed envelope, written atomically — belongs to
+//! `epfis-server`'s `SharedCatalog`, which `epfis analyze` and `epfis serve`
+//! both commit through.
 
 use crate::config::{EpfisConfig, GridStrategy, PhiMode};
 use crate::stats::IndexStatistics;
@@ -105,9 +110,7 @@ impl Catalog {
         stats: IndexStatistics,
     ) -> Result<Option<IndexStatistics>, CatalogError> {
         let name = name.into();
-        if name.is_empty() || name.chars().any(|c| c.is_whitespace() || c.is_control()) {
-            return Err(CatalogError::InvalidName(name));
-        }
+        check_name(&name)?;
         Ok(self.entries.insert(name, stats))
     }
 
@@ -129,50 +132,7 @@ impl Catalog {
     /// Serializes to the versioned text format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        for (name, s) in &self.entries {
-            writeln!(out, "index {name}").unwrap();
-            writeln!(out, "table_pages {}", s.table_pages).unwrap();
-            writeln!(out, "records {}", s.records).unwrap();
-            writeln!(out, "distinct_keys {}", s.distinct_keys).unwrap();
-            writeln!(out, "distinct_pages {}", s.distinct_pages).unwrap();
-            writeln!(out, "clustering_factor {}", s.clustering_factor).unwrap();
-            writeln!(out, "b_min {}", s.b_min).unwrap();
-            writeln!(out, "b_max {}", s.b_max).unwrap();
-            let knots: Vec<String> = s
-                .fpf
-                .knots()
-                .iter()
-                .map(|(x, y)| format!("{x}:{y}"))
-                .collect();
-            writeln!(out, "fpf {}", knots.join(" ")).unwrap();
-            let grid = match s.config.grid {
-                GridStrategy::Arithmetic => "arith".to_string(),
-                GridStrategy::Geometric { points } => format!("geom:{points}"),
-            };
-            let phi = match s.config.phi_mode {
-                PhiMode::PaperMax => "max",
-                PhiMode::ProseMin => "min",
-            };
-            let range = match s.config.modeling_range {
-                None => "auto".to_string(),
-                Some((lo, hi)) => format!("{lo},{hi}"),
-            };
-            writeln!(
-                out,
-                "config b_sml={} segments={} grid={} phi={} corr={} sarg={} range={}",
-                s.config.b_sml,
-                s.config.segments,
-                grid,
-                phi,
-                u8::from(s.config.enable_correction),
-                u8::from(s.config.enable_sargable_model),
-                range
-            )
-            .unwrap();
-            writeln!(out, "end").unwrap();
-        }
+        write_text(&mut out, self.iter()).expect("writing to a String cannot fail");
         out
     }
 
@@ -245,19 +205,66 @@ impl Catalog {
         }
         Ok(catalog)
     }
+}
 
-    /// Writes the catalog to a file atomically (see [`write_atomic`]): a
-    /// crash or failure mid-save leaves any previous file intact.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), &self.to_text())
+/// Checks that `name` is non-empty, without whitespace or control characters.
+pub fn check_name(name: &str) -> Result<(), CatalogError> {
+    if name.is_empty() || name.chars().any(|c| c.is_whitespace() || c.is_control()) {
+        return Err(CatalogError::InvalidName(name.to_string()));
     }
+    Ok(())
+}
 
-    /// Reads a catalog from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Catalog> {
-        let text = std::fs::read_to_string(path)?;
-        Catalog::from_text(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+/// [`Catalog::to_text`] over borrowed entries (names already checked),
+/// appended to `out`: no `Catalog` needs building to serialize them.
+pub fn write_text<'a>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = (&'a str, &'a IndexStatistics)>,
+) -> std::fmt::Result {
+    out.push_str(HEADER);
+    out.push('\n');
+    for (name, s) in entries {
+        writeln!(out, "index {name}")?;
+        writeln!(out, "table_pages {}", s.table_pages)?;
+        writeln!(out, "records {}", s.records)?;
+        writeln!(out, "distinct_keys {}", s.distinct_keys)?;
+        writeln!(out, "distinct_pages {}", s.distinct_pages)?;
+        writeln!(out, "clustering_factor {}", s.clustering_factor)?;
+        writeln!(out, "b_min {}", s.b_min)?;
+        writeln!(out, "b_max {}", s.b_max)?;
+        let knots: Vec<String> = s
+            .fpf
+            .knots()
+            .iter()
+            .map(|(x, y)| format!("{x}:{y}"))
+            .collect();
+        writeln!(out, "fpf {}", knots.join(" "))?;
+        let grid = match s.config.grid {
+            GridStrategy::Arithmetic => "arith".to_string(),
+            GridStrategy::Geometric { points } => format!("geom:{points}"),
+        };
+        let phi = match s.config.phi_mode {
+            PhiMode::PaperMax => "max",
+            PhiMode::ProseMin => "min",
+        };
+        let range = match s.config.modeling_range {
+            None => "auto".to_string(),
+            Some((lo, hi)) => format!("{lo},{hi}"),
+        };
+        writeln!(
+            out,
+            "config b_sml={} segments={} grid={} phi={} corr={} sarg={} range={}",
+            s.config.b_sml,
+            s.config.segments,
+            grid,
+            phi,
+            u8::from(s.config.enable_correction),
+            u8::from(s.config.enable_sargable_model),
+            range
+        )?;
+        writeln!(out, "end")?;
     }
+    Ok(())
 }
 
 #[derive(Default)]
@@ -363,91 +370,6 @@ where
     T::Err: std::fmt::Display,
 {
     s.parse().map_err(|e| format!("cannot parse {s:?}: {e}"))
-}
-
-/// Writes `contents` to `path` atomically: the bytes go to a temporary file
-/// in the same directory (same filesystem, so the rename cannot degrade to a
-/// copy), are fsynced, and the temp file is renamed over `path`. A reader —
-/// or a crash — at any instant sees either the complete old file or the
-/// complete new one, never a torn write.
-pub fn write_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
-    write_atomic_impl(path, contents, FailPoint::None)
-}
-
-/// Crash-injection points for the fault-injection tests: each variant dies
-/// at a different stage of the write-temp / fsync / rename / dir-sync
-/// sequence, so the tests can assert what survives each kind of crash.
-#[cfg_attr(not(test), allow(dead_code))]
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FailPoint {
-    /// No injected failure (the production path).
-    None,
-    /// Die after the temp file is durable but before the rename: the old
-    /// file must survive byte-identical.
-    BeforeRename,
-    /// Die after the rename but before the directory sync: the new name
-    /// is in place but not yet guaranteed durable, and the caller must
-    /// see the error.
-    BeforeDirSync,
-}
-
-/// Durably records the rename in the directory's entry table. The temp
-/// file's own fsync makes the *bytes* durable, not the *name*: on a crash
-/// between rename and directory sync, ext4/XFS may replay the journal
-/// without the new entry and resurrect the old file. Directories cannot
-/// be opened for syncing on all platforms; where they cannot, the rename
-/// is as durable as the OS makes it.
-fn sync_parent_dir(dir: &std::path::Path) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        std::fs::File::open(dir)?.sync_all()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = dir;
-        Ok(())
-    }
-}
-
-fn write_atomic_impl(
-    path: &std::path::Path,
-    contents: &str,
-    fail: FailPoint,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    let file_name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-    })?;
-    let tmp_name = format!(
-        ".{}.tmp.{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    );
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-        if fail == FailPoint::BeforeRename {
-            return Err(std::io::Error::other("injected failure before rename"));
-        }
-        std::fs::rename(&tmp, path)?;
-        if fail == FailPoint::BeforeDirSync {
-            return Err(std::io::Error::other("injected failure before dir sync"));
-        }
-        if let Some(d) = dir {
-            sync_parent_dir(d)?;
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 #[cfg(test)]
@@ -604,77 +526,5 @@ mod tests {
             Catalog::from_text(&doubled),
             Err(CatalogError::DuplicateName(_))
         ));
-    }
-
-    #[test]
-    fn failed_atomic_write_preserves_the_old_file() {
-        let dir = std::env::temp_dir().join("epfis-catalog-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("catalog.txt");
-        let mut old = Catalog::new();
-        old.insert("survivor", stats(1)).unwrap();
-        old.save(&path).unwrap();
-
-        // A write that dies after the temp file is written but before the
-        // rename must leave the previous catalog byte-identical on disk and
-        // clean up its temp file.
-        let mut new = Catalog::new();
-        new.insert("replacement", stats(2)).unwrap();
-        let err = write_atomic_impl(&path, &new.to_text(), FailPoint::BeforeRename).unwrap_err();
-        assert!(err.to_string().contains("injected"), "{err}");
-
-        let back = Catalog::load(&path).unwrap();
-        assert_eq!(back, old, "old catalog must survive a failed save");
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "temp file must be cleaned up");
-
-        // Dying between rename and directory sync: the new bytes are in
-        // place (rename happened) but the caller must still see the error —
-        // the write is not durable until the directory entry is synced —
-        // and no temp file may linger.
-        let err = write_atomic_impl(&path, &new.to_text(), FailPoint::BeforeDirSync).unwrap_err();
-        assert!(err.to_string().contains("dir sync"), "{err}");
-        assert_eq!(Catalog::load(&path).unwrap(), new);
-        let leftovers = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .count();
-        assert_eq!(leftovers, 0, "temp file must be cleaned up");
-
-        // The production path succeeds and syncs the directory for real.
-        write_atomic(&path, &old.to_text()).unwrap();
-        assert_eq!(Catalog::load(&path).unwrap(), old);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn write_atomic_creates_and_replaces() {
-        let dir = std::env::temp_dir().join("epfis-catalog-atomic-test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("file.txt");
-        std::fs::remove_file(&path).ok();
-        write_atomic(&path, "first").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first");
-        write_atomic(&path, "second").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_and_load_file() {
-        let dir = std::env::temp_dir().join("epfis-catalog-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("catalog.txt");
-        let mut c = Catalog::new();
-        c.insert("ix", stats(5)).unwrap();
-        c.save(&path).unwrap();
-        let back = Catalog::load(&path).unwrap();
-        assert_eq!(back, c);
-        std::fs::remove_file(&path).ok();
     }
 }

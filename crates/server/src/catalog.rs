@@ -6,8 +6,10 @@
 //! other commit) and an **analyzed-at** unix timestamp, so clients can
 //! reason about staleness (see `docs/protocol.md`).
 //!
-//! Persistence reuses the core text codec verbatim and prepends a metadata
-//! section, separated by a literal `---` line:
+//! `epfis analyze` and `epfis serve` both open and commit the catalog file
+//! through [`SharedCatalog`]. It reuses the core text codec verbatim,
+//! prepends a metadata section, separated by a literal `---` line, and
+//! ends with a CRC32C footer:
 //!
 //! ```text
 //! epfis-server-catalog v1
@@ -18,16 +20,19 @@
 //! index orders.customer_id
 //! ...
 //! end
+//! crc32c 1a2b3c4d
 //! ```
 //!
+//! A bare core body (older `epfis analyze` files) loads at epoch 0.
+//!
 //! Writes go through [`epfis_faults::write_atomic`] (write temp + fsync +
-//! rename + directory sync, all via an injectable [`Vfs`]), so a crash or
-//! storage fault mid-save can never leave a torn file; on startup the
-//! server simply reloads the last successfully renamed version. A persist
-//! failure is first-class: it surfaces as a distinct `catalog persist
-//! failed` error, bumps [`SharedCatalog::persist_failures`], leaves the
-//! old on-disk file byte-identical, and the published in-memory snapshot
-//! keeps serving unchanged — the commit simply did not happen.
+//! rename + directory sync) and loads through the same injectable [`Vfs`],
+//! so a crash or storage fault mid-save can never leave a torn file; on
+//! startup the server simply reloads the last successfully renamed version.
+//! A persist failure is first-class: it surfaces as a distinct `catalog
+//! persist failed` error, bumps [`SharedCatalog::persist_failures`], leaves
+//! the old on-disk file byte-identical, and the published in-memory
+//! snapshot keeps serving unchanged — the commit simply did not happen.
 //!
 //! Sharing: [`SharedCatalog`] keeps the current [`VersionedCatalog`] behind
 //! `RwLock<Arc<...>>`. Readers take the lock only long enough to clone the
@@ -35,7 +40,8 @@
 //! catalog and persists it *outside* any lock readers touch, then swaps the
 //! `Arc`. Concurrent `ESTIMATE`s therefore never block behind an ingest.
 
-use epfis::{Catalog, IndexStatistics};
+use epfis::catalog::{check_name, write_text, CatalogError};
+use epfis::{Catalog, IndexStatistics, ScanQuery};
 use epfis_estimators::TraceSummary;
 use epfis_faults::{write_atomic, StdVfs, Vfs};
 use std::collections::BTreeMap;
@@ -45,6 +51,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 const HEADER: &str = "epfis-server-catalog v1";
+/// The header of a bare core catalog, which older `epfis analyze` wrote.
+const CORE_HEADER: &str = "epfis-catalog v1";
 const SEPARATOR: &str = "---";
 
 /// One named index's statistics plus version metadata.
@@ -61,6 +69,16 @@ pub struct VersionedEntry {
     pub summary: Option<Arc<TraceSummary>>,
 }
 
+impl VersionedEntry {
+    /// The `EXPLAIN ESTIMATE` lines for this entry as `name`: the estimate
+    /// exactly as `ESTIMATE` serves it, the entry identity, the trace.
+    pub fn explain(&self, name: &str, query: &ScanQuery) -> Vec<String> {
+        let mut lines = self.stats.estimate_traced(query).wire_lines();
+        lines.insert(1, format!("entry {name} epoch={}", self.epoch));
+        lines
+    }
+}
+
 /// An immutable catalog version: named [`VersionedEntry`]s plus the global
 /// epoch. Commits produce a new value; readers hold `Arc` snapshots.
 ///
@@ -71,11 +89,11 @@ pub struct VersionedEntry {
 #[derive(Clone, Default)]
 pub struct VersionedCatalog {
     epoch: u64,
-    /// Highest WAL session id whose commit this catalog version includes.
-    /// WAL replay skips COMMIT records at or below this watermark, making
-    /// "append commit record, then persist catalog" exactly-once: a crash
-    /// between the two replays the commit; a crash after finds it already
-    /// absorbed. Zero (the default, and omitted from the text form) means
+    /// Highest WAL commit sequence (a `COMMIT` record's `commit_seq`) this
+    /// catalog version includes. WAL replay skips COMMIT records at or
+    /// below this watermark, making "append commit record, then persist
+    /// catalog" exactly-once: a crash between the two replays the commit; a
+    /// crash after finds it already absorbed. Zero (the default, and omitted from the text form) means
     /// no WAL commit has ever landed.
     wal_committed: u64,
     entries: BTreeMap<String, Arc<VersionedEntry>>,
@@ -92,14 +110,14 @@ impl VersionedCatalog {
         self.epoch
     }
 
-    /// Highest WAL session id whose commit is reflected here (0 if none).
+    /// Highest WAL commit sequence reflected here (0 if none).
     pub fn wal_committed(&self) -> u64 {
         self.wal_committed
     }
 
     /// Advances the WAL-commit watermark (it never moves backwards).
-    pub fn set_wal_committed(&mut self, session_id: u64) {
-        self.wal_committed = self.wal_committed.max(session_id);
+    pub fn set_wal_committed(&mut self, commit_seq: u64) {
+        self.wal_committed = self.wal_committed.max(commit_seq);
     }
 
     /// Number of entries.
@@ -144,11 +162,10 @@ impl VersionedCatalog {
         stats: IndexStatistics,
         analyzed_at: u64,
         summary: Option<Arc<TraceSummary>>,
-    ) -> Result<u64, epfis::catalog::CatalogError> {
+    ) -> Result<u64, CatalogError> {
         let name = name.into();
-        // Reuse the core codec's name validation so anything we accept here
-        // is guaranteed to persist and reload.
-        Catalog::new().insert(name.clone(), stats.clone())?;
+        // The core codec's rule, so anything accepted here persists.
+        check_name(&name)?;
         self.epoch += 1;
         self.entries.insert(
             name,
@@ -165,7 +182,6 @@ impl VersionedCatalog {
     /// Serializes to the server text format (the in-memory `summary` is not
     /// persisted).
     pub fn to_text(&self) -> String {
-        let mut core = Catalog::new();
         let mut out = String::new();
         out.push_str(HEADER);
         out.push('\n');
@@ -178,32 +194,35 @@ impl VersionedCatalog {
                 "meta {name} epoch={} analyzed_at={}\n",
                 e.epoch, e.analyzed_at
             ));
-            core.insert(name.clone(), e.stats.clone())
-                .expect("entry names were validated on insert");
         }
         out.push_str(SEPARATOR);
         out.push('\n');
-        out.push_str(&core.to_text());
+        let entries = self.entries.iter().map(|(n, e)| (n.as_str(), &e.stats));
+        write_text(&mut out, entries).expect("writing to a String cannot fail");
         out
     }
 
-    /// Parses the server text format.
+    /// Parses the server text format, or a bare core body (epochs and
+    /// `analyzed_at` all 0).
     pub fn from_text(text: &str) -> io::Result<Self> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h.trim() == HEADER => {}
+        let legacy = match lines.next() {
+            Some(h) if h.trim() == HEADER => false,
+            Some(h) if h.trim() == CORE_HEADER => true,
             other => {
                 return Err(invalid(format!(
                     "bad server catalog header: {:?}",
                     other.unwrap_or_default()
                 )))
             }
-        }
-        let mut epoch: Option<u64> = None;
+        };
+        let mut epoch: Option<u64> = legacy.then_some(0);
         let mut wal_committed = 0u64;
         let mut meta: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for raw in lines.by_ref() {
+        // A legacy body has no metadata section: the whole text is the core
+        // catalog, so the line this skips for it is never read again.
+        for raw in lines.by_ref().take_while(|_| !legacy) {
             let line = raw.trim();
             if line == SEPARATOR {
                 break;
@@ -257,13 +276,18 @@ impl VersionedCatalog {
             }
         }
         let epoch = epoch.ok_or_else(|| invalid("missing global epoch line".into()))?;
-        let body: String = lines.map(|l| format!("{l}\n")).collect();
+        let body: String = if legacy {
+            text.to_string()
+        } else {
+            lines.map(|l| format!("{l}\n")).collect()
+        };
         let core = Catalog::from_text(&body)
             .map_err(|e| invalid(format!("embedded core catalog: {e}")))?;
         let mut entries = BTreeMap::new();
         for (name, stats) in core.iter() {
             let &(entry_epoch, analyzed_at) = meta
                 .get(name)
+                .or(legacy.then_some(&(0, 0)))
                 .ok_or_else(|| invalid(format!("entry {name:?} has no meta line")))?;
             entries.insert(
                 name.to_string(),
@@ -345,14 +369,18 @@ pub struct SharedCatalog {
 impl SharedCatalog {
     /// An in-memory catalog (no persistence).
     pub fn in_memory() -> Self {
+        Self::with(VersionedCatalog::new(), None, StdVfs::shared())
+    }
+
+    fn with(initial: VersionedCatalog, path: Option<PathBuf>, vfs: Arc<dyn Vfs>) -> Self {
         SharedCatalog {
-            current: RwLock::new(Arc::new(VersionedCatalog::new())),
-            path: None,
+            epoch_hint: AtomicU64::new(initial.epoch()),
+            current: RwLock::new(Arc::new(initial)),
+            path,
             commit_lock: Mutex::new(()),
             logger: Arc::new(epfis_obs::Logger::disabled()),
-            vfs: StdVfs::shared(),
+            vfs,
             persist_failures: AtomicU64::new(0),
-            epoch_hint: AtomicU64::new(0),
         }
     }
 
@@ -366,32 +394,22 @@ impl SharedCatalog {
     /// pass a `FaultVfs` to script persist failures.
     pub fn open_with_vfs(path: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> io::Result<Self> {
         let path = path.into();
-        let initial = if path.exists() {
-            VersionedCatalog::from_text_checksummed(&std::fs::read_to_string(&path)?)?
-        } else {
-            VersionedCatalog::new()
+        let initial = match vfs.read(&path) {
+            Ok(bytes) => {
+                let text = String::from_utf8(bytes)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                VersionedCatalog::from_text_checksummed(&text)?
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => VersionedCatalog::new(),
+            Err(e) => return Err(e),
         };
-        let epoch = initial.epoch();
-        Ok(SharedCatalog {
-            current: RwLock::new(Arc::new(initial)),
-            path: Some(path),
-            commit_lock: Mutex::new(()),
-            logger: Arc::new(epfis_obs::Logger::disabled()),
-            vfs,
-            persist_failures: AtomicU64::new(0),
-            epoch_hint: AtomicU64::new(epoch),
-        })
+        Ok(Self::with(initial, Some(path), vfs))
     }
 
     /// Attaches a logger; each commit then emits a `catalog commit` span
     /// covering build + atomic save + publish.
     pub fn set_logger(&mut self, logger: Arc<epfis_obs::Logger>) {
         self.logger = logger;
-    }
-
-    /// The persistence path, if durable.
-    pub fn path(&self) -> Option<&std::path::Path> {
-        self.path.as_deref()
     }
 
     /// A point-in-time snapshot. O(1): clones the `Arc`, never the entries.
@@ -423,14 +441,19 @@ impl SharedCatalog {
     /// `Ok(())` for in-memory catalogs.
     pub fn probe_persist(&self) -> io::Result<()> {
         let _serialize = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(path) = &self.path {
-            let snap = self.snapshot();
-            write_atomic(self.vfs.as_ref(), path, &snap.to_text_checksummed()).map_err(|e| {
-                self.persist_failures.fetch_add(1, Ordering::Relaxed);
-                io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
-            })?;
-        }
-        Ok(())
+        self.persist(&self.snapshot())
+    }
+
+    /// Atomically writes `catalog` to the file, if durable; a failure is
+    /// counted and worded `catalog persist failed`.
+    fn persist(&self, catalog: &VersionedCatalog) -> io::Result<()> {
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
+        write_atomic(self.vfs.as_ref(), path, &catalog.to_text_checksummed()).map_err(|e| {
+            self.persist_failures.fetch_add(1, Ordering::Relaxed);
+            io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
+        })
     }
 
     /// Commits a new analysis for `name`: builds the successor catalog,
@@ -449,7 +472,7 @@ impl SharedCatalog {
     }
 
     /// [`commit`](SharedCatalog::commit) with an explicit `analyzed_at`
-    /// timestamp and, optionally, a WAL session id to fold into the
+    /// timestamp and, optionally, a WAL commit sequence to fold into the
     /// [`wal_committed`](VersionedCatalog::wal_committed) watermark. WAL
     /// replay commits through this so a recovered catalog is byte-identical
     /// to the one an uninterrupted run would have written: the timestamp
@@ -472,15 +495,10 @@ impl SharedCatalog {
         let epoch = next
             .insert(name, stats, analyzed_at, summary)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        if let Some(session_id) = wal_committed {
-            next.set_wal_committed(session_id);
+        if let Some(commit_seq) = wal_committed {
+            next.set_wal_committed(commit_seq);
         }
-        if let Some(path) = &self.path {
-            write_atomic(self.vfs.as_ref(), path, &next.to_text_checksummed()).map_err(|e| {
-                self.persist_failures.fetch_add(1, Ordering::Relaxed);
-                io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
-            })?;
-        }
+        self.persist(&next)?;
         *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
         self.epoch_hint.store(epoch, Ordering::Release);
         span.add_field("epoch", epoch);
@@ -620,6 +638,37 @@ mod tests {
             .err()
             .expect("tampered file must not load");
         assert_eq!(err.to_string(), "catalog checksum mismatch");
+    }
+
+    #[test]
+    fn legacy_core_file_opens_at_epoch_zero_and_the_first_commit_rewrites_it() {
+        let mut core = Catalog::new();
+        core.insert("old.ix", stats(1)).unwrap();
+        let legacy = core.to_text();
+        let mapped = VersionedCatalog::from_text_checksummed(&legacy).unwrap();
+        assert_eq!((mapped.epoch(), mapped.wal_committed()), (0, 0));
+        let old = mapped.get("old.ix").unwrap();
+        assert_eq!((old.epoch, old.analyzed_at), (0, 0));
+        assert_eq!(old.stats, stats(1));
+
+        let path = tmp("legacy");
+        std::fs::write(&path, &legacy).unwrap();
+        let shared = SharedCatalog::open(&path).unwrap();
+        assert_eq!(shared.epoch_hint(), 0);
+        assert_eq!(shared.commit("new.ix", stats(2), None).unwrap(), 1);
+        let persisted = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            persisted.starts_with(&format!("{HEADER}\nepoch 1\nmeta new.ix epoch=1 ")),
+            "{persisted}"
+        );
+        let legacy_meta = format!("\nmeta old.ix epoch=0 analyzed_at=0\n{SEPARATOR}\n");
+        assert!(persisted.contains(&legacy_meta), "{persisted}");
+        let last = persisted.trim_end().lines().last().unwrap();
+        assert!(last.starts_with("crc32c "), "missing footer: {last:?}");
+        let reopened = SharedCatalog::open(&path).unwrap().snapshot();
+        assert_eq!(reopened.len(), 2);
+        assert_eq!(reopened.get("old.ix").unwrap().stats, stats(1));
+        assert_eq!(reopened.get("new.ix").unwrap().stats, stats(2));
     }
 
     #[test]

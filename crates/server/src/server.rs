@@ -816,8 +816,8 @@ pub(crate) fn apply_page_batch(
 }
 
 /// Validates an `ESTIMATE`/`EXPLAIN` query into the [`ScanQuery`] Est-IO
-/// runs.
-pub(crate) fn scan_query(sigma: f64, buffer: u64, sargable: f64) -> Result<ScanQuery, String> {
+/// runs. `epfis estimate` and `epfis explain` validate through it too.
+pub fn scan_query(sigma: f64, buffer: u64, sargable: f64) -> Result<ScanQuery, String> {
     if !(0.0..=1.0).contains(&sigma) || !(0.0..=1.0).contains(&sargable) {
         return Err("selectivities must be in [0, 1]".into());
     }
@@ -899,15 +899,7 @@ pub(crate) fn execute(
             sargable,
         } => {
             let q = scan_query(sigma, buffer, sargable)?;
-            let snap = shared.catalog.snapshot();
-            let entry = snap.lookup(name)?;
-            let trace = entry.stats.estimate_traced(&q);
-            // Line 0 is the estimate exactly as ESTIMATE would serve it
-            // (same arithmetic, same `{}` formatting — see EstimateTrace);
-            // the entry identity slots in right after it.
-            let mut lines = trace.wire_lines();
-            lines.insert(1, format!("entry {name} epoch={}", entry.epoch));
-            Ok(lines)
+            Ok(shared.catalog.snapshot().lookup(name)?.explain(name, &q))
         }
         Request::Fpf { name, points } => {
             let (entry, buffers) = sample_buffers(shared, name, points)?;
@@ -959,9 +951,7 @@ pub(crate) fn execute(
         } => {
             shared.check_writable()?;
             check_no_session(session)?;
-            if name.is_empty() || name.chars().any(|c| c.is_whitespace() || c.is_control()) {
-                return Err(format!("invalid entry name {name:?}"));
-            }
+            epfis::catalog::check_name(name).map_err(|_| format!("invalid entry name {name:?}"))?;
             let mut config = shared.config;
             if let Some(m) = segments {
                 if !(1..=64).contains(&m) {

@@ -1,9 +1,10 @@
 //! Catalog persistence across the whole GWL stand-in suite: statistics for
-//! every column survive a text round-trip with estimates intact, exactly as
-//! a system catalog must.
+//! every column survive a text round-trip — and a trip through the catalog
+//! file — with estimates intact, exactly as a system catalog must.
 
 use epfis::{Catalog, EpfisConfig, GridStrategy, LruFit, ScanQuery};
 use epfis_datagen::{gwl, GWL_COLUMNS};
+use epfis_server::SharedCatalog;
 
 #[test]
 fn all_gwl_columns_round_trip_through_the_catalog() {
@@ -42,14 +43,27 @@ fn catalog_file_round_trip() {
     let (dataset, _) = gwl::synthesize_gwl_column(&col, 5);
     let cfg = EpfisConfig::default().with_grid(GridStrategy::Geometric { points: 12 });
     let stats = LruFit::new(cfg).collect(dataset.trace());
-    let mut catalog = Catalog::new();
-    catalog.insert("INAP.UWID", stats).unwrap();
 
     let dir = std::env::temp_dir().join("epfis-it");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("it-catalog.txt");
-    catalog.save(&path).unwrap();
-    let back = Catalog::load(&path).unwrap();
-    assert_eq!(back, catalog);
+    std::fs::remove_file(&path).ok();
+    SharedCatalog::open(&path)
+        .unwrap()
+        .commit("INAP.UWID", stats.clone(), None)
+        .unwrap();
+    let back = SharedCatalog::open(&path).unwrap().snapshot();
+    let restored = &back.get("INAP.UWID").unwrap().stats;
+    assert_eq!(restored, &stats);
+    for sigma in [0.01, 0.2, 0.9] {
+        for b in [stats.b_min, stats.b_max / 2, stats.b_max] {
+            let q = ScanQuery::range(sigma, b.max(1)).with_sargable(0.5);
+            assert_eq!(
+                stats.estimate(&q),
+                restored.estimate(&q),
+                "sigma={sigma} b={b}"
+            );
+        }
+    }
     std::fs::remove_file(path).ok();
 }
