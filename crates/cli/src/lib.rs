@@ -133,8 +133,7 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
             [--max-connections N] [--max-session-refs R]
             [--metrics-addr HOST:PORT] [--log-level L] [--log-format human|json]
             [--log-file F] [--wal-dir D] [--wal-fsync always|batch|never]
-            [--wal-segment-bytes B] [--wal-checkpoint-refs R]
-            [--drift-threshold T] [--slow-request-us U]
+            [--wal-checkpoint-refs R] [--drift-threshold T] [--slow-request-us U]
             (long-running estimation service; prints `listening on ADDR`,
              stops on the SHUTDOWN protocol command; one readiness-driven
              thread serves every connection and scales to tens of thousands
@@ -263,12 +262,51 @@ pub fn is_known_command(name: &str) -> bool {
     )
 }
 
+/// The flags `command` takes: every `--flag` in its block of [`USAGE`],
+/// which is the one list of them. A block is the line naming the command
+/// (indented two spaces) plus its deeper-indented continuation lines.
+fn flags_of(command: &str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    let mut in_block = false;
+    for line in USAGE.lines() {
+        if !line.starts_with("   ") {
+            in_block = line
+                .strip_prefix("  ")
+                .and_then(|l| l.split_whitespace().next())
+                == Some(command);
+        }
+        if in_block {
+            for piece in line.split("--").skip(1) {
+                let end = piece
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(piece.len());
+                let flag = &piece[..end];
+                if !flag.is_empty() && !flags.contains(&flag) {
+                    flags.push(flag);
+                }
+            }
+        }
+    }
+    flags
+}
+
 /// Validates flags that the contract treats as usage errors (exit 2 with
 /// the usage text) rather than runtime failures — checks that need no work
-/// to be done first. Today that is `serve`'s `--wal-*` family: a bad fsync
-/// policy, a zero segment size or checkpoint interval, or a `--wal-dir`
-/// that cannot be a directory must be rejected before the listener binds.
+/// to be done first: a flag the subcommand does not take (so a typo or a
+/// retired flag is never silently ignored), and `serve`'s `--wal-*`
+/// family, where a bad fsync policy, a zero checkpoint interval, or a
+/// `--wal-dir` that cannot be a directory must be rejected before the
+/// listener binds.
 pub fn validate_usage(cmd: &Command) -> Result<(), CliError> {
+    let known = flags_of(&cmd.name);
+    let mut keys: Vec<&str> = cmd.options.keys().map(String::as_str).collect();
+    keys.sort_unstable();
+    if let Some(key) = keys.into_iter().find(|k| !known.contains(k)) {
+        return Err(err(format!(
+            "unknown flag --{key} for `epfis {}`",
+            cmd.name
+        )));
+    }
     if cmd.name == "serve" {
         serve_wal_config(cmd)?;
     }
@@ -280,12 +318,11 @@ pub fn validate_usage(cmd: &Command) -> Result<(), CliError> {
 fn serve_wal_config(cmd: &Command) -> Result<Option<epfis_server::WalConfig>, CliError> {
     let dir = cmd.get::<String>("wal-dir")?;
     let fsync = cmd.get::<String>("wal-fsync")?;
-    let segment_bytes = cmd.get::<u64>("wal-segment-bytes")?;
     let checkpoint_refs = cmd.get::<u64>("wal-checkpoint-refs")?;
     let Some(dir) = dir else {
-        if fsync.is_some() || segment_bytes.is_some() || checkpoint_refs.is_some() {
+        if fsync.is_some() || checkpoint_refs.is_some() {
             return Err(err(
-                "--wal-fsync, --wal-segment-bytes, and --wal-checkpoint-refs require --wal-dir",
+                "--wal-fsync and --wal-checkpoint-refs require --wal-dir",
             ));
         }
         return Ok(None);
@@ -296,15 +333,12 @@ fn serve_wal_config(cmd: &Command) -> Result<Option<epfis_server::WalConfig>, Cl
             .parse::<epfis_server::FsyncPolicy>()
             .map_err(|e| err(format!("bad value for --wal-fsync: {e}")))?;
     }
-    if let Some(b) = segment_bytes {
-        config.segment_bytes = b;
-    }
     if let Some(r) = checkpoint_refs {
         config.checkpoint_refs = r;
     }
     config.validate().map_err(err)?;
     // The directory is created on demand, but a path that already exists
-    // as a non-directory can never hold segments.
+    // as a non-directory can never hold the log file.
     let p = std::path::Path::new(&dir);
     if p.exists() && !p.is_dir() {
         return Err(err(format!("--wal-dir {dir}: not a directory")));
@@ -890,6 +924,31 @@ mod tests {
         assert!(Command::parse(std::iter::empty()).is_err());
         assert!(Command::parse(["estimate".into(), "oops".into()]).is_err());
         assert!(Command::parse(["estimate".into(), "--sigma".into()]).is_err());
+    }
+
+    #[test]
+    fn usage_is_the_list_of_each_subcommands_flags() {
+        assert_eq!(flags_of("show"), ["catalog"]);
+        assert_eq!(flags_of("drift"), ["addr", "name"]);
+        let serve = flags_of("serve");
+        for flag in [
+            "catalog",
+            "wal-dir",
+            "wal-fsync",
+            "wal-checkpoint-refs",
+            "log-file",
+        ] {
+            assert!(serve.contains(&flag), "serve lacks --{flag}: {serve:?}");
+        }
+        assert!(!serve.contains(&"wal-segment-bytes"));
+        let client = flags_of("client");
+        for flag in ["addr", "send", "binary", "retries", "timeout-ms"] {
+            assert!(client.contains(&flag), "client lacks --{flag}: {client:?}");
+        }
+        assert!(flags_of("help").is_empty());
+        assert!(validate_usage(&cmd("show --catalog f.scat")).is_ok());
+        let e = validate_usage(&cmd("show --catalog f.scat --bogus-flag 1")).unwrap_err();
+        assert_eq!(e.0, "unknown flag --bogus-flag for `epfis show`");
     }
 
     #[test]

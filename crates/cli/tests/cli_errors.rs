@@ -103,21 +103,6 @@ fn bad_wal_flags_are_usage_errors_before_the_bind() {
     assert!(stderr.contains("unknown fsync policy"), "{stderr}");
     assert!(stderr.contains("usage"), "{stderr}");
 
-    // Zero segment size.
-    let out = epfis(&[
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--wal-dir",
-        "/tmp/epfis-wal-flags-test",
-        "--wal-segment-bytes",
-        "0",
-    ]);
-    assert_usage_error(&out, "zero segment size");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("segment size"), "{stderr}");
-    assert!(stderr.contains("usage"), "{stderr}");
-
     // A --wal-dir that already exists as a plain file.
     let file = std::env::temp_dir().join("epfis-wal-not-a-dir-test");
     std::fs::write(&file, b"occupied").unwrap();
@@ -140,6 +125,44 @@ fn bad_wal_flags_are_usage_errors_before_the_bind() {
         String::from_utf8_lossy(&out.stderr).contains("require --wal-dir"),
         "{out:?}"
     );
+}
+
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    let wal_dir = std::env::temp_dir().join("epfis-unknown-flag-wal");
+    let wal_dir = wal_dir.to_str().unwrap();
+    for (args, flag) in [
+        (
+            &["show", "--catalog", "/tmp/x.scat", "--bogus-flag", "1"][..],
+            "--bogus-flag",
+        ),
+        // A typo is not silently ignored (it used to keep fsync=batch).
+        (
+            &["serve", "--wal-dir", wal_dir, "--wal-fsyn", "always"][..],
+            "--wal-fsyn",
+        ),
+        // A retired flag is refused rather than ignored.
+        (
+            &["serve", "--wal-dir", wal_dir, "--wal-segment-bytes", "1024"][..],
+            "--wal-segment-bytes",
+        ),
+        (
+            &["serve", "--wal-segment-bytes", "1"][..],
+            "--wal-segment-bytes",
+        ),
+        (&["estimate", "--sigmaa", "0.1"][..], "--sigmaa"),
+    ] {
+        let out = epfis(args);
+        assert_usage_error(&out, flag);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} ")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage"), "{stderr}");
+    }
+    // Rejected before any work: no server bound, no WAL directory made.
+    assert!(!std::path::Path::new(wal_dir).exists());
 }
 
 #[test]

@@ -36,9 +36,9 @@ use std::sync::{Arc, Mutex};
 ///
 /// The surface is exactly what the WAL writer and the catalog persist path
 /// need: sequential writes, data/metadata syncs, truncation, an
-/// end-of-file seek after reopening an existing segment, and handle
+/// end-of-file seek after reopening or resetting the log file, and handle
 /// duplication for the background flusher (which `fdatasync`s a clone of
-/// the current segment's fd).
+/// the log file's fd).
 pub trait VfsFile: Send {
     /// Writes the whole buffer or fails; a short write surfaces as an error
     /// after the partial bytes have landed (matching what a real `ENOSPC`
@@ -68,8 +68,6 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Lists the file names in a directory.
     fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
-    /// The length of a file in bytes.
-    fn file_len(&self, path: &Path) -> io::Result<u64>;
     /// Creates a directory and any missing parents.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
     /// Removes a file.
@@ -512,10 +510,6 @@ impl Vfs for StdVfs {
         Ok(names)
     }
 
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        Ok(fs::metadata(path)?.len())
-    }
-
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         fs::create_dir_all(dir)
     }
@@ -686,10 +680,6 @@ impl Vfs for FaultVfs {
         self.inner.list(dir)
     }
 
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        self.inner.file_len(path)
-    }
-
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         self.inner.create_dir_all(dir)
     }
@@ -737,7 +727,7 @@ pub fn write_atomic(vfs: &dyn Vfs, path: &Path, contents: &str) -> io::Result<()
         Ok(())
     })();
     if result.is_err() {
-        let _ = fs::remove_file(&tmp);
+        let _ = vfs.remove(&tmp);
     }
     result
 }
@@ -767,7 +757,6 @@ mod tests {
         f.sync_data().unwrap();
         drop(f);
         assert_eq!(vfs.read(&path).unwrap(), b"hello");
-        assert_eq!(vfs.file_len(&path).unwrap(), 5);
         let mut f = vfs.open_write(&path).unwrap();
         assert_eq!(f.seek_end().unwrap(), 5);
         f.write_all(b" world").unwrap();

@@ -369,7 +369,13 @@ pub struct SharedCatalog {
 impl SharedCatalog {
     /// An in-memory catalog (no persistence).
     pub fn in_memory() -> Self {
-        Self::with(VersionedCatalog::new(), None, StdVfs::shared())
+        Self::in_memory_with_vfs(StdVfs::shared())
+    }
+
+    /// [`in_memory`](SharedCatalog::in_memory) with an explicit filesystem:
+    /// nothing persists, but a WAL opened beside it writes through `vfs`.
+    pub fn in_memory_with_vfs(vfs: Arc<dyn Vfs>) -> Self {
+        Self::with(VersionedCatalog::new(), None, vfs)
     }
 
     fn with(initial: VersionedCatalog, path: Option<PathBuf>, vfs: Arc<dyn Vfs>) -> Self {
@@ -404,6 +410,14 @@ impl SharedCatalog {
             Err(e) => return Err(e),
         };
         Ok(Self::with(initial, Some(path), vfs))
+    }
+
+    /// The filesystem the catalog persists through; [`ServerWal::open`]
+    /// puts the WAL on the same one.
+    ///
+    /// [`ServerWal::open`]: crate::ServerWal::open
+    pub(crate) fn vfs(&self) -> &Arc<dyn Vfs> {
+        &self.vfs
     }
 
     /// Attaches a logger; each commit then emits a `catalog commit` span

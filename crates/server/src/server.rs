@@ -37,6 +37,7 @@ use epfis::{EpfisConfig, ScanQuery};
 use epfis_estimators::{
     DcEstimator, MlEstimator, OtEstimator, PageFetchEstimator, ScanParams, SdEstimator,
 };
+use epfis_faults::StdVfs;
 use epfis_obs::http::{HttpServer, Response};
 use epfis_obs::{Histogram, Level, Logger, Registry};
 use std::cell::Cell;
@@ -377,28 +378,24 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .logger
         .clone()
         .unwrap_or_else(|| Arc::new(Logger::disabled()));
-    let mut catalog = match (&config.catalog_path, &config.vfs) {
-        (Some(p), Some(vfs)) => SharedCatalog::open_with_vfs(p, Arc::clone(vfs))?,
-        (Some(p), None) => SharedCatalog::open(p)?,
-        (None, _) => SharedCatalog::in_memory(),
+    // One filesystem for the catalog and the WAL, which opens through the
+    // catalog's, with or without a catalog file.
+    let vfs = config.vfs.clone().unwrap_or_else(StdVfs::shared);
+    let mut catalog = match &config.catalog_path {
+        Some(p) => SharedCatalog::open_with_vfs(p, vfs)?,
+        None => SharedCatalog::in_memory_with_vfs(vfs),
     };
     catalog.set_logger(Arc::clone(&logger));
     let catalog = Arc::new(catalog);
     // Replay the WAL (if any) before the listener binds: a client can
     // never observe a half-recovered catalog or race a parked session.
     let wal = match &config.wal {
-        Some(wal_config) => {
-            let mut wal_config = wal_config.clone();
-            if let Some(vfs) = &config.vfs {
-                wal_config.vfs = Arc::clone(vfs);
-            }
-            Some(Arc::new(ServerWal::open(
-                &wal_config,
-                &catalog,
-                config.epfis_config,
-                &logger,
-            )?))
-        }
+        Some(wal_config) => Some(Arc::new(ServerWal::open(
+            wal_config,
+            &catalog,
+            config.epfis_config,
+            &logger,
+        )?)),
         None => None,
     };
     let metrics = Metrics::new(Request::LABELS);

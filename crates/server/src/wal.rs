@@ -1,5 +1,5 @@
 //! Durable ingestion: the server's record schema over the [`epfis_wal`]
-//! segment log, startup replay, and parked-session recovery.
+//! log file, startup replay, and parked-session recovery.
 //!
 //! # Record schema
 //!
@@ -38,16 +38,17 @@
 //! # Replay and parking
 //!
 //! [`ServerWal::open`] replays the log before the listener binds: committed
-//! sessions above the watermark are re-committed, aborted ones dropped, and
-//! every session still in flight is rebuilt — from its latest `CHECKPOINT`
-//! plus the `PAGE` records after it — and *parked* under its entry name.
-//! `ANALYZE RESUME <name>` attaches a parked session to a connection and
-//! streaming continues exactly where it stopped. Periodic checkpoints bound
-//! replay cost: a session's records before its last checkpoint are skipped
-//! undecoded, so at most one checkpoint interval of `PAGE` records is
-//! re-fed per session.
+//! sessions above the watermark are re-committed, and every session still
+//! in flight is rebuilt — from its latest `CHECKPOINT` plus the `PAGE`
+//! records after it — and *parked* under its entry name. `ANALYZE RESUME
+//! <name>` attaches a parked session to a connection and streaming
+//! continues exactly where it stopped. A pre-scan of the record heads
+//! bounds replay cost: a session's records before its last checkpoint, and
+//! every record of a session that ended in `ABORT` or in a `COMMIT` the
+//! catalog already holds, are skipped undecoded, so at most one checkpoint
+//! interval of `PAGE` records is re-fed per session that still needs it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -57,7 +58,7 @@ use epfis::EpfisConfig;
 use epfis_lrusim::AnalyzerSnapshot;
 use epfis_obs::{Level, Logger};
 pub use epfis_wal::FsyncPolicy;
-use epfis_wal::{StdVfs, Vfs, Wal, WalOptions};
+use epfis_wal::{Wal, WalOptions};
 
 use crate::catalog::SharedCatalog;
 use crate::ingest::{IngestSession, SessionCheckpoint};
@@ -71,31 +72,23 @@ const TAG_ABORT: u8 = 0x05;
 /// Durability settings for `epfis serve`, resolved from `--wal-*` flags.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Directory holding the segment files (created if absent).
+    /// Directory holding the log file (created if absent).
     pub dir: PathBuf,
     /// When appends reach disk; see [`FsyncPolicy`].
     pub fsync: FsyncPolicy,
-    /// Segment rotation threshold in bytes.
-    pub segment_bytes: u64,
     /// References between analyzer checkpoints: replay re-feeds at most
     /// this many `PAGE` references per in-flight session.
     pub checkpoint_refs: u64,
-    /// The filesystem the log talks to; the passthrough `StdVfs` in
-    /// production, a scripted `FaultVfs` under chaos tests (or the
-    /// `EPFIS_FAULTS` env hook in `epfis serve`).
-    pub vfs: Arc<dyn Vfs>,
 }
 
 impl WalConfig {
-    /// Defaults for everything but the directory: batch fsync, 64 MiB
-    /// segments, a checkpoint every 1 M references, the real filesystem.
+    /// Defaults for everything but the directory: batch fsync and a
+    /// checkpoint every 1 M references.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Batch,
-            segment_bytes: 64 << 20,
             checkpoint_refs: 1 << 20,
-            vfs: StdVfs::shared(),
         }
     }
 
@@ -103,9 +96,6 @@ impl WalConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.dir.as_os_str().is_empty() {
             return Err("wal dir must not be empty".into());
-        }
-        if self.segment_bytes == 0 {
-            return Err("wal segment size must be at least 1 byte".into());
         }
         if self.checkpoint_refs == 0 {
             return Err("wal checkpoint interval must be at least 1 reference".into());
@@ -388,7 +378,7 @@ fn decode_len(cur: &mut Cur<'_>, what: &str, max: u64) -> Result<usize, String> 
     Ok(n as usize)
 }
 
-/// Decodes one record body. Bodies come from the segment log, so they have
+/// Decodes one record body. Bodies come from the log file, so they have
 /// already passed CRC32C validation; decode errors here mean a version skew
 /// or a bug, not ordinary disk corruption.
 pub fn decode_record(body: &[u8]) -> Result<WalRecord, String> {
@@ -544,14 +534,14 @@ pub struct RecoveryReport {
     pub committed: usize,
     /// In-flight sessions parked for `ANALYZE RESUME`.
     pub parked: usize,
-    /// References re-fed from `PAGE` records: only those after each
-    /// session's last checkpoint.
+    /// References re-fed from `PAGE` records: only those after the last
+    /// checkpoint of each session that had not already ended.
     pub refed_refs: u64,
-    /// Bytes of torn tail truncated from the last segment.
+    /// Bytes of torn tail truncated from the log file.
     pub truncated_bytes: u64,
 }
 
-/// The server's durable-ingestion state: the segment log plus session-id
+/// The server's durable-ingestion state: the log plus session-id
 /// and commit-sequence allocation, parked sessions, and replay.
 ///
 /// Lock order: the `state` mutex before the `inner` mutex; the commit
@@ -571,6 +561,8 @@ impl ServerWal {
     /// Opens (or creates) the log at `config.dir` and replays it against
     /// `catalog`: commits above the watermark are re-applied with their
     /// recorded timestamps, and in-flight sessions are rebuilt and parked.
+    /// The log writes through the catalog's filesystem, so one `Vfs` (a
+    /// `FaultVfs` under chaos tests) covers the whole durability stack.
     /// Runs before the listener binds, so clients never observe a
     /// half-recovered catalog.
     pub fn open(
@@ -586,8 +578,7 @@ impl ServerWal {
         let opts = WalOptions {
             dir: config.dir.clone(),
             fsync: config.fsync,
-            segment_bytes: config.segment_bytes,
-            vfs: Arc::clone(&config.vfs),
+            vfs: Arc::clone(catalog.vfs()),
         };
         let (wal, replay) = Wal::open(opts)?;
         let watermark = catalog.snapshot().wal_committed();
@@ -608,21 +599,45 @@ impl ServerWal {
         let mut max_seq = watermark;
         let mut committed = 0usize;
         let mut refed_refs = 0u64;
-        let record_count = replay.records.len();
+        let record_count = replay.len();
 
-        // A checkpoint holds the whole session state, so a session's PAGE
-        // and CHECKPOINT records before its last checkpoint are superseded:
-        // replay skips them undecoded.
+        // One pass over the record heads decides what replay may skip
+        // undecoded. A checkpoint holds the whole session state, so a
+        // session's PAGE and CHECKPOINT records before its last checkpoint
+        // are superseded; a session that ended in ABORT, or in a COMMIT at
+        // or below the watermark (already in the catalog), leaves nothing
+        // to rebuild, so all of its records are skipped.
         let mut last_checkpoint: HashMap<u64, usize> = HashMap::new();
-        for (i, body) in replay.records.iter().enumerate() {
-            if let Some((TAG_CHECKPOINT, sid)) = record_head(body) {
-                last_checkpoint.insert(sid, i);
+        let mut ended: HashSet<u64> = HashSet::new();
+        for (i, body) in replay.records().enumerate() {
+            let Some((tag, sid)) = record_head(body) else {
+                continue;
+            };
+            max_sid = max_sid.max(sid);
+            match tag {
+                TAG_CHECKPOINT => {
+                    last_checkpoint.insert(sid, i);
+                }
+                TAG_ABORT => {
+                    ended.insert(sid);
+                }
+                TAG_COMMIT => {
+                    if let Ok(WalRecord::Commit { commit_seq, .. }) = decode_record(body) {
+                        max_seq = max_seq.max(commit_seq);
+                        if commit_seq <= watermark {
+                            ended.insert(sid);
+                        }
+                    }
+                }
+                _ => {}
             }
         }
 
-        for (i, body) in replay.records.iter().enumerate() {
-            if let Some((TAG_PAGE | TAG_CHECKPOINT, sid)) = record_head(body) {
-                if last_checkpoint.get(&sid).is_some_and(|&at| i < at) {
+        for (i, body) in replay.records().enumerate() {
+            if let Some((tag, sid)) = record_head(body) {
+                let superseded = matches!(tag, TAG_PAGE | TAG_CHECKPOINT)
+                    && last_checkpoint.get(&sid).is_some_and(|&at| i < at);
+                if superseded || ended.contains(&sid) {
                     continue;
                 }
             }
@@ -646,7 +661,6 @@ impl ServerWal {
                     segments,
                     table_pages,
                 } => {
-                    max_sid = max_sid.max(session_id);
                     let session =
                         IngestSession::new(name.clone(), session_config(segments), table_pages);
                     live.insert(
@@ -678,7 +692,6 @@ impl ServerWal {
                     session_id,
                     checkpoint,
                 } => {
-                    max_sid = max_sid.max(session_id);
                     let segments = live.get(&session_id).and_then(|r| r.segments);
                     let session = IngestSession::restore(&checkpoint, session_config(segments));
                     live.insert(
@@ -695,15 +708,11 @@ impl ServerWal {
                     commit_seq,
                     analyzed_at,
                 } => {
-                    max_sid = max_sid.max(session_id);
-                    max_seq = max_seq.max(commit_seq);
+                    // Above the watermark: the crash came between this
+                    // record and the catalog write, so finish the commit.
                     let Some(rec) = live.remove(&session_id) else {
                         continue;
                     };
-                    if commit_seq <= watermark {
-                        // Already durable in the catalog before the crash.
-                        continue;
-                    }
                     match rec.session.commit() {
                         Ok((stats, summary)) => {
                             catalog.commit_analyzed(
@@ -724,10 +733,8 @@ impl ServerWal {
                         }
                     }
                 }
-                WalRecord::Abort { session_id } => {
-                    max_sid = max_sid.max(session_id);
-                    live.remove(&session_id);
-                }
+                // Never reached: an aborted session is in `ended`.
+                WalRecord::Abort { .. } => {}
             }
         }
 
@@ -777,7 +784,7 @@ impl ServerWal {
         };
 
         // With nothing parked the log is fully absorbed (every commit is in
-        // the durable catalog): start from an empty segment so replay cost
+        // the durable catalog): reset it to an empty file so replay cost
         // and disk use stay bounded.
         if parked == 0 {
             server_wal
@@ -978,10 +985,10 @@ impl ServerWal {
         inner.wal.poisoned()
     }
 
-    /// Operator-driven recovery (`RECOVER`): re-probes the log directory —
+    /// Operator-driven recovery (`RECOVER`): re-probes the log file —
     /// truncating whatever torn tail the failed operation left, reopening
-    /// the tail segment, and forcing a real fdatasync. On success ingest
-    /// may resume; the records acknowledged before the failure are intact.
+    /// it, and forcing a real fdatasync. On success ingest may resume; the
+    /// records acknowledged before the failure are intact.
     /// Returns the torn bytes discarded. A no-op returning 0 when healthy.
     pub fn recover(&self) -> io::Result<u64> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -989,7 +996,7 @@ impl ServerWal {
     }
 
     /// Releases one attached session; when nothing is attached or parked
-    /// the log is fully absorbed and restarts from an empty segment.
+    /// the log is fully absorbed and is reset to an empty file.
     pub fn session_closed(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.attached -= 1;
@@ -1261,12 +1268,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Sessions that already ended are skipped whole: an aborted one, and
+    /// one whose COMMIT is at or below the catalog's watermark. Only the
+    /// open session's references are re-fed.
+    #[test]
+    fn replay_skips_sessions_that_already_ended() {
+        let dir = temp_dir("ended-sessions");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cat_path = dir.join("catalog.scat");
+        let wal_cfg = WalConfig::new(dir.join("wal"));
+        let logger = Logger::disabled();
+        let base = EpfisConfig::default();
+        let pairs = |n: i64| -> Vec<(i64, u32)> {
+            (0..n).map(|i| (i / 2, ((i * 7) % 100) as u32)).collect()
+        };
+        let (blocker, done, dropped) = (pairs(300), pairs(500), pairs(700));
+
+        // The blocker stays open, so the log is never reset; then "crash".
+        let committed = {
+            let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
+            let wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
+            let open = wal.begin("ix.open", None, Some(100)).unwrap();
+            wal.append_page(open, blocker.len(), blocker.iter().copied())
+                .unwrap();
+
+            let sid = wal.begin("ix.done", None, Some(100)).unwrap();
+            let mut session = IngestSession::new("ix.done".into(), base, Some(100));
+            for (i, half) in done.chunks(250).enumerate() {
+                if i == 1 {
+                    wal.append_checkpoint(sid, &session.checkpoint()).unwrap();
+                }
+                wal.append_page(sid, half.len(), half.iter().copied())
+                    .unwrap();
+                session.feed_batch(half).unwrap();
+            }
+            let (stats, summary) = session.commit().unwrap();
+            wal.commit_session(sid, 42, |seq| {
+                catalog.commit_analyzed("ix.done", stats, Some(Arc::new(summary)), 42, Some(seq))
+            })
+            .unwrap();
+
+            let sid = wal.begin("ix.dropped", None, Some(100)).unwrap();
+            wal.append_page(sid, dropped.len(), dropped.iter().copied())
+                .unwrap();
+            wal.abort_session(sid).unwrap();
+            std::fs::read(&cat_path).unwrap()
+        };
+
+        let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
+        let mut wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
+        let report = wal.take_report().unwrap();
+        assert_eq!(report.records, 10);
+        assert_eq!(report.committed, 0, "ix.done is already in the catalog");
+        assert_eq!(report.parked, 1);
+        assert_eq!(
+            report.refed_refs,
+            blocker.len() as u64,
+            "only the open session's references are re-fed"
+        );
+        assert_eq!(wal.parked_names(), vec!["ix.open".to_string()]);
+        assert_eq!(std::fs::read(&cat_path).unwrap(), committed);
+        // Ids and sequence numbers keep counting past the skipped sessions.
+        assert_eq!(wal.begin("ix.next", None, None).unwrap(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn config_validation_catches_bad_knobs() {
         assert!(WalConfig::new("d").validate().is_ok());
-        let mut c = WalConfig::new("d");
-        c.segment_bytes = 0;
-        assert!(c.validate().is_err());
         let mut c = WalConfig::new("d");
         c.checkpoint_refs = 0;
         assert!(c.validate().is_err());

@@ -338,6 +338,46 @@ fn degraded_mode_serves_reads_and_recover_restores_ingest() {
     assert!(catalog_entries(&cat_path, "final").contains(&"ix.good".to_string()));
 }
 
+/// `ServerConfig::vfs` reaches the WAL through the catalog even when there
+/// is no catalog file: a memory-only catalog plus a WAL on a failing disk
+/// degrades on the first PAGE.
+#[test]
+fn wal_without_a_catalog_file_still_writes_through_the_configured_vfs() {
+    let root = temp_dir("wal-no-catalog");
+    let fv = FaultVfs::new();
+    let mut wal_cfg = WalConfig::new(root.join("wal"));
+    wal_cfg.fsync = FsyncPolicy::Always;
+    let server = serve(ServerConfig {
+        wal: Some(wal_cfg),
+        vfs: Some(fv.clone().shared()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.request("ANALYZE BEGIN ix.mem table_pages=40").unwrap();
+    // The WAL's disk fills up.
+    fv.schedule().push(
+        Rule::new(FaultKind::Enospc)
+            .on_op(OpKind::Write)
+            .path_contains("wal"),
+    );
+    let err = c
+        .request(&page_line(&scan_pairs(60, 40)))
+        .expect_err("PAGE on a failing WAL disk must error");
+    assert!(err.to_string().contains("wal append failed"), "{err}");
+    assert!(fv.schedule().injected() >= 1);
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(series_value(&stats, "epfis_server_degraded"), Some(1.0));
+    assert_eq!(series_value(&stats, "epfis_wal_poisoned"), Some(1.0));
+    let err = c
+        .request("ANALYZE BEGIN other")
+        .expect_err("ingest must reject while degraded");
+    assert!(err.to_string().contains("readonly"), "{err}");
+    drop(c);
+    server.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A failed catalog persist (WAL healthy) also degrades: the commit errors,
 /// the old on-disk catalog survives byte-identical, and RECOVER restores
 /// service without touching the WAL.
