@@ -143,8 +143,8 @@ fn compare(name: &str, pages: &[u32]) {
 }
 
 fn main() {
-    // The exact trace shape of the lru_modeling `analyzer_traces/zipf_skewed`
-    // benchmark, then a 5x longer variant with a wider working set.
+    // A 100k-reference Zipf scan, then a 5x longer variant with a wider
+    // working set.
     let bench = Dataset::generate(DatasetSpec::synthetic(100_000, 1_000, 40, 0.86, 0.3));
     compare("zipf_bench", bench.trace().pages());
 

@@ -27,8 +27,9 @@
 //! stderr; stdout carries only command output.
 
 use epfis::optimizer::{AccessPathSelector, IndexCandidate, QuerySpec};
-use epfis::{EpfisConfig, LruFit, ScanQuery};
+use epfis::{EpfisConfig, IndexStatistics, LruFit, ScanQuery};
 use epfis_datagen::{gwl, Dataset, DatasetSpec};
+use epfis_estimators::{baseline_estimators, BaselineCounters, ScanParams, TraceSummary};
 use epfis_server::{SharedCatalog, VersionedEntry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -405,18 +406,18 @@ fn analyze(cmd: &Command) -> Result<String, CliError> {
     let (catalog, path) = open_catalog(cmd, false)?;
     let seed: u64 = cmd.get_or("seed", 0x5EED_EF15)?;
     let config = EpfisConfig::default().with_segments(cmd.get_or("segments", 6usize)?);
-    let (name, stats, summary) = if let Some(trace_path) = cmd.get::<String>("trace")? {
+    let (name, stats, counters, summary) = if let Some(trace_path) = cmd.get::<String>("trace")? {
         // Captured-trace mode: run LRU-Fit directly on the file.
         let name: String = cmd.require("name")?;
         let text = std::fs::read_to_string(&trace_path)
             .map_err(|e| err(format!("cannot read trace {trace_path}: {e}")))?;
         let trace = parse_trace_file(&text, cmd.get("table-pages")?)?;
-        let stats = LruFit::new(config).collect(&trace);
+        let (stats, counters) = lru_fit(config, &TraceSummary::from_trace(&trace));
         let summary = format!(
             "analyzed {name} from {trace_path}: T={} N={} I={} C={:.3}",
             stats.table_pages, stats.records, stats.distinct_keys, stats.clustering_factor
         );
-        (name, stats, summary)
+        (name, stats, counters, summary)
     } else {
         let (name, dataset) = if let Some(column) = cmd.get::<String>("gwl")? {
             let scale: u32 = cmd.get_or("scale", 1)?;
@@ -441,7 +442,7 @@ fn analyze(cmd: &Command) -> Result<String, CliError> {
             };
             (name, Dataset::generate(spec))
         };
-        let stats = LruFit::new(config).collect(dataset.trace());
+        let (stats, counters) = lru_fit(config, &TraceSummary::from_trace(dataset.trace()));
         let summary = format!(
             "analyzed {name}: T={} N={} I={} C={:.3}, {} segments over B in [{}, {}]",
             stats.table_pages,
@@ -452,13 +453,25 @@ fn analyze(cmd: &Command) -> Result<String, CliError> {
             stats.b_min,
             stats.b_max
         );
-        (name, stats, summary)
+        (name, stats, counters, summary)
     };
     // The same commit a served `ANALYZE COMMIT` makes.
     catalog
-        .commit(&name, stats, None)
+        .commit(&name, stats, Some(counters))
         .map_err(|e| err(format!("cannot write catalog {path}: {e}")))?;
     Ok(format!("{summary}\nsaved to {path}"))
+}
+
+/// LRU-Fit from the summary's exact curve, plus the counters the catalog
+/// keeps for `COMPARE`: one stack pass serves both.
+fn lru_fit(config: EpfisConfig, summary: &TraceSummary) -> (IndexStatistics, BaselineCounters) {
+    let stats = LruFit::new(config).collect_from_curve(
+        &summary.fetch_curve,
+        summary.table_pages,
+        summary.records,
+        summary.distinct_keys,
+    );
+    (stats, summary.baseline_counters())
 }
 
 fn show(cmd: &Command) -> Result<String, CliError> {
@@ -616,10 +629,6 @@ fn plan(cmd: &Command) -> Result<String, CliError> {
 }
 
 fn compare(cmd: &Command) -> Result<String, CliError> {
-    use epfis_estimators::{
-        DcEstimator, MlEstimator, OtEstimator, PageFetchEstimator, ScanParams, SdEstimator,
-        TraceSummary,
-    };
     let trace_path: String = cmd.require("trace")?;
     let text = std::fs::read_to_string(&trace_path)
         .map_err(|e| err(format!("cannot read trace {trace_path}: {e}")))?;
@@ -627,18 +636,13 @@ fn compare(cmd: &Command) -> Result<String, CliError> {
     let points: usize = cmd.get_or("points", 10)?;
 
     let summary = TraceSummary::from_trace(&trace);
-    let stats = LruFit::new(EpfisConfig::default()).collect_from_curve(
-        &summary.fetch_curve,
+    let (stats, counters) = lru_fit(EpfisConfig::default(), &summary);
+    let estimators = baseline_estimators(
         summary.table_pages,
         summary.records,
         summary.distinct_keys,
+        counters,
     );
-    let estimators: Vec<Box<dyn PageFetchEstimator>> = vec![
-        Box::new(MlEstimator::from_summary(&summary)),
-        Box::new(DcEstimator::from_summary(&summary)),
-        Box::new(SdEstimator::from_summary(&summary)),
-        Box::new(OtEstimator::from_summary(&summary)),
-    ];
     let mut out =
         format!(
         "full-scan page fetches from {trace_path} (T={} N={} I={} C={:.3})\n{:>10} {:>10} {:>10}",

@@ -663,3 +663,54 @@ fn one_catalog_file_serves_offline_and_online() {
     );
     server.shutdown();
 }
+
+/// `COMPARE` answers from the catalog entry: an entry committed over the
+/// wire and one `epfis analyze` wrote answer the same lines before SIGTERM
+/// and after the restart.
+#[test]
+fn compare_answers_from_the_catalog_across_a_restart() {
+    let dir = temp_dir("compare");
+    let catalog = dir.join("compare.scat");
+    let catalog = catalog.to_str().unwrap();
+    epfis(&[
+        "analyze",
+        "--catalog",
+        catalog,
+        "--name",
+        "offline.ix",
+        "--records",
+        "5000",
+        "--distinct",
+        "100",
+        "--per-page",
+        "20",
+        "--k",
+        "0.3",
+    ]);
+    let args = ["--addr", "127.0.0.1:0", "--catalog", catalog];
+    let mut server = spawn_serve(&args, &[]);
+    let out = script(
+        &server.addr,
+        &[],
+        &session(
+            "BEGIN served.ix table_pages=97",
+            &scan_lines(),
+            "ANALYZE COMMIT\n",
+        ),
+    );
+    assert!(out.contains("committed served.ix epoch=2"), "{out}");
+    let compare = |server: &support::Serve| {
+        ["served.ix", "offline.ix"].map(|name| server.send(&format!("COMPARE {name} 6")))
+    };
+    let before = compare(&server);
+    for lines in &before {
+        assert!(lines.starts_with("B EPFIS ML DC SD OT\n"), "{lines}");
+        assert_eq!(lines.lines().count(), 7, "{lines}");
+    }
+
+    let status = server.signal("-TERM");
+    assert_eq!(status.signal(), Some(15), "{status}");
+    let mut restarted = spawn_serve(&args, &[]);
+    assert_eq!(compare(&restarted), before);
+    restarted.shutdown();
+}

@@ -11,10 +11,12 @@
 //!   interpolates between the perfectly-clustered (`σT`) and worst-case
 //!   cost.
 //!
-//! All estimators are constructed from the same [`summary::TraceSummary`]
-//! produced by a single pass over the index's page-reference trace — the same
-//! pass that feeds EPFIS — so the comparison isolates the *models*, not the
-//! statistics collection. The probabilistic building blocks (Cardenas 1975,
+//! All estimators are constructed from the same single pass over the index's
+//! page-reference trace — the same pass that feeds EPFIS — so the comparison
+//! isolates the *models*, not the statistics collection. That pass reduces
+//! to `T`, `N`, `I` and three integers, [`BaselineCounters`];
+//! [`baseline_estimators`] builds all four baselines from them, and
+//! [`summary::TraceSummary`] computes them from a whole trace. The probabilistic building blocks (Cardenas 1975,
 //! Yao 1977) live in [`occupancy`].
 //!
 //! Formulas are implemented exactly as printed in the paper, including the
@@ -35,5 +37,5 @@ pub use ml::MlEstimator;
 pub use occupancy::{cardenas, yao};
 pub use ot::OtEstimator;
 pub use sd::{SdEstimator, SdExponent};
-pub use summary::TraceSummary;
+pub use summary::{baseline_estimators, BaselineCounters, TraceSummary};
 pub use traits::{PageFetchEstimator, ScanParams};

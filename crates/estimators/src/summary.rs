@@ -8,8 +8,50 @@
 //! * table/record/key cardinalities `T`, `N`, `I`,
 //! * the distinct referenced pages `A`,
 //! * Algorithm DC's cluster counter `CC`.
+//!
+//! Of these, the baselines read only `T`, `N`, `I` and three integers,
+//! [`BaselineCounters`]; [`baseline_estimators`] builds all four from them,
+//! so a catalog that stores the three counters can rebuild the comparison
+//! without the curve.
 
+use crate::{DcEstimator, MlEstimator, OtEstimator, PageFetchEstimator, SdEstimator, SdExponent};
 use epfis_lrusim::{FetchCurve, KeyedTrace, StackAnalyzer};
+
+/// The three scan counters the baselines need beyond `T`, `N` and `I`:
+/// small enough to persist beside a catalog entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaselineCounters {
+    /// Algorithm DC's cluster counter `CC` (see
+    /// [`TraceSummary::cluster_counter`]).
+    pub cluster_counter: u64,
+    /// `F(1)`, Algorithm SD's `J`.
+    pub fetches_b1: u64,
+    /// `F(3)`, Algorithm OT's `J`.
+    pub fetches_b3: u64,
+}
+
+/// The ML, DC, SD and OT estimators, in that order, for an index with
+/// `table_pages` (`T`), `records` (`N`) and `distinct_keys` (`I`).
+pub fn baseline_estimators(
+    table_pages: u64,
+    records: u64,
+    distinct_keys: u64,
+    counters: BaselineCounters,
+) -> Vec<Box<dyn PageFetchEstimator + Send + Sync>> {
+    let (t, n, i) = (table_pages, records, distinct_keys);
+    vec![
+        Box::new(MlEstimator::from_stats(t, n, i)),
+        Box::new(DcEstimator::from_stats(t, n, i, counters.cluster_counter)),
+        Box::new(SdEstimator::from_stats(
+            t,
+            n,
+            i,
+            counters.fetches_b1,
+            SdExponent::default(),
+        )),
+        Box::new(OtEstimator::from_stats(t, n, counters.fetches_b3)),
+    ]
+}
 
 /// Statistics extracted from one pass over a key-ordered reference trace.
 ///
@@ -102,6 +144,15 @@ impl TraceSummary {
         self.fetch_curve.fetches(3)
     }
 
+    /// The counters [`baseline_estimators`] reads.
+    pub fn baseline_counters(&self) -> BaselineCounters {
+        BaselineCounters {
+            cluster_counter: self.cluster_counter,
+            fetches_b1: self.fetches_buffer_1(),
+            fetches_b3: self.fetches_buffer_3(),
+        }
+    }
+
     /// Average records per page `R = N / T`.
     pub fn records_per_page(&self) -> f64 {
         self.records as f64 / self.table_pages as f64
@@ -176,6 +227,28 @@ mod tests {
         let s = TraceSummary::from_trace(&t);
         assert_eq!(s.cluster_counter, 0);
         assert_eq!(s.cluster_counter_run_order, 1);
+    }
+
+    #[test]
+    fn baseline_estimators_equal_the_from_summary_constructors() {
+        let s = TraceSummary::from_trace(&trace());
+        let c = s.baseline_counters();
+        assert_eq!((c.cluster_counter, c.fetches_b1, c.fetches_b3), (1, 5, 3));
+        let from_summary: Vec<Box<dyn PageFetchEstimator>> = vec![
+            Box::new(MlEstimator::from_summary(&s)),
+            Box::new(DcEstimator::from_summary(&s)),
+            Box::new(SdEstimator::from_summary(&s)),
+            Box::new(OtEstimator::from_summary(&s)),
+        ];
+        let built = baseline_estimators(s.table_pages, s.records, s.distinct_keys, c);
+        assert_eq!(built.len(), from_summary.len());
+        for (a, b) in built.iter().zip(&from_summary) {
+            assert_eq!(a.name(), b.name());
+            for buffer in [1u64, 2, 3, 4] {
+                let q = crate::ScanParams::range(0.5, buffer).with_distinct_keys(2);
+                assert_eq!(a.estimate(&q).to_bits(), b.estimate(&q).to_bits());
+            }
+        }
     }
 
     #[test]

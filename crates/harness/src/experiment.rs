@@ -10,10 +10,7 @@ use crate::report::Series;
 use crate::truth::workload_truth_on;
 use epfis::{EpfisConfig, EpfisEstimator, LruFit};
 use epfis_datagen::{Dataset, RangeScan, ScanWorkloadConfig, WorkloadGenerator};
-use epfis_estimators::{
-    DcEstimator, MlEstimator, OtEstimator, PageFetchEstimator, ScanParams, SdEstimator,
-    TraceSummary,
-};
+use epfis_estimators::{baseline_estimators, PageFetchEstimator, ScanParams, TraceSummary};
 use epfis_lrusim::FetchCurve;
 use epfis_lrusim::KeyedTrace;
 
@@ -73,13 +70,14 @@ impl DatasetExperiment {
             summary.records,
             summary.distinct_keys,
         );
-        let estimators: Vec<Box<dyn PageFetchEstimator + Send + Sync>> = vec![
-            Box::new(EpfisEstimator::new(stats)),
-            Box::new(MlEstimator::from_summary(&summary)),
-            Box::new(DcEstimator::from_summary(&summary)),
-            Box::new(SdEstimator::from_summary(&summary)),
-            Box::new(OtEstimator::from_summary(&summary)),
-        ];
+        let mut estimators: Vec<Box<dyn PageFetchEstimator + Send + Sync>> =
+            vec![Box::new(EpfisEstimator::new(stats))];
+        estimators.extend(baseline_estimators(
+            summary.table_pages,
+            summary.records,
+            summary.distinct_keys,
+            summary.baseline_counters(),
+        ));
         let mut generator = WorkloadGenerator::new(&trace, workload.seed);
         let scans = generator.generate(workload);
         let truths = workload_truth_on(&trace, &scans);

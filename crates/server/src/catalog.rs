@@ -14,7 +14,7 @@
 //! ```text
 //! epfis-server-catalog v1
 //! epoch 7
-//! meta orders.customer_id epoch=7 analyzed_at=1754400000
+//! meta orders.customer_id epoch=7 analyzed_at=1754400000 cluster_counter=812 fetches_b1=40211 fetches_b3=38007
 //! ---
 //! epfis-catalog v1
 //! index orders.customer_id
@@ -23,7 +23,11 @@
 //! crc32c 1a2b3c4d
 //! ```
 //!
-//! A bare core body (older `epfis analyze` files) loads at epoch 0.
+//! The three `cluster_counter`/`fetches_b1`/`fetches_b3` items are the
+//! entry's [`BaselineCounters`], from which `COMPARE` rebuilds the
+//! baseline estimators; a `meta` line written before they existed loads
+//! with none, and `COMPARE` then asks for a re-`ANALYZE`. A bare core body
+//! (older `epfis analyze` files) loads at epoch 0, also without counters.
 //!
 //! Writes go through [`epfis_faults::write_atomic`] (write temp + fsync +
 //! rename + directory sync) and loads through the same injectable [`Vfs`],
@@ -42,7 +46,7 @@
 
 use epfis::catalog::{check_name, write_text, CatalogError};
 use epfis::{Catalog, IndexStatistics, ScanQuery};
-use epfis_estimators::TraceSummary;
+use epfis_estimators::BaselineCounters;
 use epfis_faults::{write_atomic, StdVfs, Vfs};
 use std::collections::BTreeMap;
 use std::io;
@@ -64,9 +68,9 @@ pub struct VersionedEntry {
     pub epoch: u64,
     /// Unix timestamp (seconds) of the analysis commit.
     pub analyzed_at: u64,
-    /// One-pass trace statistics for `COMPARE`, kept in memory only — an
-    /// entry reloaded from disk after a restart has `None` here.
-    pub summary: Option<Arc<TraceSummary>>,
+    /// The counters `COMPARE` builds the baseline estimators from; `None`
+    /// for an entry written before catalogs kept them.
+    pub counters: Option<BaselineCounters>,
 }
 
 impl VersionedEntry {
@@ -161,7 +165,7 @@ impl VersionedCatalog {
         name: impl Into<String>,
         stats: IndexStatistics,
         analyzed_at: u64,
-        summary: Option<Arc<TraceSummary>>,
+        counters: Option<BaselineCounters>,
     ) -> Result<u64, CatalogError> {
         let name = name.into();
         // The core codec's rule, so anything accepted here persists.
@@ -173,14 +177,13 @@ impl VersionedCatalog {
                 stats,
                 epoch: self.epoch,
                 analyzed_at,
-                summary,
+                counters,
             }),
         );
         Ok(self.epoch)
     }
 
-    /// Serializes to the server text format (the in-memory `summary` is not
-    /// persisted).
+    /// Serializes to the server text format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(HEADER);
@@ -191,9 +194,16 @@ impl VersionedCatalog {
         }
         for (name, e) in &self.entries {
             out.push_str(&format!(
-                "meta {name} epoch={} analyzed_at={}\n",
+                "meta {name} epoch={} analyzed_at={}",
                 e.epoch, e.analyzed_at
             ));
+            if let Some(c) = e.counters {
+                out.push_str(&format!(
+                    " cluster_counter={} fetches_b1={} fetches_b3={}",
+                    c.cluster_counter, c.fetches_b1, c.fetches_b3
+                ));
+            }
+            out.push('\n');
         }
         out.push_str(SEPARATOR);
         out.push('\n');
@@ -219,7 +229,7 @@ impl VersionedCatalog {
         };
         let mut epoch: Option<u64> = legacy.then_some(0);
         let mut wal_committed = 0u64;
-        let mut meta: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut meta: BTreeMap<String, (u64, u64, Option<BaselineCounters>)> = BTreeMap::new();
         // A legacy body has no metadata section: the whole text is the core
         // catalog, so the line this skips for it is never read again.
         for raw in lines.by_ref().take_while(|_| !legacy) {
@@ -247,28 +257,47 @@ impl VersionedCatalog {
                     .next()
                     .ok_or_else(|| invalid("meta line without a name".into()))?
                     .to_string();
-                let (mut e, mut at) = (None, None);
+                const KEYS: [&str; 5] = [
+                    "epoch",
+                    "analyzed_at",
+                    "cluster_counter",
+                    "fetches_b1",
+                    "fetches_b3",
+                ];
+                let mut vals = [None; 5];
                 for kv in toks {
-                    match kv.split_once('=') {
-                        Some(("epoch", v)) => {
-                            e =
-                                Some(v.parse().map_err(|err| {
-                                    invalid(format!("bad meta epoch {v:?}: {err}"))
-                                })?)
-                        }
-                        Some(("analyzed_at", v)) => {
-                            at = Some(v.parse().map_err(|err| {
-                                invalid(format!("bad meta analyzed_at {v:?}: {err}"))
-                            })?)
-                        }
-                        _ => return Err(invalid(format!("unknown meta item {kv:?}"))),
-                    }
+                    let slot = kv
+                        .split_once('=')
+                        .and_then(|(k, v)| Some((KEYS.iter().position(|&key| key == k)?, v)));
+                    let Some((i, v)) = slot else {
+                        return Err(invalid(format!("unknown meta item {kv:?}")));
+                    };
+                    vals[i] =
+                        Some(v.parse::<u64>().map_err(|err| {
+                            invalid(format!("bad meta {} {v:?}: {err}", KEYS[i]))
+                        })?);
                 }
+                let [e, at, cc, f1, f3] = vals;
                 let (e, at) = (
                     e.ok_or_else(|| invalid(format!("meta {name:?} missing epoch")))?,
                     at.ok_or_else(|| invalid(format!("meta {name:?} missing analyzed_at")))?,
                 );
-                meta.insert(name, (e, at));
+                let counters = match (cc, f1, f3) {
+                    (Some(cluster_counter), Some(fetches_b1), Some(fetches_b3)) => {
+                        Some(BaselineCounters {
+                            cluster_counter,
+                            fetches_b1,
+                            fetches_b3,
+                        })
+                    }
+                    (None, None, None) => None,
+                    _ => {
+                        return Err(invalid(format!(
+                            "meta {name:?} has only some of the baseline counters"
+                        )))
+                    }
+                };
+                meta.insert(name, (e, at, counters));
             } else {
                 return Err(invalid(format!(
                     "unexpected line before separator: {line:?}"
@@ -285,9 +314,9 @@ impl VersionedCatalog {
             .map_err(|e| invalid(format!("embedded core catalog: {e}")))?;
         let mut entries = BTreeMap::new();
         for (name, stats) in core.iter() {
-            let &(entry_epoch, analyzed_at) = meta
+            let &(entry_epoch, analyzed_at, counters) = meta
                 .get(name)
-                .or(legacy.then_some(&(0, 0)))
+                .or(legacy.then_some(&(0, 0, None)))
                 .ok_or_else(|| invalid(format!("entry {name:?} has no meta line")))?;
             entries.insert(
                 name.to_string(),
@@ -295,7 +324,7 @@ impl VersionedCatalog {
                     stats: stats.clone(),
                     epoch: entry_epoch,
                     analyzed_at,
-                    summary: None,
+                    counters,
                 }),
             );
         }
@@ -480,9 +509,9 @@ impl SharedCatalog {
         &self,
         name: &str,
         stats: IndexStatistics,
-        summary: Option<Arc<TraceSummary>>,
+        counters: Option<BaselineCounters>,
     ) -> io::Result<u64> {
-        self.commit_analyzed(name, stats, summary, unix_now(), None)
+        self.commit_analyzed(name, stats, counters, unix_now(), None)
     }
 
     /// [`commit`](SharedCatalog::commit) with an explicit `analyzed_at`
@@ -495,7 +524,7 @@ impl SharedCatalog {
         &self,
         name: &str,
         stats: IndexStatistics,
-        summary: Option<Arc<TraceSummary>>,
+        counters: Option<BaselineCounters>,
         analyzed_at: u64,
         wal_committed: Option<u64>,
     ) -> io::Result<u64> {
@@ -507,7 +536,7 @@ impl SharedCatalog {
             .field("durable", self.path.is_some());
         let mut next = (*self.snapshot()).clone();
         let epoch = next
-            .insert(name, stats, analyzed_at, summary)
+            .insert(name, stats, analyzed_at, counters)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         if let Some(commit_seq) = wal_committed {
             next.set_wal_committed(commit_seq);
@@ -562,6 +591,103 @@ mod tests {
         assert_eq!(back.get("a.x").unwrap().analyzed_at, 333);
         assert_eq!(back.get("b.y").unwrap().epoch, 2);
         assert_eq!(back.get("a.x").unwrap().stats, c.get("a.x").unwrap().stats);
+    }
+
+    fn counters(seed: u64) -> BaselineCounters {
+        BaselineCounters {
+            cluster_counter: seed,
+            fetches_b1: 1000 + seed,
+            fetches_b3: 900 + seed,
+        }
+    }
+
+    #[test]
+    fn baseline_counters_round_trip_on_the_meta_line() {
+        let mut c = VersionedCatalog::new();
+        c.insert("a.x", stats(1), 111, Some(counters(7))).unwrap();
+        c.insert("b.y", stats(2), 222, None).unwrap();
+        let text = c.to_text();
+        assert!(
+            text.contains(
+                "meta a.x epoch=1 analyzed_at=111 cluster_counter=7 fetches_b1=1007 fetches_b3=907\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("meta b.y epoch=2 analyzed_at=222\n"),
+            "{text}"
+        );
+        let back = VersionedCatalog::from_text(&text).unwrap();
+        assert_eq!(back.get("a.x").unwrap().counters, Some(counters(7)));
+        assert_eq!(back.get("b.y").unwrap().counters, None);
+        assert_eq!(back.to_text(), text);
+
+        // The three counters come together or not at all.
+        let partial = text.replace(" fetches_b3=907", "");
+        let err = VersionedCatalog::from_text(&partial).err().unwrap();
+        assert!(
+            err.to_string().contains("some of the baseline counters"),
+            "{err}"
+        );
+        let bad = text.replace("fetches_b1=1007", "fetches_b1=x");
+        let err = VersionedCatalog::from_text(&bad).err().unwrap();
+        assert!(err.to_string().contains("bad meta fetches_b1"), "{err}");
+    }
+
+    /// A file in the format from before entries carried baseline counters
+    /// opens unchanged: `SHOW`, `ESTIMATE` and `EXPLAIN` answer as before,
+    /// and `COMPARE` asks for a re-`ANALYZE`.
+    #[test]
+    fn a_catalog_without_baseline_counters_serves_and_compare_asks_for_reanalyze() {
+        use crate::{serve, server::scan_query, Client, ClientError, ServerConfig};
+
+        let mut core = Catalog::new();
+        core.insert("old.ix", stats(1)).unwrap();
+        let body = format!(
+            "{HEADER}\nepoch 1\nmeta old.ix epoch=1 analyzed_at=111\n{SEPARATOR}\n{}",
+            core.to_text()
+        );
+        let text = format!("{body}crc32c {:08x}\n", epfis_wal::crc32c(body.as_bytes()));
+        let loaded = VersionedCatalog::from_text_checksummed(&text).unwrap();
+        assert_eq!(loaded.get("old.ix").unwrap().counters, None);
+        // Re-persisting an entry without counters writes the same bytes.
+        assert_eq!(loaded.to_text_checksummed(), text);
+
+        let path = tmp("pre-counters");
+        std::fs::write(&path, &text).unwrap();
+        let server = serve(ServerConfig {
+            catalog_path: Some(path.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        let s = stats(1);
+        assert_eq!(
+            c.request("SHOW").unwrap(),
+            vec![format!(
+                "old.ix epoch=1 analyzed_at=111 T={} N={} I={} C={} segments={}",
+                s.table_pages,
+                s.records,
+                s.distinct_keys,
+                s.clustering_factor,
+                s.fpf.segments()
+            )]
+        );
+        let q = scan_query(0.3, 20, 1.0).unwrap();
+        assert_eq!(
+            c.request("ESTIMATE old.ix 0.3 20").unwrap(),
+            vec![format!("{}", s.estimate(&q))]
+        );
+        assert_eq!(
+            c.request("EXPLAIN ESTIMATE old.ix 0.3 20").unwrap(),
+            loaded.get("old.ix").unwrap().explain("old.ix", &q)
+        );
+        match c.request("COMPARE old.ix") {
+            Err(ClientError::Server(msg)) => assert!(msg.contains("re-ANALYZE"), "{msg}"),
+            other => panic!("COMPARE without counters must fail, got {other:?}"),
+        }
+        server.shutdown_and_join();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
     }
 
     #[test]
@@ -712,7 +838,7 @@ mod tests {
         assert_eq!(snap.epoch(), 2);
         assert_eq!(snap.len(), 2);
         assert_eq!(snap.get("t.k").unwrap().stats, stats(7));
-        assert!(snap.get("t.k").unwrap().summary.is_none());
+        assert!(snap.get("t.k").unwrap().counters.is_none());
     }
 
     #[test]

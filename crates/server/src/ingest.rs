@@ -15,11 +15,11 @@
 //! duplicate check needs a set of seen keys — regardless of how many
 //! references stream in. [`IngestSession::commit`] then performs the
 //! remaining LRU-Fit steps (grid sampling + segment fitting) and returns
-//! both the catalog entry and the [`TraceSummary`] the `COMPARE` command
-//! serves the baseline estimators from.
+//! both the catalog entry and the [`BaselineCounters`] the catalog keeps
+//! beside it, from which `COMPARE` rebuilds the baseline estimators.
 
 use epfis::{EpfisConfig, IndexStatistics, LruFit};
-use epfis_estimators::TraceSummary;
+use epfis_estimators::BaselineCounters;
 use epfis_lrusim::StackAnalyzer;
 
 /// An insert-only open-addressing set of `i64` keys.
@@ -133,16 +133,13 @@ pub struct IngestSession {
     current_key: Option<i64>,
     seen_keys: KeySet,
     // Algorithm DC cluster-counter state, maintained to match what
-    // `TraceSummary::from_trace` computes from a whole trace. The min/max
+    // the estimators crate computes from a whole trace. The min/max
     // reading compares a run's min page against the *previous* run's max,
     // so each boundary is decided when the later run closes.
     cc_minmax: u64,
-    cc_run_order: u64,
     run_min: u32,
     run_max: u32,
-    run_last: u32,
     prev_run_max: u32,
-    prev_run_last: u32,
 }
 
 impl IngestSession {
@@ -164,12 +161,9 @@ impl IngestSession {
             current_key: None,
             seen_keys: KeySet::default(),
             cc_minmax: 0,
-            cc_run_order: 0,
             run_min: 0,
             run_max: 0,
-            run_last: 0,
             prev_run_max: 0,
-            prev_run_last: 0,
         }
     }
 
@@ -199,54 +193,18 @@ impl IngestSession {
     /// order): a key restarting after another key is rejected, as is a page
     /// at or beyond a declared `table_pages`.
     pub fn feed(&mut self, key: i64, page: u32) -> Result<(), String> {
-        if let Some(t) = self.declared_table_pages {
-            if page >= t {
-                return Err(format!("page {page} >= declared table_pages {t}"));
-            }
-        }
-        if self.current_key == Some(key) {
-            self.run_min = self.run_min.min(page);
-            self.run_max = self.run_max.max(page);
-            self.run_last = page;
-        } else {
-            if !self.seen_keys.insert(key) {
-                return Err(format!(
-                    "key {key} appears in two separate runs (references must be in key order)"
-                ));
-            }
-            if self.current_key.is_some() {
-                self.close_run();
-            }
-            self.current_key = Some(key);
-            self.keys += 1;
-            if self.keys > 1 && page >= self.prev_run_last {
-                self.cc_run_order += 1;
-            }
-            self.run_min = page;
-            self.run_max = page;
-            self.run_last = page;
-        }
-        self.analyzer.access(page);
-        self.records += 1;
-        self.max_page = self.max_page.max(page);
-        Ok(())
+        self.feed_batch(&[(key, page)])
     }
 
     /// Validates a whole `(key, page)` batch against the current session
-    /// state *without* mutating it: every check [`IngestSession::feed`]
-    /// would make — pages within a declared `table_pages`, no key restarting
-    /// after another key began (neither against already-fed keys nor within
-    /// the batch itself) — is simulated up front. A batch that passes cannot
-    /// fail when fed, so `PAGE` lines apply atomically: a rejected line
-    /// leaves the session exactly as it was, and the client can correct and
-    /// retry it.
-    pub fn check_batch(&self, pairs: &[(i64, u32)]) -> Result<(), String> {
-        self.check_batch_iter(pairs.iter().copied())
-    }
-
-    /// [`IngestSession::check_batch`] over any `(key, page)` iterator. The
-    /// binary protocol validates `PAGE` frames straight off the wire buffer
-    /// through this — no intermediate `Vec` is ever built.
+    /// state *without* mutating it: pages within a declared `table_pages`,
+    /// no key restarting after another key began (neither against
+    /// already-fed keys nor within the batch itself). A batch that passes
+    /// cannot fail when fed, so `PAGE` lines apply atomically: a rejected
+    /// line leaves the session exactly as it was, and the client can
+    /// correct and retry it. The binary protocol validates `PAGE` frames
+    /// straight off the wire buffer through this — no intermediate `Vec`
+    /// is ever built.
     pub fn check_batch_iter(&self, pairs: impl Iterator<Item = (i64, u32)>) -> Result<(), String> {
         let mut current = self.current_key;
         let mut started_in_batch = KeySet::default();
@@ -270,7 +228,7 @@ impl IngestSession {
     }
 
     /// Feeds a whole batch atomically: validates every pair first
-    /// ([`IngestSession::check_batch`]), then applies them all. On `Err`
+    /// ([`IngestSession::check_batch_iter`]), then applies them all. On `Err`
     /// nothing was applied.
     pub fn feed_batch(&mut self, pairs: &[(i64, u32)]) -> Result<(), String> {
         self.feed_batch_iter(pairs.iter().copied())
@@ -302,30 +260,23 @@ impl IngestSession {
         let mut current = self.current_key;
         let mut run_min = self.run_min;
         let mut run_max = self.run_max;
-        let mut run_last = self.run_last;
         let mut max_page = self.max_page;
         let mut records = self.records;
         for (key, page) in pairs {
             if current != Some(key) {
                 self.run_min = run_min;
                 self.run_max = run_max;
-                self.run_last = run_last;
                 if current.is_some() {
                     self.close_run();
                 }
                 self.seen_keys.insert(key);
                 current = Some(key);
                 self.keys += 1;
-                if self.keys > 1 && page >= self.prev_run_last {
-                    self.cc_run_order += 1;
-                }
                 run_min = page;
                 run_max = page;
-                run_last = page;
             } else {
                 run_min = run_min.min(page);
                 run_max = run_max.max(page);
-                run_last = page;
             }
             self.analyzer.access(page);
             records += 1;
@@ -334,7 +285,6 @@ impl IngestSession {
         self.current_key = current;
         self.run_min = run_min;
         self.run_max = run_max;
-        self.run_last = run_last;
         self.max_page = max_page;
         self.records = records;
     }
@@ -347,7 +297,6 @@ impl IngestSession {
             self.cc_minmax += 1;
         }
         self.prev_run_max = self.run_max;
-        self.prev_run_last = self.run_last;
     }
 
     /// Discards the session, returning its name and how many references are
@@ -376,12 +325,9 @@ impl IngestSession {
             current_key: self.current_key,
             seen_keys,
             cc_minmax: self.cc_minmax,
-            cc_run_order: self.cc_run_order,
             run_min: self.run_min,
             run_max: self.run_max,
-            run_last: self.run_last,
             prev_run_max: self.prev_run_max,
-            prev_run_last: self.prev_run_last,
         }
     }
 
@@ -406,18 +352,15 @@ impl IngestSession {
             current_key: cp.current_key,
             seen_keys,
             cc_minmax: cp.cc_minmax,
-            cc_run_order: cp.cc_run_order,
             run_min: cp.run_min,
             run_max: cp.run_max,
-            run_last: cp.run_last,
             prev_run_max: cp.prev_run_max,
-            prev_run_last: cp.prev_run_last,
         }
     }
 
     /// Completes LRU-Fit: grid-samples the exact fetch curve, fits segments,
-    /// and returns the catalog entry plus the baseline-estimator summary.
-    pub fn commit(mut self) -> Result<(IndexStatistics, TraceSummary), String> {
+    /// and returns the catalog entry plus the baseline estimators' counters.
+    pub fn commit(mut self) -> Result<(IndexStatistics, BaselineCounters), String> {
         if self.records == 0 {
             return Err("session has no references (feed PAGE lines first)".into());
         }
@@ -429,7 +372,6 @@ impl IngestSession {
                 .checked_add(1)
                 .ok_or("max page id overflows table_pages")?,
         };
-        let distinct_pages = self.analyzer.distinct_pages();
         let curve = self.analyzer.finish().fetch_curve();
         let stats = LruFit::new(self.config).collect_from_curve(
             &curve,
@@ -437,16 +379,12 @@ impl IngestSession {
             self.records,
             self.keys,
         );
-        let summary = TraceSummary {
-            table_pages: table_pages as u64,
-            records: self.records,
-            distinct_keys: self.keys,
-            distinct_pages,
-            fetch_curve: curve,
+        let counters = BaselineCounters {
             cluster_counter: self.cc_minmax,
-            cluster_counter_run_order: self.cc_run_order,
+            fetches_b1: curve.fetches(1),
+            fetches_b3: curve.fetches(3),
         };
-        Ok((stats, summary))
+        Ok((stats, counters))
     }
 }
 
@@ -474,23 +412,18 @@ pub struct SessionCheckpoint {
     pub seen_keys: Vec<i64>,
     /// Algorithm DC min/max cluster counter.
     pub cc_minmax: u64,
-    /// Algorithm DC run-order cluster counter.
-    pub cc_run_order: u64,
     /// Open run's min page.
     pub run_min: u32,
     /// Open run's max page.
     pub run_max: u32,
-    /// Open run's most recent page.
-    pub run_last: u32,
     /// Previous run's max page.
     pub prev_run_max: u32,
-    /// Previous run's last page.
-    pub prev_run_last: u32,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epfis_estimators::TraceSummary;
     use epfis_lrusim::KeyedTrace;
 
     /// Feeds a keyed trace through a session, pair by pair.
@@ -515,41 +448,34 @@ mod tests {
     #[test]
     fn streaming_commit_matches_batch_lru_fit_and_summary() {
         let trace = test_trace();
-        let (stats, summary) = stream(&trace, Some(120)).commit().unwrap();
+        let (stats, counters) = stream(&trace, Some(120)).commit().unwrap();
 
         let batch_stats = LruFit::new(EpfisConfig::default()).collect(&trace);
         assert_eq!(stats, batch_stats);
 
         let batch_summary = TraceSummary::from_trace(&trace);
-        assert_eq!(summary.table_pages, batch_summary.table_pages);
-        assert_eq!(summary.records, batch_summary.records);
-        assert_eq!(summary.distinct_keys, batch_summary.distinct_keys);
-        assert_eq!(summary.distinct_pages, batch_summary.distinct_pages);
-        assert_eq!(summary.cluster_counter, batch_summary.cluster_counter);
+        assert_eq!(counters, batch_summary.baseline_counters());
         assert_eq!(
-            summary.cluster_counter_run_order,
-            batch_summary.cluster_counter_run_order
+            (stats.table_pages, stats.records, stats.distinct_keys),
+            (
+                batch_summary.table_pages,
+                batch_summary.records,
+                batch_summary.distinct_keys
+            )
         );
-        for b in [1u64, 5, 30, 120] {
-            assert_eq!(
-                summary.fetch_curve.fetches(b),
-                batch_summary.fetch_curve.fetches(b)
-            );
-        }
+        assert_eq!(stats.distinct_pages, batch_summary.distinct_pages);
     }
 
     #[test]
     fn cluster_counters_match_on_hand_trace() {
         // Same shape as the TraceSummary doc example: runs [0,0],[1],[0,2],[1].
         let trace = KeyedTrace::from_run_lengths(vec![0, 0, 1, 0, 2, 1], &[2, 1, 2, 1], 4);
-        let (_, summary) = stream(&trace, Some(4)).commit().unwrap();
-        let batch = TraceSummary::from_trace(&trace);
-        assert_eq!(summary.cluster_counter, batch.cluster_counter);
+        let (_, counters) = stream(&trace, Some(4)).commit().unwrap();
         assert_eq!(
-            summary.cluster_counter_run_order,
-            batch.cluster_counter_run_order
+            counters,
+            TraceSummary::from_trace(&trace).baseline_counters()
         );
-        assert_eq!(summary.cluster_counter, 1);
+        assert_eq!(counters.cluster_counter, 1);
     }
 
     #[test]
@@ -624,7 +550,7 @@ mod tests {
         let pairs: Vec<(i64, u32)> = (0..trace.num_keys() as usize)
             .flat_map(|k| trace.run_pages(k).iter().map(move |&p| (k as i64, p)))
             .collect();
-        let (clean_stats, clean_summary) = {
+        let (clean_stats, clean_counters) = {
             let mut s = IngestSession::new("ix".into(), EpfisConfig::default(), Some(120));
             s.feed_batch(&pairs).unwrap();
             s.commit().unwrap()
@@ -637,23 +563,9 @@ mod tests {
             drop(s);
             let mut resumed = IngestSession::restore(&cp, EpfisConfig::default());
             resumed.feed_batch(&pairs[cut..]).unwrap();
-            let (stats, summary) = resumed.commit().unwrap();
+            let (stats, counters) = resumed.commit().unwrap();
             assert_eq!(stats, clean_stats, "cut={cut}");
-            assert_eq!(summary.cluster_counter, clean_summary.cluster_counter);
-            assert_eq!(
-                summary.cluster_counter_run_order,
-                clean_summary.cluster_counter_run_order
-            );
-            assert_eq!(summary.records, clean_summary.records);
-            assert_eq!(summary.distinct_keys, clean_summary.distinct_keys);
-            assert_eq!(summary.distinct_pages, clean_summary.distinct_pages);
-            for b in [1u64, 5, 30, 120] {
-                assert_eq!(
-                    summary.fetch_curve.fetches(b),
-                    clean_summary.fetch_curve.fetches(b),
-                    "cut={cut} b={b}"
-                );
-            }
+            assert_eq!(counters, clean_counters, "cut={cut}");
         }
     }
 

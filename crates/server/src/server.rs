@@ -34,9 +34,7 @@ use crate::protocol::{frame_busy, Request};
 use crate::slowlog::SlowLog;
 use crate::wal::{ServerWal, WalConfig};
 use epfis::{EpfisConfig, ScanQuery};
-use epfis_estimators::{
-    DcEstimator, MlEstimator, OtEstimator, PageFetchEstimator, ScanParams, SdEstimator,
-};
+use epfis_estimators::{baseline_estimators, ScanParams};
 use epfis_faults::StdVfs;
 use epfis_obs::http::{HttpServer, Response};
 use epfis_obs::{Histogram, Level, Logger, Registry};
@@ -906,33 +904,25 @@ pub(crate) fn execute(
         }
         Request::Compare { name, points } => {
             let (entry, buffers) = sample_buffers(shared, name, points)?;
-            let summary = entry.summary.as_ref().ok_or_else(|| {
+            let s = &entry.stats;
+            let counters = entry.counters.ok_or_else(|| {
                 format!(
-                    "no trace summary for {name:?}: COMPARE needs an entry analyzed by this \
-                     server process (entries reloaded from disk keep only their segments)"
+                    "no baseline counters for {name:?}: the entry was written before the \
+                     catalog kept them (re-ANALYZE it to COMPARE)"
                 )
             })?;
-            let s = &entry.stats;
-            let estimators: Vec<Box<dyn PageFetchEstimator>> = vec![
-                Box::new(MlEstimator::from_summary(summary)),
-                Box::new(DcEstimator::from_summary(summary)),
-                Box::new(SdEstimator::from_summary(summary)),
-                Box::new(OtEstimator::from_summary(summary)),
-            ];
+            let estimators =
+                baseline_estimators(s.table_pages, s.records, s.distinct_keys, counters);
             let mut lines = Vec::with_capacity(points + 1);
-            let mut header = "B exact EPFIS".to_string();
+            let mut header = "B EPFIS".to_string();
             for e in &estimators {
                 header.push(' ');
                 header.push_str(e.name());
             }
             lines.push(header);
             for b in buffers {
-                let mut row = format!(
-                    "{b} {} {}",
-                    summary.fetch_curve.fetches(b),
-                    s.estimate(&ScanQuery::full(b))
-                );
-                let params = ScanParams::range(1.0, b).with_distinct_keys(summary.distinct_keys);
+                let mut row = format!("{b} {}", s.estimate(&ScanQuery::full(b)));
+                let params = ScanParams::range(1.0, b).with_distinct_keys(s.distinct_keys);
                 for e in &estimators {
                     row.push(' ');
                     row.push_str(&format!("{}", e.estimate(&params)));
@@ -1001,7 +991,7 @@ pub(crate) fn execute(
                 .field("keys", open.inner.keys());
             let name = open.inner.name().to_string();
             let wal_id = open.wal_id;
-            let (stats, summary) = match open.inner.commit() {
+            let (stats, counters) = match open.inner.commit() {
                 Ok(v) => v,
                 Err(e) => {
                     // The session is consumed either way; record the abort
@@ -1019,7 +1009,7 @@ pub(crate) fn execute(
                 stats.distinct_keys,
                 stats.clustering_factor,
             );
-            let summary = Some(Arc::new(summary));
+            let counters = Some(counters);
             let committed = match &shared.wal {
                 Some(wal) => {
                     // The COMMIT record (with its commit sequence and this
@@ -1038,7 +1028,7 @@ pub(crate) fn execute(
                             shared.catalog.commit_analyzed(
                                 &name,
                                 stats,
-                                summary,
+                                counters,
                                 analyzed_at,
                                 Some(commit_seq),
                             )
@@ -1046,7 +1036,7 @@ pub(crate) fn execute(
                     })
                     .inspect_err(|_| shared.note_wal_failure())
                 }
-                None => shared.catalog.commit(&name, stats, summary),
+                None => shared.catalog.commit(&name, stats, counters),
             };
             // A failed catalog save degrades the server, so no later ingest
             // can be acknowledged against broken storage.

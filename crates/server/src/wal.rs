@@ -328,13 +328,16 @@ pub fn encode_checkpoint(out: &mut Vec<u8>, session_id: u64, cp: &SessionCheckpo
         put_varint(out, zigzag(k.wrapping_sub(prev_key)));
         prev_key = k;
     }
+    // The zero slots once held the run-order cluster counter, the open
+    // run's last page and the previous run's last page. They stay in the
+    // layout so a log written by an older build still decodes.
     put_u64(out, cp.cc_minmax);
-    put_u64(out, cp.cc_run_order);
+    put_u64(out, 0);
     put_u32(out, cp.run_min);
     put_u32(out, cp.run_max);
-    put_u32(out, cp.run_last);
+    put_u32(out, 0);
     put_u32(out, cp.prev_run_max);
-    put_u32(out, cp.prev_run_last);
+    put_u32(out, 0);
     put_u64(out, cp.analyzer.pages_by_recency.len() as u64);
     for &p in &cp.analyzer.pages_by_recency {
         put_varint(out, u64::from(p));
@@ -440,13 +443,14 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord, String> {
                 seen_keys.push(k);
                 prev_key = k;
             }
+            // Unused slots (see `encode_checkpoint`) are read and dropped.
             let cc_minmax = cur.u64()?;
-            let cc_run_order = cur.u64()?;
+            cur.u64()?;
             let run_min = cur.u32()?;
             let run_max = cur.u32()?;
-            let run_last = cur.u32()?;
+            cur.u32()?;
             let prev_run_max = cur.u32()?;
-            let prev_run_last = cur.u32()?;
+            cur.u32()?;
             let n_pages = decode_len(&mut cur, "pages_by_recency", u64::MAX >> 4)?;
             let mut pages_by_recency = Vec::with_capacity(n_pages.min(1 << 20));
             for _ in 0..n_pages {
@@ -478,12 +482,9 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord, String> {
                     current_key: has_current.then_some(current_raw),
                     seen_keys,
                     cc_minmax,
-                    cc_run_order,
                     run_min,
                     run_max,
-                    run_last,
                     prev_run_max,
-                    prev_run_last,
                 },
             }
         }
@@ -714,11 +715,11 @@ impl ServerWal {
                         continue;
                     };
                     match rec.session.commit() {
-                        Ok((stats, summary)) => {
+                        Ok((stats, counters)) => {
                             catalog.commit_analyzed(
                                 &rec.name,
                                 stats,
-                                Some(std::sync::Arc::new(summary)),
+                                Some(counters),
                                 analyzed_at,
                                 Some(commit_seq),
                             )?;
@@ -1134,15 +1135,9 @@ mod tests {
                 .unwrap();
             let mut session = IngestSession::new("ix.a".into(), base, Some(100));
             session.feed_batch(&pairs).unwrap();
-            let (stats, summary) = session.commit().unwrap();
+            let (stats, counters) = session.commit().unwrap();
             wal.commit_session(sid, 1_234_567, |seq| {
-                catalog.commit_analyzed(
-                    "ix.a",
-                    stats,
-                    Some(Arc::new(summary)),
-                    1_234_567,
-                    Some(seq),
-                )
+                catalog.commit_analyzed("ix.a", stats, Some(counters), 1_234_567, Some(seq))
             })
             .unwrap();
             std::fs::read(&cat_path).unwrap()
@@ -1207,10 +1202,10 @@ mod tests {
         wal.append_page(sid, half_b.len(), half_b.iter().copied())
             .unwrap();
         resumed.feed_batch(half_b).unwrap();
-        let (stats, summary) = resumed.commit().unwrap();
+        let (stats, counters) = resumed.commit().unwrap();
         assert_eq!(stats, expected);
         wal.commit_session(sid, 99, |seq| {
-            catalog.commit_analyzed("ix.r", stats, Some(Arc::new(summary)), 99, Some(seq))
+            catalog.commit_analyzed("ix.r", stats, Some(counters), 99, Some(seq))
         })
         .unwrap();
         assert_eq!(catalog.snapshot().epoch(), 1);
@@ -1302,9 +1297,9 @@ mod tests {
                     .unwrap();
                 session.feed_batch(half).unwrap();
             }
-            let (stats, summary) = session.commit().unwrap();
+            let (stats, counters) = session.commit().unwrap();
             wal.commit_session(sid, 42, |seq| {
-                catalog.commit_analyzed("ix.done", stats, Some(Arc::new(summary)), 42, Some(seq))
+                catalog.commit_analyzed("ix.done", stats, Some(counters), 42, Some(seq))
             })
             .unwrap();
 
@@ -1330,6 +1325,101 @@ mod tests {
         assert_eq!(std::fs::read(&cat_path).unwrap(), committed);
         // Ids and sequence numbers keep counting past the skipped sessions.
         assert_eq!(wal.begin("ix.next", None, None).unwrap(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `CHECKPOINT` body in the layout the run-order cluster counter and
+    /// the two last-page slots were written with, those three slots holding
+    /// `legacy` instead of zeros.
+    fn legacy_checkpoint_body(
+        session_id: u64,
+        cp: &SessionCheckpoint,
+        legacy: [u64; 3],
+    ) -> Vec<u8> {
+        let mut out = vec![TAG_CHECKPOINT];
+        put_u64(&mut out, session_id);
+        put_u16(&mut out, cp.name.len() as u16);
+        out.extend_from_slice(cp.name.as_bytes());
+        put_u32(&mut out, cp.declared_table_pages.unwrap_or(0));
+        put_u64(&mut out, cp.records);
+        put_u64(&mut out, cp.keys);
+        put_u32(&mut out, cp.max_page);
+        out.push(u8::from(cp.current_key.is_some()));
+        put_i64(&mut out, cp.current_key.unwrap_or(0));
+        put_u64(&mut out, cp.seen_keys.len() as u64);
+        let mut prev_key = 0i64;
+        for &k in &cp.seen_keys {
+            put_varint(&mut out, zigzag(k.wrapping_sub(prev_key)));
+            prev_key = k;
+        }
+        put_u64(&mut out, cp.cc_minmax);
+        put_u64(&mut out, legacy[0]); // run-order cluster counter
+        put_u32(&mut out, cp.run_min);
+        put_u32(&mut out, cp.run_max);
+        put_u32(&mut out, legacy[1] as u32); // open run's last page
+        put_u32(&mut out, cp.prev_run_max);
+        put_u32(&mut out, legacy[2] as u32); // previous run's last page
+        put_u64(&mut out, cp.analyzer.pages_by_recency.len() as u64);
+        for &p in &cp.analyzer.pages_by_recency {
+            put_varint(&mut out, u64::from(p));
+        }
+        put_u64(&mut out, cp.analyzer.counts.len() as u64);
+        for &c in &cp.analyzer.counts {
+            put_varint(&mut out, c);
+        }
+        put_u64(&mut out, cp.analyzer.refs);
+        put_u64(&mut out, cp.analyzer.compactions);
+        out
+    }
+
+    /// A log an older build wrote mid-session, its checkpoint carrying
+    /// non-zero values in the slots this build no longer reads, replays and
+    /// commits the statistics and counters of an uninterrupted session.
+    #[test]
+    fn legacy_checkpoint_slots_are_ignored_on_replay() {
+        let dir = temp_dir("legacy-checkpoint");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = EpfisConfig::default();
+        let pairs: Vec<(i64, u32)> = (0..3000i64)
+            .map(|i| (i / 3, ((i * 2654435761) % 400) as u32))
+            .collect();
+        let (head, tail) = pairs.split_at(1600);
+        let expected = {
+            let mut s = IngestSession::new("ix.old".into(), base, Some(400));
+            s.feed_batch(&pairs).unwrap();
+            s.commit().unwrap()
+        };
+
+        let mut live = IngestSession::new("ix.old".into(), base, Some(400));
+        live.feed_batch(head).unwrap();
+        let cp = live.checkpoint();
+        let mut body = Vec::new();
+        encode_checkpoint(&mut body, 1, &cp);
+        assert_eq!(
+            body,
+            legacy_checkpoint_body(1, &cp, [0; 3]),
+            "layout changed"
+        );
+        let legacy = legacy_checkpoint_body(1, &cp, [123_456, 77, 399]);
+        assert_ne!(legacy, body);
+        {
+            let (mut wal, _) = Wal::open(WalOptions::new(dir.join("wal"))).unwrap();
+            encode_begin(&mut body, 1, "ix.old", None, Some(400));
+            wal.append(&body).unwrap();
+            encode_page(&mut body, 1, head.len(), head.iter().copied());
+            wal.append(&body).unwrap();
+            wal.append(&legacy).unwrap();
+            encode_page(&mut body, 1, tail.len(), tail.iter().copied());
+            wal.append(&body).unwrap();
+            wal.sync().unwrap();
+        }
+
+        let catalog = Arc::new(SharedCatalog::open(dir.join("catalog.scat")).unwrap());
+        let wal_cfg = WalConfig::new(dir.join("wal"));
+        let wal = ServerWal::open(&wal_cfg, &catalog, base, &Logger::disabled()).unwrap();
+        let (resumed, _) = wal.take_parked("ix.old").unwrap();
+        assert_eq!(resumed.records(), pairs.len() as u64);
+        assert_eq!(resumed.commit().unwrap(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

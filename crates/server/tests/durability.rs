@@ -10,7 +10,6 @@
 //! pre-session catalog.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use epfis::EpfisConfig;
 use epfis_lrusim::AnalyzerSnapshot;
@@ -70,7 +69,7 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
         }
         let (stats, summary) = base.commit().unwrap();
         catalog
-            .commit_analyzed("base", stats, Some(Arc::new(summary)), 100, None)
+            .commit_analyzed("base", stats, Some(summary), 100, None)
             .unwrap();
     }
     let pre_bytes = std::fs::read(&cat_path).unwrap();
@@ -100,7 +99,7 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
     shadow.feed_batch(rest).unwrap();
     let (stats, summary) = shadow.commit().unwrap();
     wal.commit_session(sid, 777, |seq| {
-        catalog.commit_analyzed("ix.crash", stats, Some(Arc::new(summary)), 777, Some(seq))
+        catalog.commit_analyzed("ix.crash", stats, Some(summary), 777, Some(seq))
     })
     .unwrap();
     let post_bytes = std::fs::read(&cat_path).unwrap();
@@ -285,12 +284,9 @@ proptest! {
         current_key in any::<i64>(),
         seen_keys in prop::collection::vec(any::<i64>(), 0..64),
         cc_minmax in any::<u64>(),
-        cc_run_order in any::<u64>(),
         run_min in any::<u32>(),
         run_max in any::<u32>(),
-        run_last in any::<u32>(),
         prev_run_max in any::<u32>(),
-        prev_run_last in any::<u32>(),
     ) {
         const NAMES: &[&str] = &["ix", "orders.pk", "a.very.long.index.name", "x_1"];
         let cp = SessionCheckpoint {
@@ -303,12 +299,9 @@ proptest! {
             current_key: has_current.then_some(current_key),
             seen_keys,
             cc_minmax,
-            cc_run_order,
             run_min,
             run_max,
-            run_last,
             prev_run_max,
-            prev_run_last,
         };
         let mut buf = Vec::new();
         encode_checkpoint(&mut buf, session_id, &cp);

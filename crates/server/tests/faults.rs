@@ -63,7 +63,7 @@ fn seed_catalog(path: &Path) -> Vec<u8> {
     }
     let (stats, summary) = s.commit().unwrap();
     catalog
-        .commit_analyzed("base", stats, Some(Arc::new(summary)), 100, None)
+        .commit_analyzed("base", stats, Some(summary), 100, None)
         .unwrap();
     std::fs::read(path).unwrap()
 }
@@ -593,7 +593,7 @@ mod random_schedules {
             for (i, name) in names.iter().enumerate() {
                 let (stats, summary) = analyzed(name, i as u32).commit().unwrap();
                 if catalog
-                    .commit_analyzed(name, stats, Some(Arc::new(summary)), 100 + i as u64, None)
+                    .commit_analyzed(name, stats, Some(summary), 100 + i as u64, None)
                     .is_ok()
                 {
                     acked.push(name);
@@ -619,7 +619,7 @@ mod random_schedules {
             catalog.probe_persist().unwrap();
             let (stats, summary) = analyzed("final", 9).commit().unwrap();
             catalog
-                .commit_analyzed("final", stats, Some(Arc::new(summary)), 200, None)
+                .commit_analyzed("final", stats, Some(summary), 200, None)
                 .unwrap();
             let on_disk = catalog_entries(&cat_path, "prop-final");
             prop_assert!(on_disk.iter().any(|e| e == "final"));
