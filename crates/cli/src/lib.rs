@@ -30,7 +30,7 @@ use epfis::optimizer::{AccessPathSelector, IndexCandidate, QuerySpec};
 use epfis::{EpfisConfig, IndexStatistics, LruFit, ScanQuery};
 use epfis_datagen::{gwl, Dataset, DatasetSpec};
 use epfis_estimators::{baseline_estimators, BaselineCounters, ScanParams, TraceSummary};
-use epfis_server::{SharedCatalog, VersionedEntry};
+use epfis_server::{server::sample_buffers, SharedCatalog, VersionedEntry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -508,7 +508,8 @@ fn show(cmd: &Command) -> Result<String, CliError> {
 fn fpf(cmd: &Command) -> Result<String, CliError> {
     let (name, entry) = load_entry(cmd)?;
     let stats = &entry.stats;
-    let points: usize = cmd.get_or("points", 12)?;
+    let buffers =
+        sample_buffers(stats.b_min, stats.b_max, cmd.get_or("points", 12)?).map_err(err)?;
     let mut out = format!(
         "FPF curve for {name} (stored knots: {:?})\n{:>10} {:>12} {:>8}\n",
         stats
@@ -522,9 +523,7 @@ fn fpf(cmd: &Command) -> Result<String, CliError> {
         "F/T"
     );
     let t = stats.table_pages as f64;
-    for i in 0..points {
-        let b = stats.b_min
-            + ((stats.b_max - stats.b_min) as f64 * i as f64 / (points - 1).max(1) as f64) as u64;
+    for b in buffers {
         let f = stats.full_scan_fetches(b);
         out.push_str(&format!("{:>10} {:>12.0} {:>8.2}\n", b, f, f / t));
     }
@@ -653,9 +652,7 @@ fn compare(cmd: &Command) -> Result<String, CliError> {
         out.push_str(&format!(" {:>10}", e.name()));
     }
     out.push('\n');
-    let (b_min, b_max) = (stats.b_min, stats.b_max);
-    for i in 0..points {
-        let b = b_min + ((b_max - b_min) as f64 * i as f64 / (points - 1).max(1) as f64) as u64;
+    for b in sample_buffers(stats.b_min, stats.b_max, points).map_err(err)? {
         let exact = summary.fetch_curve.fetches(b);
         out.push_str(&format!(
             "{:>10} {:>10} {:>10.0}",
@@ -1015,6 +1012,50 @@ mod tests {
         let out = run(&cmd(&format!("fpf --catalog {path} --name ix --points 5"))).unwrap();
         assert!(out.contains("FPF curve for ix"));
         assert_eq!(out.lines().count(), 2 + 5);
+    }
+
+    /// `fpf` and `compare` print each sampled buffer size once, and check
+    /// `--points` as the served `FPF`/`COMPARE` do.
+    #[test]
+    fn fpf_and_compare_sample_distinct_buffer_sizes() {
+        let path = temp_catalog("fpf-tiny");
+        run(&cmd(&format!(
+            "analyze --catalog {path} --name ix --records 160 --distinct 40 --per-page 20 --k 1.0"
+        )))
+        .unwrap();
+        let out = run(&cmd(&format!("fpf --catalog {path} --name ix --points 4"))).unwrap();
+        assert_eq!(out.lines().count(), 2 + 1, "{out}");
+        for points in [0, 10_001] {
+            let e = run(&cmd(&format!(
+                "fpf --catalog {path} --name ix --points {points}"
+            )))
+            .unwrap_err();
+            assert!(
+                e.to_string().contains("points must be in [1, 10000]"),
+                "{e}"
+            );
+        }
+
+        let dir = std::env::temp_dir().join("epfis-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_path = dir.join("compare-tiny.trace");
+        let text: String = (0..64u32)
+            .map(|i| format!("{} {}\n", i / 4, i.wrapping_mul(7919) % 8))
+            .collect();
+        std::fs::write(&trace_path, text).unwrap();
+        let compare = |points: u32| {
+            run(&cmd(&format!(
+                "compare --trace {} --points {points}",
+                trace_path.display()
+            )))
+        };
+        let out = compare(4).unwrap();
+        assert_eq!(out.lines().count(), 2 + 1, "{out}");
+        let e = compare(0).unwrap_err();
+        assert!(
+            e.to_string().contains("points must be in [1, 10000]"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn has_line(output: &str, line: &str) -> bool {
 
 /// The families an operator's dashboards depend on; each must be on
 /// `/metrics` from the first scrape.
-const REQUIRED_FAMILIES: [&str; 17] = [
+const REQUIRED_FAMILIES: [&str; 16] = [
     "epfis_server_requests_total",
     "epfis_server_request_errors_total",
     "epfis_server_request_duration_us_bucket",
@@ -93,7 +93,6 @@ const REQUIRED_FAMILIES: [&str; 17] = [
     "epfis_server_bytes_out_total",
     "epfis_server_catalog_epoch",
     "epfis_server_catalog_entries",
-    "epfis_bufferpool_requests_total",
     "epfis_analyzer_refs_total",
     "epfis_analyzer_active_sessions",
 ];

@@ -18,7 +18,7 @@
 //!   exact `le` bounds, `_sum`, `_count`) and, from the same walk, the
 //!   `series value` sample lines the server's `STATS` command serves
 //!   ([`series_value`] reads either back). Library subsystems that cannot
-//!   know who is serving them (buffer pool, stack analyzer) publish into
+//!   know who is serving them (stack analyzer, WAL) publish into
 //!   [`registry::Registry::global`] via [`wellknown`].
 //!
 //! * **Exposition** ([`http`]): a minimal GET-only HTTP/1.1 server that

@@ -110,7 +110,7 @@ impl Registry {
     }
 
     /// The process-global registry, for instruments that belong to shared
-    /// subsystems (buffer pool, stack analyzer) rather than one server
+    /// subsystems (stack analyzer, WAL) rather than one server
     /// instance. See [`crate::wellknown`].
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();

@@ -1,9 +1,8 @@
 //! Well-known instrument families for shared subsystems.
 //!
-//! The buffer pool (`epfis-storage`) and the stack analyzer feeding
-//! ingest sessions are library code: they have no idea whether a server,
-//! a bench binary, or a test is driving them, and must not depend on
-//! `epfis-server`. They therefore publish into process-global instruments
+//! The stack analyzer feeding ingest sessions and the write-ahead log are
+//! library code: they have no idea whether a server, a bench binary, or a
+//! test is driving them, and must not depend on `epfis-server`. They therefore publish into process-global instruments
 //! registered here in [`Registry::global`]; anything that serves
 //! `/metrics` renders the global registry alongside its own.
 //!
@@ -14,56 +13,6 @@ use std::sync::{Arc, OnceLock};
 
 use crate::metrics::{Counter, Gauge};
 use crate::registry::Registry;
-
-/// Buffer-pool counters: requests, hits, misses, evictions by kind.
-pub struct BufferPoolMetrics {
-    /// Page requests (`epfis_bufferpool_requests_total`).
-    pub requests: Arc<Counter>,
-    /// Requests satisfied from a resident frame (`epfis_bufferpool_hits_total`).
-    pub hits: Arc<Counter>,
-    /// Requests that had to fetch (`epfis_bufferpool_misses_total`).
-    pub misses: Arc<Counter>,
-    /// Clean-frame evictions (`epfis_bufferpool_evictions_total{kind="clean"}`).
-    pub evictions_clean: Arc<Counter>,
-    /// Dirty-frame evictions, which imply a write-back
-    /// (`epfis_bufferpool_evictions_total{kind="dirty"}`).
-    pub evictions_dirty: Arc<Counter>,
-}
-
-/// The process-global buffer-pool instruments.
-pub fn bufferpool() -> &'static BufferPoolMetrics {
-    static METRICS: OnceLock<BufferPoolMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = Registry::global();
-        BufferPoolMetrics {
-            requests: r.counter(
-                "epfis_bufferpool_requests_total",
-                "Buffer-pool page requests across all pools in the process",
-                &[],
-            ),
-            hits: r.counter(
-                "epfis_bufferpool_hits_total",
-                "Buffer-pool requests satisfied without a fetch",
-                &[],
-            ),
-            misses: r.counter(
-                "epfis_bufferpool_misses_total",
-                "Buffer-pool requests that fetched from the backing device",
-                &[],
-            ),
-            evictions_clean: r.counter(
-                "epfis_bufferpool_evictions_total",
-                "Buffer-pool frame evictions by kind",
-                &[("kind", "clean")],
-            ),
-            evictions_dirty: r.counter(
-                "epfis_bufferpool_evictions_total",
-                "Buffer-pool frame evictions by kind",
-                &[("kind", "dirty")],
-            ),
-        }
-    })
-}
 
 /// Stack-analyzer / ingest instruments.
 pub struct AnalyzerMetrics {
@@ -196,23 +145,17 @@ mod tests {
 
     #[test]
     fn wellknown_families_register_once_and_render() {
-        let a = bufferpool();
-        let b = bufferpool();
-        a.requests.inc();
-        b.requests.inc();
-        assert!(a.requests.get() >= 2);
-        analyzer().refs.add(10);
+        let a = analyzer();
+        let b = analyzer();
+        a.refs.add(10);
+        b.refs.add(10);
+        assert!(a.refs.get() >= 20);
         analyzer().active_sessions.add(1);
         analyzer().active_sessions.sub(1);
         wal().appends.inc();
         wal().replay_duration_us.set(42);
         let text = Registry::global().render_prometheus();
         for family in [
-            "epfis_bufferpool_requests_total",
-            "epfis_bufferpool_hits_total",
-            "epfis_bufferpool_misses_total",
-            "epfis_bufferpool_evictions_total{kind=\"clean\"}",
-            "epfis_bufferpool_evictions_total{kind=\"dirty\"}",
             "epfis_analyzer_refs_total",
             "epfis_analyzer_compactions_total",
             "epfis_analyzer_sessions_total",

@@ -14,7 +14,7 @@
 //! ```text
 //! epfis-server-catalog v1
 //! epoch 7
-//! meta orders.customer_id epoch=7 analyzed_at=1754400000 cluster_counter=812 fetches_b1=40211 fetches_b3=38007
+//! meta orders.customer_id epoch=7 analyzed_at=1754400000 cluster_counter=812 fetches_b1=40211 fetches_b3=38007 session=42
 //! ---
 //! epfis-catalog v1
 //! index orders.customer_id
@@ -28,6 +28,10 @@
 //! baseline estimators; a `meta` line written before they existed loads
 //! with none, and `COMPARE` then asks for a re-`ANALYZE`. A bare core body
 //! (older `epfis analyze` files) loads at epoch 0, also without counters.
+//!
+//! `session=S` names the WAL session that committed the entry: with
+//! `--wal-dir` the catalog write is the commit point (see [`crate::wal`]).
+//! An older build's `wal_committed N` line is accepted and dropped.
 //!
 //! Writes go through [`epfis_faults::write_atomic`] (write temp + fsync +
 //! rename + directory sync) and loads through the same injectable [`Vfs`],
@@ -71,14 +75,22 @@ pub struct VersionedEntry {
     /// The counters `COMPARE` builds the baseline estimators from; `None`
     /// for an entry written before catalogs kept them.
     pub counters: Option<BaselineCounters>,
+    /// The WAL `ANALYZE` session this entry was committed from; `None`
+    /// without a WAL.
+    pub session: Option<u64>,
 }
 
 impl VersionedEntry {
     /// The `EXPLAIN ESTIMATE` lines for this entry as `name`: the estimate
-    /// exactly as `ESTIMATE` serves it, the entry identity, the trace.
+    /// exactly as `ESTIMATE` serves it, the entry identity (with the
+    /// session that produced it, when known), the trace.
     pub fn explain(&self, name: &str, query: &ScanQuery) -> Vec<String> {
         let mut lines = self.stats.estimate_traced(query).wire_lines();
-        lines.insert(1, format!("entry {name} epoch={}", self.epoch));
+        let mut entry = format!("entry {name} epoch={}", self.epoch);
+        if let Some(session) = self.session {
+            entry.push_str(&format!(" session={session}"));
+        }
+        lines.insert(1, entry);
         lines
     }
 }
@@ -93,13 +105,6 @@ impl VersionedEntry {
 #[derive(Clone, Default)]
 pub struct VersionedCatalog {
     epoch: u64,
-    /// Highest WAL commit sequence (a `COMMIT` record's `commit_seq`) this
-    /// catalog version includes. WAL replay skips COMMIT records at or
-    /// below this watermark, making "append commit record, then persist
-    /// catalog" exactly-once: a crash between the two replays the commit; a
-    /// crash after finds it already absorbed. Zero (the default, and omitted from the text form) means
-    /// no WAL commit has ever landed.
-    wal_committed: u64,
     entries: BTreeMap<String, Arc<VersionedEntry>>,
 }
 
@@ -112,16 +117,6 @@ impl VersionedCatalog {
     /// The global epoch: the number of commits this catalog has seen.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Highest WAL commit sequence reflected here (0 if none).
-    pub fn wal_committed(&self) -> u64 {
-        self.wal_committed
-    }
-
-    /// Advances the WAL-commit watermark (it never moves backwards).
-    pub fn set_wal_committed(&mut self, commit_seq: u64) {
-        self.wal_committed = self.wal_committed.max(commit_seq);
     }
 
     /// Number of entries.
@@ -167,7 +162,19 @@ impl VersionedCatalog {
         analyzed_at: u64,
         counters: Option<BaselineCounters>,
     ) -> Result<u64, CatalogError> {
-        let name = name.into();
+        self.insert_from(name.into(), stats, analyzed_at, counters, None)
+    }
+
+    /// [`insert`](VersionedCatalog::insert), recording the WAL session the
+    /// entry was committed from.
+    fn insert_from(
+        &mut self,
+        name: String,
+        stats: IndexStatistics,
+        analyzed_at: u64,
+        counters: Option<BaselineCounters>,
+        session: Option<u64>,
+    ) -> Result<u64, CatalogError> {
         // The core codec's rule, so anything accepted here persists.
         check_name(&name)?;
         self.epoch += 1;
@@ -178,9 +185,20 @@ impl VersionedCatalog {
                 epoch: self.epoch,
                 analyzed_at,
                 counters,
+                session,
             }),
         );
         Ok(self.epoch)
+    }
+
+    /// The highest WAL session id any entry records (0 if none): the floor
+    /// for the next session id, so a provenance id is never reused.
+    pub(crate) fn max_session(&self) -> u64 {
+        self.entries
+            .values()
+            .filter_map(|e| e.session)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Serializes to the server text format.
@@ -189,9 +207,6 @@ impl VersionedCatalog {
         out.push_str(HEADER);
         out.push('\n');
         out.push_str(&format!("epoch {}\n", self.epoch));
-        if self.wal_committed != 0 {
-            out.push_str(&format!("wal_committed {}\n", self.wal_committed));
-        }
         for (name, e) in &self.entries {
             out.push_str(&format!(
                 "meta {name} epoch={} analyzed_at={}",
@@ -202,6 +217,9 @@ impl VersionedCatalog {
                     " cluster_counter={} fetches_b1={} fetches_b3={}",
                     c.cluster_counter, c.fetches_b1, c.fetches_b3
                 ));
+            }
+            if let Some(session) = e.session {
+                out.push_str(&format!(" session={session}"));
             }
             out.push('\n');
         }
@@ -228,8 +246,8 @@ impl VersionedCatalog {
             }
         };
         let mut epoch: Option<u64> = legacy.then_some(0);
-        let mut wal_committed = 0u64;
-        let mut meta: BTreeMap<String, (u64, u64, Option<BaselineCounters>)> = BTreeMap::new();
+        let mut meta: BTreeMap<String, (u64, u64, Option<BaselineCounters>, Option<u64>)> =
+            BTreeMap::new();
         // A legacy body has no metadata section: the whole text is the core
         // catalog, so the line this skips for it is never read again.
         for raw in lines.by_ref().take_while(|_| !legacy) {
@@ -246,25 +264,24 @@ impl VersionedCatalog {
                         .parse()
                         .map_err(|e| invalid(format!("bad epoch {v:?}: {e}")))?,
                 );
-            } else if let Some(v) = line.strip_prefix("wal_committed ") {
-                wal_committed = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| invalid(format!("bad wal_committed {v:?}: {e}")))?;
+            } else if line.starts_with("wal_committed ") {
+                // An older build's WAL-commit watermark: replay no longer
+                // reads it, so it is dropped on the next persist.
             } else if let Some(rest) = line.strip_prefix("meta ") {
                 let mut toks = rest.split_whitespace();
                 let name = toks
                     .next()
                     .ok_or_else(|| invalid("meta line without a name".into()))?
                     .to_string();
-                const KEYS: [&str; 5] = [
+                const KEYS: [&str; 6] = [
                     "epoch",
                     "analyzed_at",
                     "cluster_counter",
                     "fetches_b1",
                     "fetches_b3",
+                    "session",
                 ];
-                let mut vals = [None; 5];
+                let mut vals = [None; 6];
                 for kv in toks {
                     let slot = kv
                         .split_once('=')
@@ -277,7 +294,7 @@ impl VersionedCatalog {
                             invalid(format!("bad meta {} {v:?}: {err}", KEYS[i]))
                         })?);
                 }
-                let [e, at, cc, f1, f3] = vals;
+                let [e, at, cc, f1, f3, session] = vals;
                 let (e, at) = (
                     e.ok_or_else(|| invalid(format!("meta {name:?} missing epoch")))?,
                     at.ok_or_else(|| invalid(format!("meta {name:?} missing analyzed_at")))?,
@@ -297,7 +314,7 @@ impl VersionedCatalog {
                         )))
                     }
                 };
-                meta.insert(name, (e, at, counters));
+                meta.insert(name, (e, at, counters, session));
             } else {
                 return Err(invalid(format!(
                     "unexpected line before separator: {line:?}"
@@ -314,9 +331,9 @@ impl VersionedCatalog {
             .map_err(|e| invalid(format!("embedded core catalog: {e}")))?;
         let mut entries = BTreeMap::new();
         for (name, stats) in core.iter() {
-            let &(entry_epoch, analyzed_at, counters) = meta
+            let &(entry_epoch, analyzed_at, counters, session) = meta
                 .get(name)
-                .or(legacy.then_some(&(0, 0, None)))
+                .or(legacy.then_some(&(0, 0, None, None)))
                 .ok_or_else(|| invalid(format!("entry {name:?} has no meta line")))?;
             entries.insert(
                 name.to_string(),
@@ -325,17 +342,14 @@ impl VersionedCatalog {
                     epoch: entry_epoch,
                     analyzed_at,
                     counters,
+                    session,
                 }),
             );
         }
         if let Some(orphan) = meta.keys().find(|n| !entries.contains_key(*n)) {
             return Err(invalid(format!("meta for unknown entry {orphan:?}")));
         }
-        Ok(VersionedCatalog {
-            epoch,
-            wal_committed,
-            entries,
-        })
+        Ok(VersionedCatalog { epoch, entries })
     }
 
     /// [`to_text`](VersionedCatalog::to_text) plus a trailing CRC32C footer
@@ -515,18 +529,17 @@ impl SharedCatalog {
     }
 
     /// [`commit`](SharedCatalog::commit) with an explicit `analyzed_at`
-    /// timestamp and, optionally, a WAL commit sequence to fold into the
-    /// [`wal_committed`](VersionedCatalog::wal_committed) watermark. WAL
-    /// replay commits through this so a recovered catalog is byte-identical
-    /// to the one an uninterrupted run would have written: the timestamp
-    /// comes from the COMMIT record, not the replay clock.
+    /// timestamp and, optionally, the WAL session the entry comes from. With
+    /// a WAL this write is the session's commit point: once the file is
+    /// renamed, replay finds `session=S` on the entry and counts the
+    /// session as ended.
     pub fn commit_analyzed(
         &self,
         name: &str,
         stats: IndexStatistics,
         counters: Option<BaselineCounters>,
         analyzed_at: u64,
-        wal_committed: Option<u64>,
+        session: Option<u64>,
     ) -> io::Result<u64> {
         let _serialize = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
         let mut span = self
@@ -536,11 +549,8 @@ impl SharedCatalog {
             .field("durable", self.path.is_some());
         let mut next = (*self.snapshot()).clone();
         let epoch = next
-            .insert(name, stats, analyzed_at, counters)
+            .insert_from(name.to_string(), stats, analyzed_at, counters, session)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        if let Some(commit_seq) = wal_committed {
-            next.set_wal_committed(commit_seq);
-        }
         self.persist(&next)?;
         *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
         self.epoch_hint.store(epoch, Ordering::Release);
@@ -711,33 +721,47 @@ mod tests {
         assert!(VersionedCatalog::from_text(&text).is_err());
     }
 
+    /// A file an older build wrote, with its `wal_committed` watermark line,
+    /// opens with every entry intact and re-persists without the line.
     #[test]
-    fn wal_committed_watermark_round_trips_and_is_omitted_at_zero() {
-        let mut c = VersionedCatalog::new();
-        c.insert("ix", stats(1), 5, None).unwrap();
-        assert_eq!(c.wal_committed(), 0);
-        assert!(
-            !c.to_text().contains("wal_committed"),
-            "zero watermark must not change the text format"
+    fn legacy_wal_committed_line_loads_and_is_dropped_on_persist() {
+        let mut core = Catalog::new();
+        core.insert("old.ix", stats(1)).unwrap();
+        let body = format!(
+            "{HEADER}\nepoch 3\nwal_committed 7\nmeta old.ix epoch=3 analyzed_at=111\n{SEPARATOR}\n{}",
+            core.to_text()
         );
-        c.set_wal_committed(7);
-        c.set_wal_committed(3); // never moves backwards
-        assert_eq!(c.wal_committed(), 7);
-        assert!(c.to_text().contains("wal_committed 7\n"));
-        let back = VersionedCatalog::from_text(&c.to_text()).unwrap();
-        assert_eq!(back.wal_committed(), 7);
-        assert_eq!(back.epoch(), 1);
+        let text = format!("{body}crc32c {:08x}\n", epfis_wal::crc32c(body.as_bytes()));
+        let path = tmp("legacy-watermark");
+        std::fs::write(&path, &text).unwrap();
+
+        let shared = SharedCatalog::open(&path).unwrap();
+        let snap = shared.snapshot();
+        assert_eq!(snap.epoch(), 3);
+        assert_eq!(snap.max_session(), 0);
+        let old = snap.get("old.ix").unwrap();
+        assert_eq!((old.epoch, old.analyzed_at, old.session), (3, 111, None));
+        assert_eq!(old.stats, stats(1));
+
+        shared.commit("new.ix", stats(2), None).unwrap();
+        let persisted = std::fs::read_to_string(&path).unwrap();
+        assert!(!persisted.contains("wal_committed"), "{persisted}");
+        assert!(
+            persisted.starts_with(&format!("{HEADER}\nepoch 4\nmeta new.ix epoch=4 ")),
+            "{persisted}"
+        );
+        let reopened = SharedCatalog::open(&path).unwrap().snapshot();
+        assert_eq!(reopened.get("old.ix").unwrap().stats, stats(1));
+        assert_eq!(reopened.get("new.ix").unwrap().stats, stats(2));
     }
 
     #[test]
     fn checksummed_round_trip_and_tamper_detection() {
         let mut c = VersionedCatalog::new();
         c.insert("a.x", stats(1), 100, None).unwrap();
-        c.set_wal_committed(2);
         let text = c.to_text_checksummed();
         let back = VersionedCatalog::from_text_checksummed(&text).unwrap();
         assert_eq!(back.epoch(), 1);
-        assert_eq!(back.wal_committed(), 2);
         assert_eq!(back.get("a.x").unwrap().stats, c.get("a.x").unwrap().stats);
 
         // Any flipped byte in the body — even deep inside a float — must
@@ -786,9 +810,9 @@ mod tests {
         core.insert("old.ix", stats(1)).unwrap();
         let legacy = core.to_text();
         let mapped = VersionedCatalog::from_text_checksummed(&legacy).unwrap();
-        assert_eq!((mapped.epoch(), mapped.wal_committed()), (0, 0));
+        assert_eq!(mapped.epoch(), 0);
         let old = mapped.get("old.ix").unwrap();
-        assert_eq!((old.epoch, old.analyzed_at), (0, 0));
+        assert_eq!((old.epoch, old.analyzed_at, old.session), (0, 0, None));
         assert_eq!(old.stats, stats(1));
 
         let path = tmp("legacy");
@@ -811,18 +835,45 @@ mod tests {
         assert_eq!(reopened.get("new.ix").unwrap().stats, stats(2));
     }
 
+    /// `commit_analyzed` pins the timestamp and records the session on the
+    /// entry's `meta` line, which survives a reopen; a plain commit records
+    /// none, and the line without it is unchanged.
     #[test]
-    fn commit_analyzed_pins_timestamp_and_watermark() {
-        let shared = SharedCatalog::in_memory();
+    fn commit_analyzed_pins_timestamp_and_session() {
+        let path = tmp("session");
+        let shared = SharedCatalog::open(&path).unwrap();
         shared
-            .commit_analyzed("ix", stats(1), None, 1234, Some(9))
+            .commit_analyzed("ix", stats(1), Some(counters(3)), 1234, Some(9))
+            .unwrap();
+        shared
+            .commit_analyzed("ix2", stats(2), None, 55, None)
             .unwrap();
         let snap = shared.snapshot();
         assert_eq!(snap.get("ix").unwrap().analyzed_at, 1234);
-        assert_eq!(snap.wal_committed(), 9);
-        // A plain commit preserves the watermark.
-        shared.commit("ix2", stats(2), None).unwrap();
-        assert_eq!(shared.snapshot().wal_committed(), 9);
+        assert_eq!(snap.get("ix").unwrap().session, Some(9));
+        assert_eq!(snap.get("ix2").unwrap().session, None);
+        assert_eq!(snap.max_session(), 9);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.contains(
+                "meta ix epoch=1 analyzed_at=1234 cluster_counter=3 fetches_b1=1003 fetches_b3=903 session=9\n"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("meta ix2 epoch=2 analyzed_at=55\n"), "{text}");
+        let reopened = SharedCatalog::open(&path).unwrap().snapshot();
+        assert_eq!(reopened.get("ix").unwrap().session, Some(9));
+        assert_eq!(reopened.get("ix2").unwrap().session, None);
+        assert_eq!(reopened.to_text(), snap.to_text());
+
+        let bad = text.replace("session=9", "session=x");
+        let err = VersionedCatalog::from_text_checksummed(&bad).err().unwrap();
+        assert_eq!(err.to_string(), "catalog checksum mismatch");
+        let err = VersionedCatalog::from_text(&snap.to_text().replace("session=9", "session=x"))
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("bad meta session"), "{err}");
     }
 
     #[test]

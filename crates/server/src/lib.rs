@@ -42,8 +42,8 @@
 //!   ([`wal`], on the `epfis-wal` segment log): `PAGE` batches append before
 //!   they feed the analyzer, periodic checkpoints serialize the session so
 //!   replay is bounded, and restart replays the log *before binding* —
-//!   committed sessions re-apply exactly once (byte-identical catalog),
-//!   interrupted ones park for `ANALYZE RESUME`. A disconnect parks instead
+//!   interrupted sessions park for `ANALYZE RESUME`; the catalog write is
+//!   the commit point, so replay never writes the catalog. A disconnect parks instead
 //!   of discarding. Contract and format: `docs/durability.md`.
 //!
 //! * A `HELLO BINARY` line upgrades a connection to **binary framing v2**

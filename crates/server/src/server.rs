@@ -456,9 +456,8 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         );
     }
     // Pre-register the process-global families so both surfaces list them
-    // (at zero) even before the first buffer-pool access, ANALYZE session,
-    // or WAL append touches them.
-    epfis_obs::wellknown::bufferpool();
+    // (at zero) even before the first ANALYZE session or WAL append touches
+    // them.
     epfis_obs::wellknown::analyzer();
     epfis_obs::wellknown::wal();
     let accuracy = Arc::new(AccuracyTracker::new(config.accuracy.clone()));
@@ -568,7 +567,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
 }
 
 /// The server's telemetry: `registry` (the per-server instruments)
-/// followed by [`Registry::global`] (buffer pool, analyzer, WAL), both
+/// followed by [`Registry::global`] (analyzer, WAL), both
 /// rendered by `render`. `/metrics` passes
 /// [`Registry::render_prometheus_into`] and `STATS` passes
 /// [`Registry::render_samples_into`], so the two surfaces list the same
@@ -581,8 +580,8 @@ fn render_telemetry(registry: &Registry, render: fn(&Registry, &mut String)) -> 
 }
 
 /// Starts the HTTP observability endpoint: `/metrics` renders the
-/// per-server registry followed by the process-global one (buffer pool,
-/// analyzer), `/healthz` answers a JSON liveness probe (503 with the cause
+/// per-server registry followed by the process-global one (analyzer,
+/// WAL), `/healthz` answers a JSON liveness probe (503 with the cause
 /// while the server is degraded), `/events?n=K` serves the logger's most
 /// recent ring-buffer events as JSON lines, and `/slowlog?n=K` serves the
 /// slow-request ring the same way (newest first).
@@ -822,23 +821,30 @@ pub fn scan_query(sigma: f64, buffer: u64, sargable: f64) -> Result<ScanQuery, S
     Ok(ScanQuery::range(sigma, buffer).with_sargable(sargable))
 }
 
-/// The entry `FPF`/`COMPARE` sample, and their `points` buffer sizes spread
-/// evenly over its `[b_min, b_max]`.
-fn sample_buffers(
-    shared: &Shared,
-    name: &str,
-    points: usize,
-) -> Result<(Arc<VersionedEntry>, impl Iterator<Item = u64>), String> {
+/// The buffer sizes `FPF` and `COMPARE` (served and `epfis fpf`/`compare`)
+/// sample: `points` sizes spread evenly over `[b_min, b_max]`, ascending
+/// and distinct, so a range narrower than `points` yields fewer of them.
+pub fn sample_buffers(b_min: u64, b_max: u64, points: usize) -> Result<Vec<u64>, String> {
     if points == 0 || points > 10_000 {
         return Err("points must be in [1, 10000]".into());
     }
-    let entry = Arc::clone(shared.catalog.snapshot().lookup(name)?);
-    let (lo, hi) = (entry.stats.b_min, entry.stats.b_max);
     let span = (points - 1).max(1) as f64;
-    Ok((
-        entry,
-        (0..points).map(move |i| lo + ((hi - lo) as f64 * i as f64 / span) as u64),
-    ))
+    let mut buffers: Vec<u64> = (0..points)
+        .map(|i| b_min + ((b_max - b_min) as f64 * i as f64 / span) as u64)
+        .collect();
+    buffers.dedup();
+    Ok(buffers)
+}
+
+/// The entry `FPF`/`COMPARE` answer for, and its [`sample_buffers`].
+fn sampled_entry(
+    shared: &Shared,
+    name: &str,
+    points: usize,
+) -> Result<(Arc<VersionedEntry>, Vec<u64>), String> {
+    let entry = Arc::clone(shared.catalog.snapshot().lookup(name)?);
+    let buffers = sample_buffers(entry.stats.b_min, entry.stats.b_max, points)?;
+    Ok((entry, buffers))
 }
 
 /// Refuses a second `ANALYZE` session on one connection.
@@ -897,13 +903,14 @@ pub(crate) fn execute(
             Ok(shared.catalog.snapshot().lookup(name)?.explain(name, &q))
         }
         Request::Fpf { name, points } => {
-            let (entry, buffers) = sample_buffers(shared, name, points)?;
+            let (entry, buffers) = sampled_entry(shared, name, points)?;
             Ok(buffers
+                .into_iter()
                 .map(|b| format!("{b} {}", entry.stats.full_scan_fetches(b)))
                 .collect())
         }
         Request::Compare { name, points } => {
-            let (entry, buffers) = sample_buffers(shared, name, points)?;
+            let (entry, buffers) = sampled_entry(shared, name, points)?;
             let s = &entry.stats;
             let counters = entry.counters.ok_or_else(|| {
                 format!(
@@ -913,7 +920,7 @@ pub(crate) fn execute(
             })?;
             let estimators =
                 baseline_estimators(s.table_pages, s.records, s.distinct_keys, counters);
-            let mut lines = Vec::with_capacity(points + 1);
+            let mut lines = Vec::with_capacity(buffers.len() + 1);
             let mut header = "B EPFIS".to_string();
             for e in &estimators {
                 header.push(' ');
@@ -1012,29 +1019,26 @@ pub(crate) fn execute(
             let counters = Some(counters);
             let committed = match &shared.wal {
                 Some(wal) => {
-                    // The COMMIT record (with its commit sequence and this
-                    // timestamp) goes durable first; the catalog write runs
-                    // under the same guard so the watermark order matches
-                    // record order. A crash between the two replays the
-                    // commit with the *recorded* timestamp — byte-identical
-                    // catalog either way.
+                    // The catalog write, recording this session on the
+                    // entry, is the commit point; the COMMIT marker (ABORT
+                    // if the write failed) then ends the session in the
+                    // log. The WAL phase covers both: it is all durability
+                    // time. A failed marker leaves the commit standing but
+                    // poisons the log, which degrades the server.
                     let analyzed_at = crate::catalog::unix_now();
-                    // The WAL phase here includes the catalog persist run
-                    // under the commit guard — it is all durability time.
-                    // Either failure (the COMMIT record poisoning the WAL,
-                    // or the catalog save) is a durability loss.
-                    timed_wal(|| {
-                        wal.commit_session(wal_id, analyzed_at, |commit_seq| {
+                    let committed = timed_wal(|| {
+                        wal.commit_session(wal_id, analyzed_at, |session| {
                             shared.catalog.commit_analyzed(
                                 &name,
                                 stats,
                                 counters,
                                 analyzed_at,
-                                Some(commit_seq),
+                                Some(session),
                             )
                         })
-                    })
-                    .inspect_err(|_| shared.note_wal_failure())
+                    });
+                    shared.note_wal_failure();
+                    committed
                 }
                 None => shared.catalog.commit(&name, stats, counters),
             };

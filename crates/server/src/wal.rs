@@ -10,9 +10,13 @@
 //!                  name_len:u16  name bytes
 //! PAGE       0x02  sid:u64  count:u32  count x { varint(zigzag(Δkey))  varint(page) }
 //! CHECKPOINT 0x03  sid:u64  serialized SessionCheckpoint
-//! COMMIT     0x04  sid:u64  commit_seq:u64  analyzed_at:u64
+//! COMMIT     0x04  sid:u64  0:u64  0:u64
 //! ABORT      0x05  sid:u64
 //! ```
+//!
+//! The two zero slots in `COMMIT` held a commit sequence number and the
+//! commit's `analyzed_at` in older builds; they stay in the layout so those
+//! logs still decode, and are ignored.
 //!
 //! `PAGE` pairs are delta-packed rather than stored in framing v2's fixed
 //! 12-byte layout: index scans reference keys in nearly sorted runs, so a
@@ -22,35 +26,40 @@
 //! `fsync=batch` ingest within a few percent of WAL-off throughput.
 //! Checkpoint arrays (sorted seen-keys, analyzer counts) pack the same way.
 //!
-//! # Exactly-once commits
+//! # The catalog write is the commit point
 //!
-//! Every `COMMIT` record carries a *commit sequence number* allocated under
-//! the same lock that serializes the catalog write, so commit sequence
-//! order, WAL record order, and catalog application order all agree. The
-//! catalog persists the highest applied sequence as its `wal_committed`
-//! watermark; replay re-applies a `COMMIT` record iff its sequence is above
-//! the watermark. A crash between the WAL append and the catalog write
-//! replays the commit (with the *recorded* `analyzed_at`, so the recovered
-//! catalog is byte-identical to the uninterrupted one); a crash after the
-//! catalog write skips it. The catalog is therefore always the old or the
-//! new version, never a blend, and never double-applies a session.
+//! [`ServerWal::commit_session`] writes the catalog first: one atomic
+//! rename, whose entry records the session on its `meta` line as
+//! `session=S`. Then it appends and syncs the `COMMIT` record as a marker
+//! that the session ended, or an `ABORT` record if the catalog write
+//! failed. A session has therefore ended if the log holds its `COMMIT` or
+//! `ABORT`, or if the catalog entry for its name records its id (a crash
+//! between the rename and the marker). Replay never writes the catalog,
+//! so it is always the old or the new version. A session counted as ended
+//! only by the catalog gets its `COMMIT` marker appended at that restart
+//! if the log is kept, because a newer commit of the same name would stop
+//! the catalog from naming it.
+//!
+//! A `COMMIT` record an older build wrote (it appended the record before
+//! the catalog write) also counts as ended: a crash between that record
+//! and its catalog rename leaves that unacknowledged commit undone.
 //!
 //! # Replay and parking
 //!
-//! [`ServerWal::open`] replays the log before the listener binds: committed
-//! sessions above the watermark are re-committed, and every session still
-//! in flight is rebuilt — from its latest `CHECKPOINT` plus the `PAGE`
-//! records after it — and *parked* under its entry name. `ANALYZE RESUME
-//! <name>` attaches a parked session to a connection and streaming
-//! continues exactly where it stopped. A pre-scan of the record heads
-//! bounds replay cost: a session's records before its last checkpoint, and
-//! every record of a session that ended in `ABORT` or in a `COMMIT` the
-//! catalog already holds, are skipped undecoded, so at most one checkpoint
-//! interval of `PAGE` records is re-fed per session that still needs it.
+//! [`ServerWal::open`] replays the log before the listener binds: every
+//! session still in flight is rebuilt — from its latest `CHECKPOINT` plus
+//! the `PAGE` records after it — and *parked* under its entry name.
+//! `ANALYZE RESUME <name>` attaches a parked session to a connection and
+//! streaming continues exactly where it stopped. A pre-scan of the record
+//! heads bounds replay cost: a session's records before its last
+//! checkpoint, and every record of a session that has ended, are skipped
+//! undecoded, so at most one checkpoint interval of `PAGE` records is
+//! re-fed per session that still needs it.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -132,15 +141,10 @@ pub enum WalRecord {
         /// The serialized session.
         checkpoint: SessionCheckpoint,
     },
-    /// The session committed to the catalog.
+    /// The session's catalog write succeeded: it has ended.
     Commit {
         /// WAL-unique session id.
         session_id: u64,
-        /// Catalog-application sequence number (the watermark unit).
-        commit_seq: u64,
-        /// Unix seconds recorded at commit time; replay reuses it so the
-        /// recovered catalog entry is byte-identical.
-        analyzed_at: u64,
     },
     /// The session was discarded.
     Abort {
@@ -350,13 +354,14 @@ pub fn encode_checkpoint(out: &mut Vec<u8>, session_id: u64, cp: &SessionCheckpo
     put_u64(out, cp.analyzer.compactions);
 }
 
-/// Encodes a `COMMIT` record body.
-pub fn encode_commit(out: &mut Vec<u8>, session_id: u64, commit_seq: u64, analyzed_at: u64) {
+/// Encodes a `COMMIT` record body. The zero slots are where older builds
+/// wrote a commit sequence (`commit_seq`) and `analyzed_at`.
+pub fn encode_commit(out: &mut Vec<u8>, session_id: u64) {
     out.clear();
     out.push(TAG_COMMIT);
     put_u64(out, session_id);
-    put_u64(out, commit_seq);
-    put_u64(out, analyzed_at);
+    put_u64(out, 0);
+    put_u64(out, 0);
 }
 
 /// Encodes an `ABORT` record body.
@@ -489,13 +494,11 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord, String> {
             }
         }
         TAG_COMMIT => {
-            let commit_seq = cur.u64()?;
-            let analyzed_at = cur.u64()?;
-            WalRecord::Commit {
-                session_id,
-                commit_seq,
-                analyzed_at,
-            }
+            // An older build's `commit_seq` and `analyzed_at`, read and
+            // dropped.
+            cur.u64()?;
+            cur.u64()?;
+            WalRecord::Commit { session_id }
         }
         TAG_ABORT => WalRecord::Abort { session_id },
         other => return Err(format!("unknown wal record tag {other:#04x}")),
@@ -525,14 +528,32 @@ struct SessionState {
 struct WalInner {
     wal: Wal,
     scratch: Vec<u8>,
+    /// Ended sessions whose end marker is not yet synced: `(id, committed)`
+    /// for a `COMMIT` or an `ABORT`. Kept while the log is poisoned, so
+    /// `RECOVER` writes them.
+    unmarked: Vec<(u64, bool)>,
+}
+
+impl WalInner {
+    /// Appends + syncs the end marker of every session in `unmarked`.
+    fn write_markers(&mut self) -> io::Result<()> {
+        for &(session_id, committed) in &self.unmarked {
+            match committed {
+                true => encode_commit(&mut self.scratch, session_id),
+                false => encode_abort(&mut self.scratch, session_id),
+            }
+            self.wal.append(&self.scratch)?;
+        }
+        self.wal.sync()?;
+        self.unmarked.clear();
+        Ok(())
+    }
 }
 
 /// What [`ServerWal::open`] recovered, for startup logging and tests.
 pub struct RecoveryReport {
     /// Records replayed from the log (all types).
     pub records: usize,
-    /// Sessions re-committed to the catalog.
-    pub committed: usize,
     /// In-flight sessions parked for `ANALYZE RESUME`.
     pub parked: usize,
     /// References re-fed from `PAGE` records: only those after the last
@@ -543,29 +564,24 @@ pub struct RecoveryReport {
 }
 
 /// The server's durable-ingestion state: the log plus session-id
-/// and commit-sequence allocation, parked sessions, and replay.
+/// allocation, parked sessions, and replay.
 ///
-/// Lock order: the `state` mutex before the `inner` mutex; the commit
-/// guard is independent and taken first on the commit path.
+/// Lock order: the `state` mutex before the `inner` mutex.
 pub struct ServerWal {
     inner: Mutex<WalInner>,
     state: Mutex<SessionState>,
-    /// Serializes COMMIT-record append + catalog write so the catalog's
-    /// `wal_committed` watermark order matches WAL record order.
-    commit_guard: Mutex<(/* next commit_seq */ u64,)>,
-    next_session_id: Mutex<u64>,
+    next_session_id: AtomicU64,
     checkpoint_refs: u64,
     report: Option<RecoveryReport>,
 }
 
 impl ServerWal {
-    /// Opens (or creates) the log at `config.dir` and replays it against
-    /// `catalog`: commits above the watermark are re-applied with their
-    /// recorded timestamps, and in-flight sessions are rebuilt and parked.
-    /// The log writes through the catalog's filesystem, so one `Vfs` (a
-    /// `FaultVfs` under chaos tests) covers the whole durability stack.
-    /// Runs before the listener binds, so clients never observe a
-    /// half-recovered catalog.
+    /// Opens (or creates) the log at `config.dir` and replays it against a
+    /// snapshot of `catalog`, which it only reads: in-flight sessions are
+    /// rebuilt and parked. The log writes through the catalog's
+    /// filesystem, so one `Vfs` (a `FaultVfs` under chaos tests) covers the
+    /// whole durability stack. Runs before the listener binds, so clients
+    /// never race a parked session.
     pub fn open(
         config: &WalConfig,
         catalog: &SharedCatalog,
@@ -582,7 +598,7 @@ impl ServerWal {
             vfs: Arc::clone(catalog.vfs()),
         };
         let (wal, replay) = Wal::open(opts)?;
-        let watermark = catalog.snapshot().wal_committed();
+        let snapshot = catalog.snapshot();
 
         // Per-session replay state, keyed by WAL session id. The
         // `segments` override rides along from BEGIN because checkpoints
@@ -596,20 +612,20 @@ impl ServerWal {
             segments.map_or(base_config, |m| base_config.with_segments(m))
         };
         let mut live: HashMap<u64, Recovering> = HashMap::new();
-        let mut max_sid = 0u64;
-        let mut max_seq = watermark;
-        let mut committed = 0usize;
+        // Session ids continue past every id the log or the catalog holds,
+        // so a provenance id is never reused after a log reset.
+        let mut max_sid = snapshot.max_session();
         let mut refed_refs = 0u64;
         let record_count = replay.len();
 
         // One pass over the record heads decides what replay may skip
         // undecoded. A checkpoint holds the whole session state, so a
         // session's PAGE and CHECKPOINT records before its last checkpoint
-        // are superseded; a session that ended in ABORT, or in a COMMIT at
-        // or below the watermark (already in the catalog), leaves nothing
-        // to rebuild, so all of its records are skipped.
+        // are superseded; a session that has ended leaves nothing to
+        // rebuild, so all of its records are skipped.
         let mut last_checkpoint: HashMap<u64, usize> = HashMap::new();
         let mut ended: HashSet<u64> = HashSet::new();
+        let mut unmarked: Vec<(u64, bool)> = Vec::new();
         for (i, body) in replay.records().enumerate() {
             let Some((tag, sid)) = record_head(body) else {
                 continue;
@@ -619,20 +635,26 @@ impl ServerWal {
                 TAG_CHECKPOINT => {
                     last_checkpoint.insert(sid, i);
                 }
-                TAG_ABORT => {
+                TAG_COMMIT | TAG_ABORT => {
                     ended.insert(sid);
                 }
-                TAG_COMMIT => {
-                    if let Ok(WalRecord::Commit { commit_seq, .. }) = decode_record(body) {
-                        max_seq = max_seq.max(commit_seq);
-                        if commit_seq <= watermark {
-                            ended.insert(sid);
+                TAG_BEGIN => {
+                    // The catalog write is the commit point: an entry that
+                    // records this session committed it, even if the crash
+                    // came before the COMMIT marker.
+                    if let Ok(WalRecord::Begin { name, .. }) = decode_record(body) {
+                        if snapshot.get(&name).and_then(|e| e.session) == Some(sid) {
+                            unmarked.push((sid, true));
                         }
                     }
                 }
                 _ => {}
             }
         }
+        // A session that ended only by the catalog check (no marker in the
+        // log) gets its COMMIT marker below: once a newer session commits
+        // the same name the catalog stops naming it.
+        unmarked.retain(|&(sid, _)| ended.insert(sid));
 
         for (i, body) in replay.records().enumerate() {
             if let Some((tag, sid)) = record_head(body) {
@@ -704,38 +726,9 @@ impl ServerWal {
                         },
                     );
                 }
-                WalRecord::Commit {
-                    session_id,
-                    commit_seq,
-                    analyzed_at,
-                } => {
-                    // Above the watermark: the crash came between this
-                    // record and the catalog write, so finish the commit.
-                    let Some(rec) = live.remove(&session_id) else {
-                        continue;
-                    };
-                    match rec.session.commit() {
-                        Ok((stats, counters)) => {
-                            catalog.commit_analyzed(
-                                &rec.name,
-                                stats,
-                                Some(counters),
-                                analyzed_at,
-                                Some(commit_seq),
-                            )?;
-                            committed += 1;
-                        }
-                        Err(e) => {
-                            logger
-                                .event(Level::Warn, "wal", "replay_commit_failed")
-                                .field("entry", rec.name.as_str())
-                                .field("error", e.as_str())
-                                .emit();
-                        }
-                    }
-                }
-                // Never reached: an aborted session is in `ended`.
-                WalRecord::Abort { .. } => {}
+                // Never reached: a committed or aborted session is in
+                // `ended`.
+                WalRecord::Commit { .. } | WalRecord::Abort { .. } => {}
             }
         }
 
@@ -766,40 +759,37 @@ impl ServerWal {
             .set(started.elapsed().as_micros() as i64);
         metrics.recovered_sessions.add(parked as u64);
 
+        // With nothing parked the log is fully absorbed (every session has
+        // ended): reset it to an empty file so replay cost and disk use
+        // stay bounded. Otherwise the log outlives this run, so it must
+        // record the end of every session it holds.
+        let mut inner = WalInner {
+            wal,
+            scratch: Vec::with_capacity(4096),
+            unmarked,
+        };
+        if parked == 0 {
+            inner.unmarked.clear();
+            inner.wal.reset()?;
+        } else {
+            inner.write_markers()?;
+        }
         let server_wal = ServerWal {
-            inner: Mutex::new(WalInner {
-                wal,
-                scratch: Vec::with_capacity(4096),
-            }),
+            inner: Mutex::new(inner),
             state: Mutex::new(state),
-            commit_guard: Mutex::new((max_seq + 1,)),
-            next_session_id: Mutex::new(max_sid.max(watermark) + 1),
+            next_session_id: AtomicU64::new(max_sid + 1),
             checkpoint_refs: config.checkpoint_refs,
             report: Some(RecoveryReport {
                 records: record_count,
-                committed,
                 parked,
                 refed_refs,
                 truncated_bytes: replay.truncated_bytes,
             }),
         };
 
-        // With nothing parked the log is fully absorbed (every commit is in
-        // the durable catalog): reset it to an empty file so replay cost
-        // and disk use stay bounded.
-        if parked == 0 {
-            server_wal
-                .inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .wal
-                .reset()?;
-        }
-
         logger
             .event(Level::Info, "wal", "replayed")
             .field("records", record_count as u64)
-            .field("committed", committed as u64)
             .field("parked", parked as u64)
             .field("refed_refs", refed_refs)
             .field("truncated_bytes", replay.truncated_bytes)
@@ -824,19 +814,11 @@ impl ServerWal {
         segments: Option<usize>,
         table_pages: Option<u32>,
     ) -> io::Result<u64> {
-        let sid = {
-            let mut next = self
-                .next_session_id
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let sid = *next;
-            *next += 1;
-            sid
-        };
+        let sid = self.next_session_id.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let WalInner { wal, scratch } = &mut *inner;
+            let WalInner { wal, scratch, .. } = &mut *inner;
             encode_begin(scratch, sid, name, segments, table_pages);
             wal.append(scratch)?;
             wal.sync()?;
@@ -854,7 +836,7 @@ impl ServerWal {
         pairs: impl Iterator<Item = (i64, u32)>,
     ) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let WalInner { wal, scratch } = &mut *inner;
+        let WalInner { wal, scratch, .. } = &mut *inner;
         encode_page(scratch, session_id, batch_len, pairs);
         wal.append(scratch)
     }
@@ -862,42 +844,36 @@ impl ServerWal {
     /// Appends + syncs a `CHECKPOINT` record.
     pub fn append_checkpoint(&self, session_id: u64, cp: &SessionCheckpoint) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let WalInner { wal, scratch } = &mut *inner;
+        let WalInner { wal, scratch, .. } = &mut *inner;
         encode_checkpoint(scratch, session_id, cp);
         wal.append(scratch)?;
         wal.sync()
     }
 
-    /// Runs `commit` (the catalog write) under the commit guard after
-    /// appending + syncing the `COMMIT` record, handing it the allocated
-    /// commit sequence. The guard makes watermark order match record order,
-    /// which is what lets replay use a single high-water mark.
+    /// Runs `commit` — the catalog write, which is the session's commit
+    /// point — handing it the session id to record on the entry, then
+    /// appends + syncs the marker that ends the session in the log:
+    /// `COMMIT` if the write succeeded, `ABORT` if it failed. Returns the
+    /// catalog write's result. A failed marker does not undo a written
+    /// catalog: the commit stands and the failure poisons the log, which
+    /// the caller's `note_wal_failure` turns into degraded mode; the marker
+    /// is written again by [`recover`](ServerWal::recover).
+    ///
+    /// `_analyzed_at` is unused: the catalog entry records the timestamp.
     pub fn commit_session<T>(
         &self,
         session_id: u64,
-        analyzed_at: u64,
+        _analyzed_at: u64,
         commit: impl FnOnce(u64) -> io::Result<T>,
     ) -> io::Result<T> {
-        let result = {
-            let mut guard = self.commit_guard.lock().unwrap_or_else(|e| e.into_inner());
-            let commit_seq = guard.0;
-            let appended = {
-                let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-                let WalInner { wal, scratch } = &mut *inner;
-                encode_commit(scratch, session_id, commit_seq, analyzed_at);
-                wal.append(scratch).and_then(|()| wal.sync())
-            };
-            appended.and_then(|()| {
-                guard.0 += 1;
-                commit(commit_seq)
-            })
-        };
+        let result = commit(session_id);
+        {
+            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            inner.unmarked.push((session_id, result.is_ok()));
+            let _ = inner.write_markers();
+        }
         // The session object is consumed whatever happened; release its
-        // slot so the log can still reset once everything drains. A failed
-        // catalog write left both the in-memory and on-disk catalog old, so
-        // the error response and the state agree: the commit did not
-        // happen. (Only a process crash between the record and the catalog
-        // write leaves the record to finish the commit at replay.)
+        // slot so the log can still reset once everything drains.
         self.session_closed();
         result
     }
@@ -913,10 +889,8 @@ impl ServerWal {
     /// (used when superseding a parked session).
     fn append_abort(&self, session_id: u64) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let WalInner { wal, scratch } = &mut *inner;
-        encode_abort(scratch, session_id);
-        wal.append(scratch)?;
-        wal.sync()
+        inner.unmarked.push((session_id, false));
+        inner.write_markers()
     }
 
     /// Parks a session whose connection went away so `ANALYZE RESUME` can
@@ -988,12 +962,15 @@ impl ServerWal {
 
     /// Operator-driven recovery (`RECOVER`): re-probes the log file —
     /// truncating whatever torn tail the failed operation left, reopening
-    /// it, and forcing a real fdatasync. On success ingest may resume; the
+    /// it, and forcing a real fdatasync — then writes the end markers the
+    /// failure kept out of the log. On success ingest may resume; the
     /// records acknowledged before the failure are intact.
     /// Returns the torn bytes discarded. A no-op returning 0 when healthy.
     pub fn recover(&self) -> io::Result<u64> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.wal.heal()
+        let truncated = inner.wal.heal()?;
+        inner.write_markers()?;
+        Ok(truncated)
     }
 
     /// Releases one attached session; when nothing is attached or parked
@@ -1003,7 +980,9 @@ impl ServerWal {
         state.attached -= 1;
         if state.attached == 0 && state.parked.is_empty() {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = inner.wal.reset();
+            if inner.wal.reset().is_ok() {
+                inner.unmarked.clear();
+            }
         }
     }
 }
@@ -1082,15 +1061,16 @@ mod tests {
             other => panic!("wrong record: {other:?}"),
         }
 
-        encode_commit(&mut buf, 11, 3, 1_700_000_000);
-        assert_eq!(
-            decode_record(&buf).unwrap(),
-            WalRecord::Commit {
-                session_id: 11,
-                commit_seq: 3,
-                analyzed_at: 1_700_000_000,
-            }
-        );
+        encode_commit(&mut buf, 11);
+        let commit = WalRecord::Commit { session_id: 11 };
+        assert_eq!(decode_record(&buf).unwrap(), commit);
+        // The slots after the session id are written as zero; an older
+        // build's commit sequence and `analyzed_at` there decode to the
+        // same record.
+        assert_eq!(buf[9..25], [0; 16]);
+        buf[9] = 3;
+        buf[17..25].copy_from_slice(&1_700_000_000u64.to_le_bytes());
+        assert_eq!(decode_record(&buf).unwrap(), commit);
 
         encode_abort(&mut buf, 12);
         assert_eq!(
@@ -1136,8 +1116,8 @@ mod tests {
             let mut session = IngestSession::new("ix.a".into(), base, Some(100));
             session.feed_batch(&pairs).unwrap();
             let (stats, counters) = session.commit().unwrap();
-            wal.commit_session(sid, 1_234_567, |seq| {
-                catalog.commit_analyzed("ix.a", stats, Some(counters), 1_234_567, Some(seq))
+            wal.commit_session(sid, 1_234_567, |session| {
+                catalog.commit_analyzed("ix.a", stats, Some(counters), 1_234_567, Some(session))
             })
             .unwrap();
             std::fs::read(&cat_path).unwrap()
@@ -1204,8 +1184,8 @@ mod tests {
         resumed.feed_batch(half_b).unwrap();
         let (stats, counters) = resumed.commit().unwrap();
         assert_eq!(stats, expected);
-        wal.commit_session(sid, 99, |seq| {
-            catalog.commit_analyzed("ix.r", stats, Some(counters), 99, Some(seq))
+        wal.commit_session(sid, 99, |session| {
+            catalog.commit_analyzed("ix.r", stats, Some(counters), 99, Some(session))
         })
         .unwrap();
         assert_eq!(catalog.snapshot().epoch(), 1);
@@ -1263,9 +1243,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Sessions that already ended are skipped whole: an aborted one, and
-    /// one whose COMMIT is at or below the catalog's watermark. Only the
-    /// open session's references are re-fed.
+    /// Sessions that already ended are skipped whole: an aborted one and a
+    /// committed one. Only the open session's references are re-fed.
     #[test]
     fn replay_skips_sessions_that_already_ended() {
         let dir = temp_dir("ended-sessions");
@@ -1298,8 +1277,8 @@ mod tests {
                 session.feed_batch(half).unwrap();
             }
             let (stats, counters) = session.commit().unwrap();
-            wal.commit_session(sid, 42, |seq| {
-                catalog.commit_analyzed("ix.done", stats, Some(counters), 42, Some(seq))
+            wal.commit_session(sid, 42, |session| {
+                catalog.commit_analyzed("ix.done", stats, Some(counters), 42, Some(session))
             })
             .unwrap();
 
@@ -1314,7 +1293,6 @@ mod tests {
         let mut wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
         let report = wal.take_report().unwrap();
         assert_eq!(report.records, 10);
-        assert_eq!(report.committed, 0, "ix.done is already in the catalog");
         assert_eq!(report.parked, 1);
         assert_eq!(
             report.refed_refs,
@@ -1323,7 +1301,7 @@ mod tests {
         );
         assert_eq!(wal.parked_names(), vec!["ix.open".to_string()]);
         assert_eq!(std::fs::read(&cat_path).unwrap(), committed);
-        // Ids and sequence numbers keep counting past the skipped sessions.
+        // Ids keep counting past the skipped sessions.
         assert_eq!(wal.begin("ix.next", None, None).unwrap(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,17 +1,21 @@
 //! Crash-recovery acceptance tests for the WAL subsystem.
 //!
-//! The contract under test (docs/durability.md): killing the server at any
-//! instant leaves the persisted catalog either entirely old or entirely new
-//! (never mixed), replay never panics no matter where the log was cut, and
-//! a session resumed after a restart commits statistics bit-identical to an
-//! uninterrupted run. The kill-at-every-offset harness proves the first two
-//! properties exhaustively: it records a reference WAL stream, then replays
-//! every possible byte-length prefix of it against a copy of the
-//! pre-session catalog.
+//! The contract under test (docs/durability.md): the catalog write is an
+//! `ANALYZE` session's commit point, so killing the server at any instant
+//! leaves the persisted catalog either entirely old or entirely new (never
+//! mixed), replay never writes the catalog and never panics no matter where
+//! the log was cut, and a session resumed after a restart commits
+//! statistics bit-identical to an uninterrupted run. The kill-at-every-
+//! offset harness proves the first two properties exhaustively: it records
+//! a reference WAL stream, then replays every possible byte-length prefix
+//! of it against copies of both the pre-session and the post-session
+//! catalog.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use epfis::EpfisConfig;
+use epfis_faults::{FaultKind, FaultVfs, OpKind, Rule};
 use epfis_lrusim::AnalyzerSnapshot;
 use epfis_obs::series_value;
 use epfis_server::wal::{decode_record, encode_checkpoint};
@@ -48,9 +52,26 @@ fn wal_config(dir: impl Into<PathBuf>) -> WalConfig {
     cfg
 }
 
-/// Truncate the reference WAL at every byte offset and replay each prefix:
-/// the catalog must come out byte-identical to its pre-session or
-/// post-session contents — nothing else — and replay must never panic.
+/// Each whole record in a log file: the byte offset where it ends, and its
+/// decoded body. Frames are `len:u32 crc:u32 body` after a 12-byte header.
+fn record_ends(log: &[u8]) -> Vec<(usize, WalRecord)> {
+    let mut out = Vec::new();
+    let mut at = 12;
+    while at + 8 <= log.len() {
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        let end = at + 8 + len;
+        out.push((end, decode_record(&log[at + 8..end]).unwrap()));
+        at = end;
+    }
+    assert_eq!(at, log.len(), "reference log ends mid-record");
+    out
+}
+
+/// Truncate the reference WAL at every byte offset and replay each prefix
+/// against both the pre-session and the post-session catalog: replay must
+/// leave the catalog file byte-identical and never panic. With the post
+/// catalog the committed session never parks, wherever the cut fell; with
+/// the pre catalog it parks iff the cut holds its `BEGIN` and no `COMMIT`.
 #[test]
 fn kill_at_every_offset_leaves_catalog_old_or_new() {
     let root = temp_dir("kill");
@@ -98,8 +119,8 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
         .unwrap();
     shadow.feed_batch(rest).unwrap();
     let (stats, summary) = shadow.commit().unwrap();
-    wal.commit_session(sid, 777, |seq| {
-        catalog.commit_analyzed("ix.crash", stats, Some(summary), 777, Some(seq))
+    wal.commit_session(sid, 777, |session| {
+        catalog.commit_analyzed("ix.crash", stats, Some(summary), 777, Some(session))
     })
     .unwrap();
     let post_bytes = std::fs::read(&cat_path).unwrap();
@@ -108,38 +129,287 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
     assert!(wal_bytes.len() > 100, "stream too short to be interesting");
     drop(wal);
 
-    // The harness proper: every prefix length is a simulated kill point.
+    // Where the committed session's BEGIN and COMMIT records end.
+    let records = record_ends(&wal_bytes);
+    let end_of = |want: &dyn Fn(&WalRecord) -> bool| {
+        records
+            .iter()
+            .find(|(_, r)| want(r))
+            .map(|&(end, _)| end)
+            .unwrap()
+    };
+    let begin_end =
+        end_of(&|r| matches!(r, WalRecord::Begin { session_id, .. } if *session_id == sid));
+    let commit_end =
+        end_of(&|r| matches!(r, WalRecord::Commit { session_id, .. } if *session_id == sid));
+    assert_eq!(commit_end, wal_bytes.len(), "COMMIT is the last record");
+
+    // The harness proper: every prefix length is a simulated kill point,
+    // replayed against either catalog the kill could have left.
     let replay_root = root.join("replay");
     for cut in 0..=wal_bytes.len() {
-        let _ = std::fs::remove_dir_all(&replay_root);
-        let wal_dir = replay_root.join("wal");
-        std::fs::create_dir_all(&wal_dir).unwrap();
-        let cpath = replay_root.join("catalog.scat");
-        std::fs::write(&cpath, &pre_bytes).unwrap();
-        std::fs::write(wal_dir.join("wal-000000.seg"), &wal_bytes[..cut]).unwrap();
+        for (label, cat_bytes) in [("pre", &pre_bytes), ("post", &post_bytes)] {
+            let _ = std::fs::remove_dir_all(&replay_root);
+            let wal_dir = replay_root.join("wal");
+            std::fs::create_dir_all(&wal_dir).unwrap();
+            let cpath = replay_root.join("catalog.scat");
+            std::fs::write(&cpath, cat_bytes).unwrap();
+            std::fs::write(wal_dir.join("wal-000000.seg"), &wal_bytes[..cut]).unwrap();
 
-        let catalog = SharedCatalog::open(&cpath)
-            .unwrap_or_else(|e| panic!("cut {cut}: catalog reopen failed: {e}"));
-        let recovered = ServerWal::open(
-            &wal_config(&wal_dir),
-            &catalog,
-            EpfisConfig::default(),
-            &logger,
-        )
-        .unwrap_or_else(|e| panic!("cut {cut}: replay failed: {e}"));
+            let catalog = SharedCatalog::open(&cpath)
+                .unwrap_or_else(|e| panic!("cut {cut} {label}: catalog reopen failed: {e}"));
+            let recovered = ServerWal::open(
+                &wal_config(&wal_dir),
+                &catalog,
+                EpfisConfig::default(),
+                &logger,
+            )
+            .unwrap_or_else(|e| panic!("cut {cut} {label}: replay failed: {e}"));
 
-        let after = std::fs::read(&cpath).unwrap();
-        assert!(
-            after == pre_bytes || after == post_bytes,
-            "cut {cut}: catalog is neither the old nor the new version"
-        );
-        if cut == wal_bytes.len() {
-            // The complete log must land the commit, byte-identical to the
-            // uninterrupted run (recorded analyzed_at, same watermark).
-            assert_eq!(after, post_bytes, "full log must recover the commit");
-            assert!(recovered.parked_names().contains(&"blocker".to_string()));
+            assert!(
+                std::fs::read(&cpath).unwrap() == *cat_bytes,
+                "cut {cut} {label}: replay wrote the catalog"
+            );
+            let parked = recovered.parked_names().contains(&"ix.crash".to_string());
+            let expect = label == "pre" && cut >= begin_end && cut < commit_end;
+            assert_eq!(parked, expect, "cut {cut} {label}: ix.crash parked");
         }
     }
+}
+
+/// A catalog write that fails while a second session keeps the log from
+/// resetting stays undone across a restart: the client was told `commit
+/// failed`, so the entry is absent and the session cannot be resumed.
+#[test]
+fn failed_catalog_write_stays_undone_across_a_restart() {
+    let root = temp_dir("undone");
+    let config = |vfs: Option<Arc<dyn epfis_faults::Vfs>>| ServerConfig {
+        catalog_path: Some(root.join("catalog.scat")),
+        wal: Some(WalConfig::new(root.join("wal"))),
+        vfs,
+        ..ServerConfig::default()
+    };
+    let page_line = |pairs: &[(i64, u32)]| {
+        let mut line = String::from("PAGE");
+        for (k, p) in pairs {
+            line.push_str(&format!(" {k} {p}"));
+        }
+        line
+    };
+
+    let fv = FaultVfs::new();
+    let server = serve(config(Some(fv.clone().shared()))).unwrap();
+    let mut open = Client::connect(server.addr()).unwrap();
+    open.request("ANALYZE BEGIN ix.open table_pages=40")
+        .unwrap();
+    open.request(&page_line(&scan_pairs(60, 40))).unwrap();
+
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.request("ANALYZE BEGIN ix.lost table_pages=40").unwrap();
+    c.request(&page_line(&scan_pairs(120, 40))).unwrap();
+    fv.schedule().push(
+        Rule::new(FaultKind::Enospc)
+            .on_op(OpKind::Rename)
+            .path_contains("catalog"),
+    );
+    let err = c
+        .request("ANALYZE COMMIT")
+        .expect_err("catalog write must fail");
+    assert!(err.to_string().contains("commit failed"), "{err}");
+    drop((c, open));
+    server.shutdown_and_join();
+
+    let server = serve(config(None)).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let show = c.request("SHOW").unwrap();
+    assert!(
+        !show.iter().any(|l| l.starts_with("ix.lost ")),
+        "a failed commit came back: {show:?}"
+    );
+    let err = c
+        .request("ANALYZE RESUME ix.lost")
+        .expect_err("the failed session must not be resumable");
+    assert!(err.to_string().contains("no recoverable session"), "{err}");
+    // The session that kept the log alive is still there to resume.
+    let resumed = c.request("ANALYZE RESUME ix.open").unwrap();
+    assert_eq!(resumed, vec!["resumed ix.open refs=60".to_string()]);
+    server.shutdown_and_join();
+}
+
+/// Analyzes `pairs` for `ix.a` as a WAL session: its BEGIN and PAGE
+/// records go to the log, and the finished statistics come back for the
+/// catalog write.
+fn logged_session(
+    wal: &ServerWal,
+    pairs: &[(i64, u32)],
+) -> (
+    u64,
+    epfis::IndexStatistics,
+    epfis_estimators::BaselineCounters,
+) {
+    let sid = wal.begin("ix.a", None, Some(40)).unwrap();
+    wal.append_page(sid, pairs.len(), pairs.iter().copied())
+        .unwrap();
+    let mut session = IngestSession::new("ix.a".into(), EpfisConfig::default(), Some(40));
+    session.feed_batch(pairs).unwrap();
+    let (stats, counters) = session.commit().unwrap();
+    (sid, stats, counters)
+}
+
+/// Re-analyzes `ix.a` with a newer session on a log that a parked
+/// `blocker` keeps from resetting, then restarts: the catalog now names the
+/// newer session, and the older `ix.a` session — which the log must have
+/// marked ended — stays ended.
+fn newer_commit_then_restart(cat_path: &std::path::Path, wal_dir: &std::path::Path) {
+    let logger = epfis_obs::Logger::disabled();
+    let catalog = SharedCatalog::open(cat_path).unwrap();
+    let wal = ServerWal::open(
+        &wal_config(wal_dir),
+        &catalog,
+        EpfisConfig::default(),
+        &logger,
+    )
+    .unwrap();
+    assert_eq!(wal.parked_names(), vec!["blocker".to_string()]);
+    let (sid, stats, counters) = logged_session(&wal, &scan_pairs(240, 40));
+    wal.commit_session(sid, 2, |session| {
+        catalog.commit_analyzed("ix.a", stats.clone(), Some(counters), 2, Some(session))
+    })
+    .unwrap();
+    drop((wal, catalog));
+
+    let catalog = SharedCatalog::open(cat_path).unwrap();
+    let wal = ServerWal::open(
+        &wal_config(wal_dir),
+        &catalog,
+        EpfisConfig::default(),
+        &logger,
+    )
+    .unwrap();
+    assert_eq!(
+        wal.parked_names(),
+        vec!["blocker".to_string()],
+        "an ended ix.a session came back as in flight"
+    );
+    let snapshot = catalog.snapshot();
+    let entry = snapshot.get("ix.a").unwrap();
+    assert_eq!((entry.session, &entry.stats), (Some(sid), &stats));
+}
+
+/// A crash between `ix.a`'s catalog write and its `COMMIT` marker, while a
+/// blocker session keeps the log from resetting: the restart counts `ix.a`
+/// as ended because the catalog names its session, and writes the missing
+/// marker, so a newer commit of `ix.a` does not bring the old session back
+/// on the restart after.
+#[test]
+fn session_ended_by_the_catalog_stays_ended_after_a_newer_commit() {
+    let root = temp_dir("crash-before-marker");
+    let cat_path = root.join("catalog.scat");
+    let wal_dir = root.join("wal");
+    let logger = epfis_obs::Logger::disabled();
+    let catalog = SharedCatalog::open(&cat_path).unwrap();
+    let wal = ServerWal::open(
+        &wal_config(&wal_dir),
+        &catalog,
+        EpfisConfig::default(),
+        &logger,
+    )
+    .unwrap();
+    wal.begin("blocker", None, None).unwrap();
+    let (sid, stats, counters) = logged_session(&wal, &scan_pairs(120, 40));
+    // The commit point lands; the process dies before the marker.
+    catalog
+        .commit_analyzed("ix.a", stats, Some(counters), 1, Some(sid))
+        .unwrap();
+    drop((wal, catalog));
+
+    newer_commit_then_restart(&cat_path, &wal_dir);
+}
+
+/// A `COMMIT` marker whose append fails after the catalog write landed: the
+/// commit stands, the log is poisoned, and `RECOVER` writes the marker, so
+/// a newer commit of `ix.a` does not bring the old session back on a
+/// restart.
+#[test]
+fn failed_commit_marker_is_written_by_recover() {
+    let root = temp_dir("failed-marker");
+    let cat_path = root.join("catalog.scat");
+    let wal_dir = root.join("wal");
+    let logger = epfis_obs::Logger::disabled();
+    let fv = FaultVfs::new();
+    let catalog = SharedCatalog::open_with_vfs(&cat_path, fv.clone().shared()).unwrap();
+    let wal = ServerWal::open(
+        &wal_config(&wal_dir),
+        &catalog,
+        EpfisConfig::default(),
+        &logger,
+    )
+    .unwrap();
+    wal.begin("blocker", None, None).unwrap();
+    let (sid, stats, counters) = logged_session(&wal, &scan_pairs(120, 40));
+    fv.schedule().push(
+        Rule::new(FaultKind::Eio)
+            .on_op(OpKind::Write)
+            .path_contains("wal-")
+            .times(1),
+    );
+    wal.commit_session(sid, 1, |session| {
+        catalog.commit_analyzed("ix.a", stats, Some(counters), 1, Some(session))
+    })
+    .expect("the catalog write is the commit point");
+    assert!(
+        wal.poisoned().is_some(),
+        "the failed marker poisons the log"
+    );
+    wal.recover().unwrap();
+    assert!(wal.poisoned().is_none());
+    // The blocker disconnects: parked, so the log is not reset.
+    wal.park(
+        IngestSession::new("blocker".into(), EpfisConfig::default(), None),
+        1,
+    )
+    .unwrap();
+    drop((wal, catalog));
+
+    newer_commit_then_restart(&cat_path, &wal_dir);
+}
+
+/// `EXPLAIN` names the session that committed a WAL entry, on the live
+/// server and after a restart (the id is persisted on the `meta` line).
+#[test]
+fn explain_names_the_session_that_committed_the_entry() {
+    let root = temp_dir("explain");
+    let config = || ServerConfig {
+        catalog_path: Some(root.join("catalog.scat")),
+        wal: Some(wal_config(root.join("wal"))),
+        ..ServerConfig::default()
+    };
+    let explain = "EXPLAIN ESTIMATE ix.e 0.5 10";
+    let server = serve(config()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.request("ANALYZE BEGIN ix.e table_pages=40").unwrap();
+    let mut line = String::from("PAGE");
+    for (k, p) in scan_pairs(120, 40) {
+        line.push_str(&format!(" {k} {p}"));
+    }
+    c.request(&line).unwrap();
+    assert!(c.request("ANALYZE COMMIT").unwrap()[0].starts_with("committed ix.e epoch=1 "));
+    let live = c.request(explain).unwrap();
+    assert_eq!(live[1], "entry ix.e epoch=1 session=1");
+    server.shutdown_and_join();
+
+    let server = serve(config()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(c.request(explain).unwrap(), live);
+    // The next session's id continues past the one the catalog records.
+    c.request("ANALYZE BEGIN ix.e table_pages=40").unwrap();
+    c.request(&line).unwrap();
+    c.request("ANALYZE COMMIT").unwrap();
+    assert_eq!(
+        c.request(explain).unwrap()[1],
+        "entry ix.e epoch=2 session=2"
+    );
+    server.shutdown_and_join();
 }
 
 /// End-to-end over TCP: disconnect mid-session (parks), resume on the same

@@ -335,7 +335,14 @@ fn write_stall_is_reclaimed() {
     };
     let server = server(limits);
     let addr = server.addr();
-    commit_small_entry(addr, "stall.probe");
+    // `FPF` answers each buffer size in `[B_min, B_max]` once, so the probe
+    // spans 200..=20000 pages: `FPF … 10000` then answers 10000 rows.
+    let mut c = Client::connect(addr).unwrap();
+    c.request("ANALYZE BEGIN stall.probe table_pages=20000")
+        .unwrap();
+    c.request("PAGE 1 0 1 5 2 9 3 13 4 17 5 21").unwrap();
+    c.request("ANALYZE COMMIT").unwrap();
+    drop(c);
 
     let outcome =
         hostile::write_stall(addr, "FPF stall.probe 10000", 200, Duration::from_secs(15)).unwrap();

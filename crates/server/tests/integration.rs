@@ -245,6 +245,28 @@ fn compare_serves_all_estimators_for_served_analyses() {
     server.shutdown_and_join();
 }
 
+/// An entry whose `[b_min, b_max]` holds fewer sizes than `points` answers
+/// each size once: on an 8-page table both ends are 8, so `FPF` answers one
+/// row and `COMPARE` a header and one row.
+#[test]
+fn fpf_and_compare_answer_each_buffer_size_once() {
+    let server = serve(ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let pages: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(2654435761) % 8).collect();
+    let trace = KeyedTrace::from_run_lengths(pages, &[4u32; 16], 8);
+    ingest(&mut c, "tiny", &trace);
+    let stats = expected_stats(&trace);
+    assert_eq!((stats.b_min, stats.b_max), (8, 8));
+
+    let fpf = c.request("FPF tiny 4").unwrap();
+    assert_eq!(fpf, vec![format!("8 {}", stats.full_scan_fetches(8))]);
+    let compare = c.request("COMPARE tiny 4").unwrap();
+    assert_eq!(compare.len(), 2, "{compare:?}");
+    assert!(compare[0].starts_with("B EPFIS "), "{}", compare[0]);
+    assert!(compare[1].starts_with("8 "), "{}", compare[1]);
+    server.shutdown_and_join();
+}
+
 #[test]
 fn protocol_errors_leave_the_connection_usable() {
     let server = serve(ServerConfig::default()).unwrap();

@@ -152,13 +152,12 @@ fn metrics_exposition_matches_served_traffic_exactly() {
     );
     assert_eq!(inf, Some(3.0));
 
-    // The process-global families (buffer pool, analyzer) ride along in
+    // The process-global families (analyzer, WAL) ride along in
     // the same body. Their values are process-wide — other tests in this
     // binary may feed them too — so assert floors, not exact counts.
     assert!(series_value(&text, "epfis_analyzer_refs_total").is_some_and(|v| v >= 3000.0));
     assert!(series_value(&text, "epfis_analyzer_sessions_total").is_some_and(|v| v >= 1.0));
     assert!(text.contains("epfis_analyzer_active_sessions"), "{text}");
-    assert!(text.contains("epfis_bufferpool_requests_total"), "{text}");
 
     // The exposition and STATS render the same registry: the ESTIMATE
     // counter line is identical on both surfaces (the STATS request itself

@@ -216,13 +216,6 @@ impl<D: DiskManager> BufferPool<D> {
         self.stats.requests += 1;
         if let Some(&frame) = self.page_table.get(&id) {
             self.stats.hits += 1;
-            // Process-wide telemetry (per-pool numbers stay in PoolStats).
-            // Published only where accounting is final, because the global
-            // counters are monotonic and cannot follow the error rollbacks
-            // below.
-            let obs = epfis_obs::wellknown::bufferpool();
-            obs.requests.inc();
-            obs.hits.inc();
             self.frames[frame].pin_count += 1;
             self.policy.on_access(frame);
             return Ok(frame);
@@ -256,9 +249,6 @@ impl<D: DiskManager> BufferPool<D> {
         f.occupied = true;
         self.page_table.insert(id, frame);
         self.policy.on_insert(frame);
-        let obs = epfis_obs::wellknown::bufferpool();
-        obs.requests.inc();
-        obs.misses.inc();
         Ok(frame)
     }
 
@@ -291,10 +281,8 @@ impl<D: DiskManager> BufferPool<D> {
                 return Err(e);
             }
             self.stats.evictions_dirty += 1;
-            epfis_obs::wellknown::bufferpool().evictions_dirty.inc();
         } else {
             self.stats.evictions_clean += 1;
-            epfis_obs::wellknown::bufferpool().evictions_clean.inc();
         }
         self.page_table.remove(&v.page_id);
         v.occupied = false;
