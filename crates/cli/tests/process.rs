@@ -566,7 +566,7 @@ fn epfis(args: &[&str]) -> String {
     stdout(&out)
 }
 
-/// A catalog in the bare core format, as `epfis analyze` wrote it before
+/// A catalog in the bare format, as `epfis analyze` wrote it before
 /// it shared the server's format.
 const LEGACY_CATALOG: &str = "epfis-catalog v1\n\
     index legacy.ix\n\
@@ -584,7 +584,7 @@ const LEGACY_CATALOG: &str = "epfis-catalog v1\n\
 /// `epfis analyze` and `epfis serve` share one catalog file: the server
 /// loads what the CLI analyzed and serves the value the CLI explains, a
 /// served commit lands in the same file beside it, and a catalog written
-/// in the older bare core format opens in both.
+/// in the older bare format opens in both.
 #[test]
 fn one_catalog_file_serves_offline_and_online() {
     let dir = temp_dir("one-catalog");

@@ -28,11 +28,11 @@
 //!
 //! Supporting modules: [`config`] (tunables, including Goetz Graefe's
 //! geometric grid from the paper's footnote 2 and the ablation switches),
-//! [`catalog`] (a named collection of [`IndexStatistics`] with a versioned
-//! text codec — what a system catalog would persist), [`optimizer`] (a
-//! miniature cost-based access-path selector that consumes the estimates,
-//! §2's plan-choice setting), and [`notation`] (the paper's Table 1 mapped
-//! onto this crate's types).
+//! [`optimizer`] (a miniature cost-based access-path selector that consumes
+//! the estimates, §2's plan-choice setting), and [`notation`] (the paper's
+//! Table 1 mapped onto this crate's types). This crate does no file I/O:
+//! the catalog file that persists [`IndexStatistics`] entries, and its text
+//! format, belong to `epfis-server`'s catalog module.
 //!
 //! ## Quick start
 //!
@@ -53,7 +53,6 @@
 //! assert!(est > 0.0 && est <= 6.0);
 //! ```
 
-pub mod catalog;
 pub mod config;
 pub mod est_io;
 pub mod explain;
@@ -65,8 +64,8 @@ pub mod ridlist;
 pub mod selectivity;
 pub mod stats;
 
-pub use catalog::Catalog;
 pub use config::{EpfisConfig, GridStrategy, PhiMode};
+pub use epfis_segfit::PiecewiseLinear;
 pub use est_io::{EpfisEstimator, ScanQuery};
 pub use explain::EstimateTrace;
 pub use lru_fit::LruFit;

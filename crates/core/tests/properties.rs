@@ -1,7 +1,7 @@
-//! Property tests for the EPFIS core: Est-IO invariants and catalog
-//! round-trips over arbitrary traces and configurations.
+//! Property tests for the EPFIS core: LRU-Fit and Est-IO invariants over
+//! arbitrary traces and configurations.
 
-use epfis::{Catalog, EpfisConfig, GridStrategy, LruFit, PhiMode, ScanQuery};
+use epfis::{EpfisConfig, GridStrategy, LruFit, PhiMode, ScanQuery};
 use epfis_lrusim::KeyedTrace;
 use proptest::prelude::*;
 
@@ -105,68 +105,6 @@ proptest! {
         let plain = stats.estimate(&ScanQuery::range(sigma, b));
         let filtered = stats.estimate(&ScanQuery::range(sigma, b).with_sargable(s));
         prop_assert!(filtered <= plain + 1e-9);
-    }
-
-    #[test]
-    fn catalog_round_trip_is_exact_for_arbitrary_entries(
-        trace in trace_strategy(),
-        cfg in config_strategy(),
-        name_suffix in 0u32..1000,
-    ) {
-        let stats = LruFit::new(cfg).collect(&trace);
-        let mut catalog = Catalog::new();
-        catalog.insert(format!("ix_{name_suffix}"), stats).unwrap();
-        let back = Catalog::from_text(&catalog.to_text()).unwrap();
-        prop_assert_eq!(back, catalog);
-    }
-
-    #[test]
-    fn catalog_round_trips_extreme_fpf_values(
-        knot_count in 2usize..8,
-        seed in any::<u64>(),
-        extreme_x in any::<bool>(),
-    ) {
-        // Hand-built statistics whose curve values span the nastiest f64s
-        // the text codec must carry: subnormals, the largest finite value,
-        // and long mantissas. Only x-monotonicity is required by
-        // PiecewiseLinear, so y draws freely from the palette.
-        const PALETTE: &[f64] = &[
-            5e-324,                   // smallest subnormal
-            2.2250738585072014e-308,  // smallest normal
-            1e-300,
-            0.0,
-            1.0,
-            0.123_456_789_012_345_68,
-            1e308,
-            f64::MAX,
-            9.87654321e77,
-        ];
-        let ys: Vec<f64> = (0..knot_count)
-            .map(|i| PALETTE[(seed.wrapping_add(i as u64 * 7919) % PALETTE.len() as u64) as usize])
-            .collect();
-        let xs: Vec<f64> = if extreme_x {
-            // Strictly increasing through the extremes of the positive axis.
-            let full = [5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e100, 1e308];
-            full[..knot_count.min(full.len())].to_vec()
-        } else {
-            (0..knot_count).map(|i| i as f64 + 1.0).collect()
-        };
-        let knots: Vec<(f64, f64)> = xs.iter().zip(&ys).map(|(&x, &y)| (x, y)).collect();
-        let stats = epfis::IndexStatistics {
-            table_pages: u64::MAX,
-            records: u64::MAX - 1,
-            distinct_keys: 1,
-            distinct_pages: u64::MAX / 2,
-            clustering_factor: 5e-324,
-            b_min: 1,
-            b_max: u64::MAX,
-            fpf: epfis_segfit::PiecewiseLinear::new(knots),
-            config: EpfisConfig::default(),
-        };
-        let mut catalog = Catalog::new();
-        catalog.insert("extreme", stats).unwrap();
-        let back = Catalog::from_text(&catalog.to_text()).unwrap();
-        prop_assert_eq!(back, catalog);
     }
 
     #[test]

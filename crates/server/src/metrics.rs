@@ -10,9 +10,11 @@
 //! in `epfis-obs`'s power-of-two microsecond buckets (bucket `i` holds
 //! values of bit length `i`, with zero in bucket 0), so recording is a
 //! couple of atomic increments and quantiles are read back as the upper
-//! bound of the bucket containing the requested rank — deliberately the
-//! same trade-off production servers make (HdrHistogram-style), not
-//! per-request sample retention.
+//! bound of the bucket containing the requested rank. These are plain log2
+//! buckets, one per octave with no sub-buckets, so a quantile is a power
+//! of two clamped to the observed maximum: a p50 between 1025 and
+//! 2048 µs reads 2048, and two runs inside one octave read the same.
+//! Nothing keeps per-request samples.
 
 use crate::slowlog::Phases;
 use epfis_obs::{Counter, Histogram, Registry};

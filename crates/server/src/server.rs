@@ -26,7 +26,7 @@
 //! (`crates/cli/tests/process.rs`) asserts against the real binary.
 
 use crate::accuracy::{AccuracyConfig, AccuracyTracker};
-use crate::catalog::{SharedCatalog, VersionedEntry};
+use crate::catalog::{check_name, SharedCatalog, VersionedEntry};
 use crate::evloop::IngestPool;
 use crate::ingest::IngestSession;
 use crate::metrics::Metrics;
@@ -945,7 +945,7 @@ pub(crate) fn execute(
         } => {
             shared.check_writable()?;
             check_no_session(session)?;
-            epfis::catalog::check_name(name).map_err(|_| format!("invalid entry name {name:?}"))?;
+            check_name(name).map_err(|_| format!("invalid entry name {name:?}"))?;
             let mut config = shared.config;
             if let Some(m) = segments {
                 if !(1..=64).contains(&m) {

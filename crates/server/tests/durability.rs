@@ -596,7 +596,7 @@ proptest! {
         flip_at in any::<u64>(),
         flip_bit in 0u32..8,
     ) {
-        // The same palette as the core codec's property tests: knots must
+        // The same palette as the catalog property tests: knots must
         // be finite, so NaN rides in `clustering_factor` instead.
         const PALETTE: &[f64] = &[
             5e-324,                  // smallest subnormal

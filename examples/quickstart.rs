@@ -13,9 +13,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use epfis::{Catalog, EpfisConfig, LruFit, ScanQuery};
+use epfis::{EpfisConfig, LruFit, ScanQuery};
 use epfis_datagen::{Dataset, DatasetSpec, ScanKind, WorkloadGenerator};
 use epfis_repro::pipeline::LoadedTable;
+use epfis_server::VersionedCatalog;
 
 fn main() {
     // A 50k-record table, 20 records/page (T = 2500), mildly clustered.
@@ -42,12 +43,12 @@ fn main() {
         stats.fpf.segments(),
         stats.stored_points()
     );
-    let mut catalog = Catalog::new();
-    catalog.insert("t.k", stats).unwrap();
-    println!("catalog entry:\n{}", catalog.to_text());
+    let mut catalog = VersionedCatalog::new();
+    catalog.insert("t.k", stats, 0, None).unwrap();
+    println!("catalog file:\n{}", catalog.to_text_checksummed());
 
     // --- Query compilation + execution ---
-    let stats = catalog.get("t.k").unwrap();
+    let stats = &catalog.get("t.k").unwrap().stats;
     let mut workload = WorkloadGenerator::new(dataset.trace(), 42);
     println!(
         "{:>6} {:>8} {:>10} {:>10} {:>8}",

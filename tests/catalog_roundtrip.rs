@@ -2,28 +2,29 @@
 //! every column survive a text round-trip — and a trip through the catalog
 //! file — with estimates intact, exactly as a system catalog must.
 
-use epfis::{Catalog, EpfisConfig, GridStrategy, LruFit, ScanQuery};
+use epfis::{EpfisConfig, GridStrategy, LruFit, ScanQuery};
 use epfis_datagen::{gwl, GWL_COLUMNS};
-use epfis_server::SharedCatalog;
+use epfis_server::{SharedCatalog, VersionedCatalog};
 
 #[test]
 fn all_gwl_columns_round_trip_through_the_catalog() {
-    let mut catalog = Catalog::new();
+    let mut catalog = VersionedCatalog::new();
     for col in GWL_COLUMNS.iter() {
         let scaled = col.scaled_down(10);
         let (dataset, _) = gwl::synthesize_gwl_column(&scaled, 3);
         let stats = LruFit::new(EpfisConfig::default()).collect(dataset.trace());
-        catalog.insert(col.name, stats).unwrap();
+        catalog.insert(col.name, stats, 0, None).unwrap();
     }
     assert_eq!(catalog.len(), 8);
 
-    let text = catalog.to_text();
-    let back = Catalog::from_text(&text).expect("parse back");
+    let text = catalog.to_text_checksummed();
+    let back = VersionedCatalog::from_text_checksummed(&text).expect("parse back");
     assert_eq!(back, catalog);
 
     // Estimates are bit-identical after the round trip.
-    for (name, stats) in catalog.iter() {
-        let restored = back.get(name).unwrap();
+    for (name, entry) in catalog.iter() {
+        let stats = &entry.stats;
+        let restored = &back.get(name).unwrap().stats;
         for sigma in [0.01, 0.2, 0.9] {
             for b in [stats.b_min, stats.b_max / 2, stats.b_max] {
                 let q = ScanQuery::range(sigma, b.max(1)).with_sargable(0.5);

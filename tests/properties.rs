@@ -1,9 +1,11 @@
 //! Cross-crate property tests: invariants that must hold for *any* dataset
-//! the generator can produce.
+//! the generator can produce, and catalog-file round trips of any entry.
 
-use epfis::{EpfisConfig, LruFit, ScanQuery};
+use epfis::{EpfisConfig, GridStrategy, LruFit, PhiMode, ScanQuery};
 use epfis_datagen::{Dataset, DatasetSpec, ScanKind, WorkloadGenerator};
+use epfis_estimators::TraceSummary;
 use epfis_lrusim::analyze_trace;
+use epfis_server::VersionedCatalog;
 use proptest::prelude::*;
 
 fn spec_strategy() -> impl Strategy<Value = DatasetSpec> {
@@ -115,5 +117,103 @@ proptest! {
         let scattered = measure(base(1.0, 0.05));
         prop_assert!(clustered >= scattered);
         prop_assert!(clustered > 0.99);
+    }
+}
+
+fn config_strategy() -> impl Strategy<Value = EpfisConfig> {
+    (
+        1u64..40,
+        1usize..12,
+        prop_oneof![
+            Just(GridStrategy::Arithmetic),
+            (2usize..30).prop_map(|points| GridStrategy::Geometric { points }),
+        ],
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(b_sml, segments, grid, phi_min, corr, sarg)| EpfisConfig {
+            b_sml,
+            segments,
+            grid,
+            phi_mode: if phi_min {
+                PhiMode::ProseMin
+            } else {
+                PhiMode::PaperMax
+            },
+            enable_correction: corr,
+            enable_sargable_model: sarg,
+            modeling_range: None,
+        })
+}
+
+// The catalog file format (`epfis_server::VersionedCatalog`) must carry any
+// entry LRU-Fit can produce, and any f64 a curve can hold, exactly.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn catalog_round_trip_is_exact_for_arbitrary_entries(
+        spec in spec_strategy(),
+        cfg in config_strategy(),
+        name_suffix in 0u32..1000,
+        counters in any::<bool>(),
+    ) {
+        let d = Dataset::generate(spec);
+        let stats = LruFit::new(cfg).collect(d.trace());
+        let counters = counters.then(|| TraceSummary::from_trace(d.trace()).baseline_counters());
+        let mut catalog = VersionedCatalog::new();
+        catalog.insert(format!("ix_{name_suffix}"), stats, u64::from(name_suffix), counters).unwrap();
+        let back = VersionedCatalog::from_text_checksummed(&catalog.to_text_checksummed()).unwrap();
+        prop_assert_eq!(back, catalog);
+    }
+
+    #[test]
+    fn catalog_round_trips_extreme_fpf_values(
+        knot_count in 2usize..8,
+        seed in any::<u64>(),
+        extreme_x in any::<bool>(),
+    ) {
+        // Hand-built statistics whose curve values span the nastiest f64s
+        // the text format must carry: subnormals, the largest finite value,
+        // and long mantissas. Only x-monotonicity is required by
+        // PiecewiseLinear, so y draws freely from the palette.
+        const PALETTE: &[f64] = &[
+            5e-324,                   // smallest subnormal
+            2.2250738585072014e-308,  // smallest normal
+            1e-300,
+            0.0,
+            1.0,
+            0.123_456_789_012_345_68,
+            1e308,
+            f64::MAX,
+            9.87654321e77,
+        ];
+        let ys: Vec<f64> = (0..knot_count)
+            .map(|i| PALETTE[(seed.wrapping_add(i as u64 * 7919) % PALETTE.len() as u64) as usize])
+            .collect();
+        let xs: Vec<f64> = if extreme_x {
+            // Strictly increasing through the extremes of the positive axis.
+            let full = [5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e100, 1e308];
+            full[..knot_count.min(full.len())].to_vec()
+        } else {
+            (0..knot_count).map(|i| i as f64 + 1.0).collect()
+        };
+        let knots: Vec<(f64, f64)> = xs.iter().zip(&ys).map(|(&x, &y)| (x, y)).collect();
+        let stats = epfis::IndexStatistics {
+            table_pages: u64::MAX,
+            records: u64::MAX - 1,
+            distinct_keys: 1,
+            distinct_pages: u64::MAX / 2,
+            clustering_factor: 5e-324,
+            b_min: 1,
+            b_max: u64::MAX,
+            fpf: epfis_segfit::PiecewiseLinear::new(knots),
+            config: EpfisConfig::default(),
+        };
+        let mut catalog = VersionedCatalog::new();
+        catalog.insert("extreme", stats, u64::MAX, None).unwrap();
+        let back = VersionedCatalog::from_text(&catalog.to_text()).unwrap();
+        prop_assert_eq!(back, catalog);
     }
 }
