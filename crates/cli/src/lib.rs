@@ -368,11 +368,13 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
 
 /// Opens the catalog file — the one format `epfis serve` also loads and
 /// commits into. Commands that only read statistics require the file to
-/// exist — a typo'd path must fail loudly, not estimate from an empty
-/// catalog. Only `analyze` may create the file.
+/// exist (the snapshot or its catalog log) — a typo'd path must fail
+/// loudly, not estimate from an empty catalog. Only `analyze` may create
+/// the file.
 fn open_catalog(cmd: &Command, must_exist: bool) -> Result<(SharedCatalog, String), CliError> {
     let path: String = cmd.require("catalog")?;
-    if must_exist && !std::path::Path::new(&path).exists() {
+    let snapshot = std::path::Path::new(&path);
+    if must_exist && !snapshot.exists() && !SharedCatalog::log_path(snapshot).exists() {
         return Err(err(format!(
             "catalog file {path} does not exist (create it with `epfis analyze`)"
         )));
@@ -455,10 +457,16 @@ fn analyze(cmd: &Command) -> Result<String, CliError> {
         );
         (name, stats, counters, summary)
     };
-    // The same commit a served `ANALYZE COMMIT` makes.
+    // The same commit a served `ANALYZE COMMIT` makes, and then the
+    // compaction the server runs after its reply.
     catalog
         .commit(&name, stats, Some(counters))
         .map_err(|e| err(format!("cannot write catalog {path}: {e}")))?;
+    if let Err(e) = catalog.compact_if_due() {
+        eprintln!(
+            "warning: {name} is committed to the catalog log, but compacting {path} failed: {e}"
+        );
+    }
     Ok(format!("{summary}\nsaved to {path}"))
 }
 

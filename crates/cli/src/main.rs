@@ -20,9 +20,24 @@ fn main() {
         std::process::exit(2);
     }
     match epfis_cli::run(&cmd) {
-        Ok(out) => println!("{out}"),
+        Ok(out) => print_output(&out),
         Err(e) => {
             eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Writes the command's output to stdout. A reader that closed the pipe
+/// early (`epfis show | head -1`) wanted no more of it: exit quietly.
+fn print_output(out: &str) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: writing output: {e}");
             std::process::exit(1);
         }
     }

@@ -713,3 +713,41 @@ fn compare_answers_from_the_catalog_across_a_restart() {
     assert_eq!(compare(&restarted), before);
     restarted.shutdown();
 }
+
+/// A reader that closes the pipe early (`epfis show | head -1`) ends the
+/// command quietly: no panic, no exit code 101.
+#[test]
+fn show_into_a_closed_pipe_exits_quietly() {
+    use std::io::BufRead;
+
+    let dir = temp_dir("broken-pipe");
+    let path = dir.join("big.scat");
+    let trace = epfis_lrusim::KeyedTrace::all_distinct((0..600u32).map(|i| i % 60).collect(), 60);
+    let stats = epfis::LruFit::new(epfis::EpfisConfig::default()).collect(&trace);
+    let mut catalog = epfis_server::VersionedCatalog::new();
+    for i in 0..10_000 {
+        catalog
+            .insert(format!("t{i:05}.k"), stats.clone(), 1_700_000_000, None)
+            .unwrap();
+    }
+    std::fs::write(&path, catalog.to_text_checksummed()).unwrap();
+
+    let mut child = Command::new(EPFIS)
+        .args(["show", "--catalog", path.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn epfis show");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.contains("10000 entries"), "{first}");
+    // The reader is dropped: the pipe is closed with most output unread.
+    let out = child.wait_with_output().expect("wait for epfis show");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{:?} {stderr}", out.status);
+}

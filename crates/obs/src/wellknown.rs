@@ -87,8 +87,19 @@ pub struct WalMetrics {
 /// The process-global WAL instruments.
 pub fn wal() -> &'static WalMetrics {
     static METRICS: OnceLock<WalMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = Registry::global();
+    METRICS.get_or_init(|| WalMetrics::register(Registry::global()))
+}
+
+/// WAL instruments that no surface renders, for a log whose owner reports
+/// it in its own series (the catalog log), so its traffic stays off
+/// `epfis_wal_*`.
+pub fn unpublished_wal() -> &'static WalMetrics {
+    static METRICS: OnceLock<WalMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| WalMetrics::register(&Registry::new()))
+}
+
+impl WalMetrics {
+    fn register(r: &Registry) -> WalMetrics {
         WalMetrics {
             appends: r.counter(
                 "epfis_wal_appends_total",
@@ -136,7 +147,7 @@ pub fn wal() -> &'static WalMetrics {
                 &[],
             ),
         }
-    })
+    }
 }
 
 #[cfg(test)]

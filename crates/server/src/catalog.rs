@@ -7,10 +7,13 @@
 //! other commit) and an **analyzed-at** unix timestamp, so clients can
 //! reason about staleness (see `docs/protocol.md`).
 //!
-//! `epfis analyze` and `epfis serve` both open and commit the catalog file
+//! `epfis analyze` and `epfis serve` both open and commit the catalog
 //! through [`SharedCatalog`], and this module alone writes and reads its
-//! format: a header, a metadata section, a literal `---` line, the entry
-//! blocks under their own header, and a CRC32C footer:
+//! format. On disk a durable catalog is two files: the **snapshot** at the
+//! catalog path, and the **catalog log** beside it at `<path>.log`.
+//!
+//! The snapshot is a header, a metadata section, a literal `---` line, the
+//! entry blocks under their own header, and a CRC32C footer:
 //!
 //! ```text
 //! epfis-server-catalog v1
@@ -50,33 +53,85 @@
 //! runs wrote — loads at epoch 0, also without counters.
 //!
 //! `session=S` names the WAL session that committed the entry: with
-//! `--wal-dir` the catalog write is the commit point (see [`crate::wal`]).
+//! `--wal-dir` the catalog commit is the commit point (see [`crate::wal`]).
 //! An older build's `wal_committed N` line is accepted and dropped.
 //!
-//! Writes go through [`epfis_faults::write_atomic`] (write temp + fsync +
-//! rename + directory sync) and loads through the same injectable [`Vfs`],
-//! so a crash or storage fault mid-save can never leave a torn file; on
-//! startup the server simply reloads the last successfully renamed version.
-//! A persist failure is first-class: it surfaces as a distinct `catalog
-//! persist failed` error, bumps [`SharedCatalog::persist_failures`], leaves
-//! the old on-disk file byte-identical, and the published in-memory
-//! snapshot keeps serving unchanged — the commit simply did not happen.
+//! # The catalog log
+//!
+//! A commit changes one entry, so it writes one: it appends one record to
+//! the catalog log, an [`epfis_wal::Wal`] (length, CRC32C, body) synced
+//! with `fdatasync` before the commit is acknowledged. **That append is
+//! the commit point.** The log's first record names the snapshot it
+//! extends, by epoch and by the snapshot's footer CRC32C; each record after
+//! it is the snapshot format holding just the committed entry at the epoch
+//! the commit made, without the footer (the log frame carries the
+//! checksum):
+//!
+//! ```text
+//! snapshot epoch=7 crc32c=1a2b3c4d
+//! ```
+//!
+//! ```text
+//! epfis-server-catalog v1
+//! epoch 8
+//! meta orders.customer_id epoch=8 analyzed_at=1754400300 cluster_counter=809 fetches_b1=40198 fetches_b3=37990 session=43
+//! ---
+//! epfis-catalog v1
+//! index orders.customer_id
+//! ...
+//! end
+//! ```
+//!
+//! A load reads the snapshot, then the log. A log that extends this
+//! snapshot is applied, and its epochs must run snapshot + 1, + 2, …; a
+//! gap fails the load. A log that extends another snapshot is applied
+//! nowhere. If this snapshot holds every record in it, a compaction renamed
+//! the snapshot in and stopped before resetting the log, and the next
+//! commit resets it. If it extends a newer snapshot than the file holds, an
+//! older copy of the file was put back, and the next commit renames the log
+//! aside to `<path>.log.stale`, whole; so does a log beside a missing
+//! snapshot. Any other log — one with a record this snapshot lacks — fails
+//! the load with an error naming both files and the record. A torn record
+//! at the log's tail is a commit that never happened, and is cut. Opening
+//! a catalog creates and syncs nothing: the first commit creates the log,
+//! and refuses to append if the log changed since the load (another
+//! process committed).
+//!
+//! Once the log's bytes pass the snapshot's, [`SharedCatalog::compact_if_due`]
+//! renders the whole catalog into a new snapshot through
+//! [`epfis_faults::write_atomic`] (write temp + fsync + rename + directory
+//! sync), resets the log to its header and begins it with the new
+//! snapshot's id. The server runs compaction after the `COMMIT` reply has
+//! gone back, `epfis analyze` after its commit.
+//!
+//! A failed append or compaction is first-class: it surfaces as a distinct
+//! `catalog persist failed` error and bumps
+//! [`SharedCatalog::persist_failures`]. A failed append leaves the
+//! published snapshot serving unchanged — the commit did not happen; a
+//! record whose `fdatasync` failed is cut off the file at once — and
+//! poisons the log until [`SharedCatalog::probe_persist`] (`RECOVER`)
+//! heals it, which cuts what is left of the failed append off the file.
 //!
 //! Sharing: [`SharedCatalog`] keeps the current [`VersionedCatalog`] behind
 //! `RwLock<Arc<...>>`. Readers take the lock only long enough to clone the
 //! `Arc` ([`SharedCatalog::snapshot`]); a commit builds the successor
-//! catalog and persists it *outside* any lock readers touch, then swaps the
+//! catalog and logs it *outside* any lock readers touch, then swaps the
 //! `Arc`. Concurrent `ESTIMATE`s therefore never block behind an ingest.
+//! In memory a catalog mirrors the disk: a base map shared by every
+//! version since the last compaction, plus the small map of entries
+//! committed since, so a commit copies only the small map.
 
 use epfis::{EpfisConfig, GridStrategy, IndexStatistics, PhiMode, PiecewiseLinear, ScanQuery};
 use epfis_estimators::BaselineCounters;
 use epfis_faults::{write_atomic, StdVfs, Vfs};
+use epfis_wal::{FsyncPolicy, Replay, Wal, WalOptions};
+use std::cmp::Ordering as NameOrder;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 const HEADER: &str = "epfis-server-catalog v1";
@@ -116,13 +171,20 @@ impl VersionedEntry {
     }
 }
 
+/// The entries of a catalog, or of its base, by name.
+type Entries = BTreeMap<String, Arc<VersionedEntry>>;
+
 /// An immutable catalog version: named [`VersionedEntry`]s plus the global
 /// epoch. Commits produce a new value; readers hold `Arc` snapshots.
 ///
 /// Entries are individually `Arc`'d so a hot reader can hold a handle to
 /// one entry across requests (the binary protocol's zero-alloc `ESTIMATE`
 /// path) and so successor catalogs share unchanged entries instead of
-/// cloning them.
+/// cloning them. The entries live in two maps, as they do on disk: a base
+/// that every version since the last compaction (or load) shares, and the
+/// entries inserted since, which override the base's. A clone copies only
+/// the second map. Two catalogs are equal when their epochs and entries
+/// are, however the entries are split.
 ///
 /// ```
 /// use epfis::{EpfisConfig, LruFit};
@@ -139,10 +201,21 @@ impl VersionedEntry {
 /// let text = catalog.to_text_checksummed();
 /// assert_eq!(VersionedCatalog::from_text_checksummed(&text).unwrap(), catalog);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct VersionedCatalog {
     epoch: u64,
-    entries: BTreeMap<String, Arc<VersionedEntry>>,
+    /// The entries as of the last compaction or load.
+    base: Arc<Entries>,
+    /// The entries inserted since, each overriding the base's of its name.
+    recent: Entries,
+    /// Distinct names across `base` and `recent`.
+    len: usize,
+}
+
+impl PartialEq for VersionedCatalog {
+    fn eq(&self, other: &Self) -> bool {
+        self.epoch == other.epoch && self.len == other.len && self.iter().eq(other.iter())
+    }
 }
 
 impl VersionedCatalog {
@@ -158,24 +231,24 @@ impl VersionedCatalog {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the catalog has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Looks an entry up by name.
     pub fn get(&self, name: &str) -> Option<&VersionedEntry> {
-        self.entries.get(name).map(|e| &**e)
+        self.get_arc(name).map(|e| &**e)
     }
 
     /// Looks an entry up by name, returning the shared handle. A caller may
     /// hold the `Arc` beyond the snapshot's lifetime (the entry is immutable
     /// once published).
     pub fn get_arc(&self, name: &str) -> Option<&Arc<VersionedEntry>> {
-        self.entries.get(name)
+        self.recent.get(name).or_else(|| self.base.get(name))
     }
 
     /// [`VersionedCatalog::get_arc`], or the error every command answers
@@ -187,7 +260,30 @@ impl VersionedCatalog {
 
     /// Iterates entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &VersionedEntry)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), &**v))
+        self.arcs().map(|(k, v)| (k, &**v))
+    }
+
+    /// The entries in name order: the base's and the recent ones merged,
+    /// a recent entry in place of the base's of its name.
+    fn arcs(&self) -> impl Iterator<Item = (&str, &Arc<VersionedEntry>)> {
+        let mut base = self.base.iter().peekable();
+        let mut recent = self.recent.iter().peekable();
+        std::iter::from_fn(move || {
+            let order = match (base.peek(), recent.peek()) {
+                (Some((b, _)), Some((r, _))) => b.cmp(r),
+                (Some(_), None) => NameOrder::Less,
+                (None, _) => NameOrder::Greater,
+            };
+            match order {
+                NameOrder::Less => base.next(),
+                NameOrder::Equal => {
+                    base.next();
+                    recent.next()
+                }
+                NameOrder::Greater => recent.next(),
+            }
+            .map(|(k, v)| (k.as_str(), v))
+        })
     }
 
     /// Inserts (or replaces) an entry, bumping the global epoch and stamping
@@ -215,25 +311,98 @@ impl VersionedCatalog {
         // The format's rule, so anything accepted here persists.
         check_name(&name)?;
         self.epoch += 1;
-        self.entries.insert(
-            name,
-            Arc::new(VersionedEntry {
-                stats,
-                epoch: self.epoch,
-                analyzed_at,
-                counters,
-                session,
-            }),
-        );
+        let entry = VersionedEntry {
+            stats,
+            epoch: self.epoch,
+            analyzed_at,
+            counters,
+            session,
+        };
+        self.put(name, Arc::new(entry));
         Ok(self.epoch)
+    }
+
+    /// Puts `entry` under `name` among the recent entries.
+    fn put(&mut self, name: String, entry: Arc<VersionedEntry>) {
+        let in_base = self.base.contains_key(&name);
+        if self.recent.insert(name, entry).is_none() && !in_base {
+            self.len += 1;
+        }
+    }
+
+    /// Moves the recent entries into the base: what a compaction does to
+    /// the files, done to the maps. Copies the base if another version
+    /// shares it.
+    fn fold(&mut self) {
+        if !self.recent.is_empty() {
+            let recent = std::mem::take(&mut self.recent);
+            Arc::make_mut(&mut self.base).extend(recent);
+        }
+    }
+
+    /// Applies the catalog log to a catalog loaded from the snapshot `id`
+    /// and says what the log is to that snapshot. The first record names
+    /// the snapshot the log extends ([`SnapshotId::record`]); the entry
+    /// records after it are applied only if that is this snapshot, and
+    /// their epochs must then run `id.epoch` + 1, + 2, … without a gap.
+    ///
+    /// A log that extends another snapshot is applied nowhere: it is
+    /// [`LogState::Spent`] if this snapshot already holds every record (a
+    /// compaction renamed it in but did not reset the log), and
+    /// [`LogState::Foreign`] if it extends a newer snapshot than this one
+    /// (an older copy of the file was put back) or the snapshot file is
+    /// missing. Anything else — a log with a record this snapshot lacks —
+    /// is an error naming the record.
+    fn apply_log(&mut self, id: SnapshotId, log: &Replay) -> Result<LogState, String> {
+        let mut bodies = log.records();
+        let Some(first) = bodies.next() else {
+            return Ok(LogState::Extends);
+        };
+        let base = SnapshotId::parse_record(first)
+            .ok_or("record 1 does not name the snapshot the log extends")?;
+        let records = bodies.enumerate().map(|(i, body)| {
+            let at = move |e: String| format!("record {}: {e}", i + 2);
+            parse_log_record(body)
+                .map_err(at)
+                .map(|(name, entry)| (name, entry, at))
+        });
+        if base == id {
+            for record in records {
+                let (name, entry, at) = record?;
+                if entry.epoch != self.epoch + 1 {
+                    return Err(at(format!(
+                        "epoch {} does not follow epoch {}: the log has a gap",
+                        entry.epoch, self.epoch
+                    )));
+                }
+                self.epoch = entry.epoch;
+                self.put(name, entry);
+            }
+            return Ok(LogState::Extends);
+        }
+        if base.epoch > id.epoch || id == SnapshotId::NONE {
+            return Ok(LogState::Foreign);
+        }
+        for record in records {
+            let (name, entry, _) = record?;
+            let held =
+                entry.epoch <= id.epoch && self.get(&name).is_some_and(|e| e.epoch >= entry.epoch);
+            if !held {
+                return Err(format!(
+                    "it extends a snapshot at {base}, not this one at {id}, and this \
+                     one lacks its record of {name} at epoch {}",
+                    entry.epoch
+                ));
+            }
+        }
+        Ok(LogState::Spent)
     }
 
     /// The highest WAL session id any entry records (0 if none): the floor
     /// for the next session id, so a provenance id is never reused.
     pub(crate) fn max_session(&self) -> u64 {
-        self.entries
-            .values()
-            .filter_map(|e| e.session)
+        self.iter()
+            .filter_map(|(_, e)| e.session)
             .max()
             .unwrap_or(0)
     }
@@ -248,7 +417,7 @@ impl VersionedCatalog {
 
     fn write_text(&self, out: &mut String) -> std::fmt::Result {
         writeln!(out, "{HEADER}\nepoch {}", self.epoch)?;
-        for (name, e) in &self.entries {
+        for (name, e) in self.iter() {
             write!(
                 out,
                 "meta {name} epoch={} analyzed_at={}",
@@ -267,7 +436,7 @@ impl VersionedCatalog {
             out.push('\n');
         }
         writeln!(out, "{SEPARATOR}\n{BARE_HEADER}")?;
-        for (name, e) in &self.entries {
+        for (name, e) in self.iter() {
             write_entry(out, name, &e.stats)?;
         }
         Ok(())
@@ -349,7 +518,12 @@ impl VersionedCatalog {
                 format!("meta for unknown entry {name:?}"),
             ));
         }
-        Ok(VersionedCatalog { epoch, entries })
+        Ok(VersionedCatalog {
+            epoch,
+            len: entries.len(),
+            base: Arc::new(entries),
+            recent: Entries::new(),
+        })
     }
 
     /// [`to_text`](VersionedCatalog::to_text) plus a trailing CRC32C footer
@@ -360,10 +534,7 @@ impl VersionedCatalog {
     /// rename — as a checksum mismatch rather than a parse error at an
     /// arbitrary line.
     pub fn to_text_checksummed(&self) -> String {
-        let mut out = self.to_text();
-        let crc = epfis_wal::crc32c(out.as_bytes());
-        writeln!(out, "crc32c {crc:08x}").expect("writing to a String cannot fail");
-        out
+        self.to_snapshot().0
     }
 
     /// Parses the persisted form, verifying the CRC32C footer when present.
@@ -371,22 +542,119 @@ impl VersionedCatalog {
     /// Files without a footer (written before checksumming existed) parse
     /// as before.
     pub fn from_text_checksummed(text: &str) -> io::Result<Self> {
+        Self::from_snapshot(text).map(|(catalog, _)| catalog)
+    }
+
+    /// [`from_text_checksummed`](VersionedCatalog::from_text_checksummed),
+    /// plus the id of the snapshot `text` is.
+    fn from_snapshot(text: &str) -> io::Result<(Self, SnapshotId)> {
         let mismatch = || io::Error::new(io::ErrorKind::InvalidData, "catalog checksum mismatch");
         let stripped = text.strip_suffix('\n').unwrap_or(text);
         let (body, last) = match stripped.rfind('\n') {
             Some(i) => (&text[..i + 1], &stripped[i + 1..]),
             None => ("", stripped),
         };
-        match last.strip_prefix("crc32c ") {
+        let (catalog, crc) = match last.strip_prefix("crc32c ") {
             Some(hex) => {
                 let want = u32::from_str_radix(hex.trim(), 16).map_err(|_| mismatch())?;
                 if epfis_wal::crc32c(body.as_bytes()) != want {
                     return Err(mismatch());
                 }
-                Self::from_text(body)
+                (Self::from_text(body)?, want)
             }
-            None => Self::from_text(text),
+            None => (Self::from_text(text)?, epfis_wal::crc32c(text.as_bytes())),
+        };
+        let id = SnapshotId {
+            epoch: catalog.epoch,
+            crc,
+        };
+        Ok((catalog, id))
+    }
+
+    /// [`to_text_checksummed`](VersionedCatalog::to_text_checksummed), plus
+    /// the id of the snapshot the text is.
+    fn to_snapshot(&self) -> (String, SnapshotId) {
+        let mut out = self.to_text();
+        let crc = epfis_wal::crc32c(out.as_bytes());
+        writeln!(out, "crc32c {crc:08x}").expect("writing to a String cannot fail");
+        let id = SnapshotId {
+            epoch: self.epoch,
+            crc,
+        };
+        (out, id)
+    }
+}
+
+/// Which snapshot a catalog log extends: the snapshot's epoch and the
+/// CRC32C of its text before the footer — the footer's own value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct SnapshotId {
+    epoch: u64,
+    crc: u32,
+}
+
+impl SnapshotId {
+    /// No snapshot file.
+    const NONE: SnapshotId = SnapshotId { epoch: 0, crc: 0 };
+
+    /// The catalog log's first record: `snapshot epoch=E crc32c=X`.
+    fn record(self) -> String {
+        format!("snapshot {self}\n")
+    }
+
+    fn parse_record(body: &[u8]) -> Option<SnapshotId> {
+        let line = std::str::from_utf8(body).ok()?.strip_suffix('\n')?;
+        let (epoch, crc) = line
+            .strip_prefix("snapshot epoch=")?
+            .split_once(" crc32c=")?;
+        Some(SnapshotId {
+            epoch: epoch.parse().ok()?,
+            crc: u32::from_str_radix(crc, 16).ok()?,
+        })
+    }
+}
+
+impl std::fmt::Display for SnapshotId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "epoch={} crc32c={:08x}", self.epoch, self.crc)
+    }
+}
+
+/// What a catalog log on disk is to the snapshot beside it, and so what
+/// the next append does to it first.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum LogState {
+    /// It extends the snapshot, or holds no record: appends go after it.
+    Extends,
+    /// The snapshot holds every record in it: it is reset.
+    Spent,
+    /// It extends a newer snapshot than the file holds, or one that is
+    /// missing: it is renamed aside to `<log>.stale`, whole, and a new log
+    /// started.
+    Foreign,
+}
+
+/// One commit as the catalog log stores it: the snapshot format holding
+/// just the committed entry, at the epoch the commit made.
+fn log_record(name: &str, entry: &Arc<VersionedEntry>) -> String {
+    let mut one = VersionedCatalog {
+        epoch: entry.epoch,
+        ..VersionedCatalog::default()
+    };
+    one.put(name.to_string(), Arc::clone(entry));
+    one.to_text()
+}
+
+/// Parses a [`log_record`] back into its name and entry.
+fn parse_log_record(body: &[u8]) -> Result<(String, Arc<VersionedEntry>), String> {
+    let text = std::str::from_utf8(body).map_err(|e| format!("not UTF-8: {e}"))?;
+    let one = VersionedCatalog::from_text(text).map_err(|e| e.to_string())?;
+    let mut entries = one.arcs();
+    match (entries.next(), entries.next()) {
+        (Some((name, entry)), None) if entry.epoch == one.epoch => {
+            Ok((name.to_string(), Arc::clone(entry)))
         }
+        _ => Err(format!("not one entry at the record's epoch {}", one.epoch)),
     }
 }
 
@@ -692,23 +960,48 @@ where
 }
 
 /// The concurrently shared catalog: `Arc` snapshots for readers, serialized
-/// copy-persist-swap commits for writers, optional durability to a file.
+/// log-append-swap commits for writers, optional durability to a snapshot
+/// file plus its catalog log.
 pub struct SharedCatalog {
     current: RwLock<Arc<VersionedCatalog>>,
-    path: Option<PathBuf>,
-    commit_lock: Mutex<()>,
+    /// The files of a durable catalog. The lock serializes commits and
+    /// compactions, durable or not.
+    files: Mutex<Option<Files>>,
     logger: Arc<epfis_obs::Logger>,
-    /// The filesystem the persist path writes through; `StdVfs` unless a
+    /// The filesystem the files are written through; `StdVfs` unless a
     /// fault-injecting test (or the `EPFIS_FAULTS` env hook) swapped one in.
     vfs: Arc<dyn Vfs>,
-    /// Commits whose atomic save failed (the in-memory snapshot and the
-    /// old on-disk file were both left untouched).
+    /// Log appends and compactions that failed.
     persist_failures: AtomicU64,
+    /// Compactions that completed.
+    compactions: AtomicU64,
+    /// The catalog log's length, header included (0 before it exists).
+    log_bytes: AtomicU64,
+    /// Set once the log has grown past the snapshot.
+    compaction_due: AtomicBool,
     // The published catalog's epoch, readable without the lock. A reader
     // holding a snapshot compares this against the snapshot's epoch to
     // decide — lock-free — whether a cached entry handle is still current
     // (the binary `ESTIMATE` fast path revalidates on every request).
     epoch_hint: AtomicU64,
+}
+
+/// A durable catalog's snapshot and log.
+struct Files {
+    snapshot: PathBuf,
+    /// The snapshot file's id ([`SnapshotId::NONE`] before it exists).
+    id: SnapshotId,
+    /// The snapshot file's length (0 before it exists).
+    snapshot_bytes: u64,
+    /// Opened by the first commit, compaction or `RECOVER`, which creates
+    /// the file if need be, so a catalog that is only read writes nothing.
+    log: Option<Wal>,
+    /// What the log is to the snapshot (see [`VersionedCatalog::apply_log`]).
+    state: LogState,
+    /// The log's valid length when the catalog was loaded (0 if absent).
+    /// Opening the log checks it is still that long: if not, another
+    /// process committed to the catalog since.
+    loaded_log_bytes: u64,
 }
 
 impl SharedCatalog {
@@ -720,23 +1013,31 @@ impl SharedCatalog {
     /// [`in_memory`](SharedCatalog::in_memory) with an explicit filesystem:
     /// nothing persists, but a WAL opened beside it writes through `vfs`.
     pub fn in_memory_with_vfs(vfs: Arc<dyn Vfs>) -> Self {
-        Self::with(VersionedCatalog::new(), None, vfs)
+        Self::with(VersionedCatalog::new(), None, 0, vfs)
     }
 
-    fn with(initial: VersionedCatalog, path: Option<PathBuf>, vfs: Arc<dyn Vfs>) -> Self {
+    fn with(
+        initial: VersionedCatalog,
+        files: Option<Files>,
+        log_bytes: u64,
+        vfs: Arc<dyn Vfs>,
+    ) -> Self {
+        let due = files.as_ref().is_some_and(|f| log_bytes > f.snapshot_bytes);
         SharedCatalog {
             epoch_hint: AtomicU64::new(initial.epoch()),
             current: RwLock::new(Arc::new(initial)),
-            path,
-            commit_lock: Mutex::new(()),
+            files: Mutex::new(files),
             logger: Arc::new(epfis_obs::Logger::disabled()),
             vfs,
             persist_failures: AtomicU64::new(0),
+            compactions: AtomicU64::new(0),
+            log_bytes: AtomicU64::new(log_bytes),
+            compaction_due: AtomicBool::new(due),
         }
     }
 
-    /// Opens a durable catalog at `path`, reloading the last atomically
-    /// persisted version if the file exists.
+    /// Opens a durable catalog at `path`: the snapshot there, if the file
+    /// exists, plus the commits in its catalog log.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         Self::open_with_vfs(path, StdVfs::shared())
     }
@@ -744,17 +1045,53 @@ impl SharedCatalog {
     /// [`open`](SharedCatalog::open) with an explicit filesystem; tests
     /// pass a `FaultVfs` to script persist failures.
     pub fn open_with_vfs(path: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> io::Result<Self> {
-        let path = path.into();
-        let initial = match vfs.read(&path) {
-            Ok(bytes) => {
+        let snapshot = path.into();
+        let read = |path: &Path| match vfs.read(path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        };
+        let (mut catalog, id, snapshot_bytes) = match read(&snapshot)? {
+            Some(bytes) => {
+                let len = bytes.len() as u64;
                 let text = String::from_utf8(bytes)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                VersionedCatalog::from_text_checksummed(&text)?
+                let (catalog, id) = VersionedCatalog::from_snapshot(&text)?;
+                (catalog, id, len)
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => VersionedCatalog::new(),
-            Err(e) => return Err(e),
+            None => (VersionedCatalog::new(), SnapshotId::NONE, 0),
         };
-        Ok(Self::with(initial, Some(path), vfs))
+        let log_path = Self::log_path(&snapshot);
+        let (loaded_log_bytes, state) = match read(&log_path)? {
+            Some(bytes) => {
+                let log = Replay::from_bytes(bytes);
+                let state = catalog.apply_log(id, &log).map_err(|e| {
+                    invalid(format!(
+                        "catalog log {} cannot be applied to {}: {e}",
+                        log_path.display(),
+                        snapshot.display()
+                    ))
+                })?;
+                (log.bytes(), state)
+            }
+            None => (0, LogState::Extends),
+        };
+        let files = Files {
+            snapshot,
+            id,
+            snapshot_bytes,
+            log: None,
+            state,
+            loaded_log_bytes,
+        };
+        Ok(Self::with(catalog, Some(files), loaded_log_bytes, vfs))
+    }
+
+    /// Where the catalog log of the snapshot at `path` lives: `<path>.log`.
+    pub fn log_path(path: &Path) -> PathBuf {
+        let mut log = path.as_os_str().to_owned();
+        log.push(".log");
+        PathBuf::from(log)
     }
 
     /// The filesystem the catalog persists through; [`ServerWal::open`]
@@ -766,7 +1103,8 @@ impl SharedCatalog {
     }
 
     /// Attaches a logger; each commit then emits a `catalog commit` span
-    /// covering build + atomic save + publish.
+    /// covering build + log append + publish, and each compaction a
+    /// `catalog compact` span.
     pub fn set_logger(&mut self, logger: Arc<epfis_obs::Logger>) {
         self.logger = logger;
     }
@@ -789,35 +1127,130 @@ impl SharedCatalog {
         self.epoch_hint.load(Ordering::Acquire)
     }
 
-    /// Commits whose atomic persist failed. Each failure left the in-memory
-    /// snapshot and the old on-disk file untouched.
+    /// Log appends and compactions that failed. A failed append left the
+    /// in-memory snapshot unchanged; a failed compaction lost nothing.
     pub fn persist_failures(&self) -> u64 {
         self.persist_failures.load(Ordering::Relaxed)
     }
 
-    /// Re-persists the current snapshot to verify the storage under the
-    /// catalog path is writable again (the `RECOVER` probe). A no-op
-    /// `Ok(())` for in-memory catalogs.
-    pub fn probe_persist(&self) -> io::Result<()> {
-        let _serialize = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.persist(&self.snapshot())
+    /// Compactions that folded the catalog log into a new snapshot.
+    pub fn compactions(&self) -> u64 {
+        self.compactions.load(Ordering::Relaxed)
     }
 
-    /// Atomically writes `catalog` to the file, if durable; a failure is
-    /// counted and worded `catalog persist failed`.
-    fn persist(&self, catalog: &VersionedCatalog) -> io::Result<()> {
-        let Some(path) = &self.path else {
+    /// The catalog log's length in bytes, header included; 0 while no log
+    /// file exists.
+    pub fn log_bytes(&self) -> u64 {
+        self.log_bytes.load(Ordering::Relaxed)
+    }
+
+    fn lock_files(&self) -> std::sync::MutexGuard<'_, Option<Files>> {
+        self.files.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Counts a failed write and words it `catalog persist failed`.
+    fn persist_failed(&self, e: io::Error) -> io::Error {
+        self.persist_failures.fetch_add(1, Ordering::Relaxed);
+        io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
+    }
+
+    /// The open catalog log. Opening it creates the file if need be, first
+    /// renames a [`LogState::Foreign`] log aside to `<log>.stale`, and
+    /// refuses a log that changed since the catalog was loaded: another
+    /// process committed to the catalog, and appending here would lose its
+    /// commit or this one.
+    fn open_log<'f>(&self, files: &'f mut Files) -> io::Result<&'f mut Wal> {
+        if files.log.is_none() {
+            let path = Self::log_path(&files.snapshot);
+            if files.state == LogState::Foreign {
+                let mut stale = path.clone().into_os_string();
+                stale.push(".stale");
+                let stale = PathBuf::from(stale);
+                self.vfs.rename(&path, &stale)?;
+                self.logger
+                    .event(epfis_obs::Level::Warn, "catalog", "log_set_aside")
+                    .field("log", stale.display().to_string())
+                    .field(
+                        "reason",
+                        "it extends another snapshot than the catalog file",
+                    )
+                    .emit();
+                files.state = LogState::Extends;
+                files.loaded_log_bytes = 0;
+            }
+            let (log, replay) = Wal::open(WalOptions {
+                fsync: FsyncPolicy::Always,
+                vfs: Arc::clone(&self.vfs),
+                // Reported as catalog series, not as `epfis_wal_*` traffic.
+                metrics: epfis_obs::wellknown::unpublished_wal(),
+                ..WalOptions::new(&path)
+            })?;
+            // A header alone is no log: an earlier open may have written it.
+            let header = epfis_wal::HEADER_BYTES;
+            let grown = replay.bytes().max(header) != files.loaded_log_bytes.max(header);
+            let rebased = files.state == LogState::Extends
+                && replay
+                    .records()
+                    .next()
+                    .is_some_and(|b| b != files.id.record().as_bytes());
+            if grown || rebased {
+                return Err(io::Error::other(format!(
+                    "catalog log {} changed since {} was loaded: another process \
+                     committed to the catalog",
+                    path.display(),
+                    files.snapshot.display()
+                )));
+            }
+            self.log_bytes.store(log.bytes(), Ordering::Relaxed);
+            files.log = Some(log);
+        }
+        Ok(files.log.as_mut().expect("opened above"))
+    }
+
+    /// The catalog log, ready for an entry record: open, reset if the
+    /// snapshot holds its records, and begun with the snapshot's id.
+    fn log<'f>(&self, files: &'f mut Files) -> io::Result<&'f mut Wal> {
+        self.open_log(files)?;
+        let log = files.log.as_mut().expect("opened above");
+        if files.state == LogState::Spent {
+            // The snapshot the records are folded into must be the one a
+            // restart finds before they go.
+            if let Some(dir) = files
+                .snapshot
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty())
+            {
+                self.vfs.sync_dir(dir)?;
+            }
+            log.reset()?;
+            files.state = LogState::Extends;
+        }
+        if log.bytes() == epfis_wal::HEADER_BYTES {
+            log.append(files.id.record().as_bytes())?;
+        }
+        self.log_bytes.store(log.bytes(), Ordering::Relaxed);
+        Ok(log)
+    }
+
+    /// Heals the catalog log (the `RECOVER` probe): cuts the bytes of a
+    /// failed append off the file, reopens it and probes the storage with
+    /// an `fdatasync`; opens the log, creating it, if no commit has yet.
+    /// Then readies it as a commit would — a spent log is reset, an empty
+    /// one begun with the snapshot's id — so the next commit appends only
+    /// its own record. A no-op `Ok(())` for in-memory catalogs.
+    pub fn probe_persist(&self) -> io::Result<()> {
+        let mut files = self.lock_files();
+        let Some(files) = files.as_mut() else {
             return Ok(());
         };
-        write_atomic(self.vfs.as_ref(), path, &catalog.to_text_checksummed()).map_err(|e| {
-            self.persist_failures.fetch_add(1, Ordering::Relaxed);
-            io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
-        })
+        self.open_log(files)?.heal()?;
+        self.log(files)?;
+        Ok(())
     }
 
     /// Commits a new analysis for `name`: builds the successor catalog,
-    /// persists it atomically (when durable), then publishes it. Returns the
-    /// new epoch.
+    /// appends its entry to the catalog log (when durable), then publishes
+    /// it. Returns the new epoch.
     ///
     /// Commits are serialized with each other but never make a reader wait
     /// for I/O: the `current` write lock is held only for the `Arc` swap.
@@ -832,9 +1265,9 @@ impl SharedCatalog {
 
     /// [`commit`](SharedCatalog::commit) with an explicit `analyzed_at`
     /// timestamp and, optionally, the WAL session the entry comes from. With
-    /// a WAL this write is the session's commit point: once the file is
-    /// renamed, replay finds `session=S` on the entry and counts the
-    /// session as ended.
+    /// a WAL this append is the session's commit point: once it is synced,
+    /// replay finds `session=S` on the entry and counts the session as
+    /// ended.
     pub fn commit_analyzed(
         &self,
         name: &str,
@@ -843,21 +1276,91 @@ impl SharedCatalog {
         analyzed_at: u64,
         session: Option<u64>,
     ) -> io::Result<u64> {
-        let _serialize = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let mut files = self.lock_files();
         let mut span = self
             .logger
             .span(epfis_obs::Level::Info, "catalog", "commit")
             .field("entry", name)
-            .field("durable", self.path.is_some());
+            .field("durable", files.is_some());
         let mut next = (*self.snapshot()).clone();
         let epoch = next
             .insert_from(name.to_string(), stats, analyzed_at, counters, session)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        self.persist(&next)?;
+        if let Some(files) = files.as_mut() {
+            let record = log_record(name, next.get_arc(name).expect("just inserted"));
+            let log = self.log(files).map_err(|e| self.persist_failed(e))?;
+            log.append(record.as_bytes())
+                .map_err(|e| self.persist_failed(e))?;
+            self.log_bytes.store(log.bytes(), Ordering::Relaxed);
+            if log.bytes() > files.snapshot_bytes {
+                self.compaction_due.store(true, Ordering::Release);
+            }
+        }
         *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
         self.epoch_hint.store(epoch, Ordering::Release);
         span.add_field("epoch", epoch);
         Ok(epoch)
+    }
+
+    /// Compacts the catalog once its log has grown past its snapshot:
+    /// renders the whole catalog into a new snapshot (write temp + fsync +
+    /// rename + directory sync), then resets the log to its header. Returns
+    /// whether it compacted. Cheap when nothing is due, so a caller may run
+    /// it after every commit — off the commit's reply path, since it
+    /// waits for the commit lock and rewrites every entry. A failed
+    /// compaction is retried after the next commit.
+    pub fn compact_if_due(&self) -> io::Result<bool> {
+        if !self.compaction_due.swap(false, Ordering::AcqRel) {
+            return Ok(false);
+        }
+        let due = self
+            .lock_files()
+            .as_ref()
+            .is_some_and(|files| self.log_bytes() > files.snapshot_bytes);
+        if due {
+            self.compact_now()?;
+        }
+        Ok(due)
+    }
+
+    /// Renders the catalog into a new snapshot and resets the log, due or
+    /// not; a no-op for in-memory catalogs.
+    pub(crate) fn compact_now(&self) -> io::Result<()> {
+        let mut files = self.lock_files();
+        let Some(files) = files.as_mut() else {
+            return Ok(());
+        };
+        let mut span = self
+            .logger
+            .span(epfis_obs::Level::Info, "catalog", "compact")
+            .field("log_bytes", self.log_bytes());
+        // A log another process changed must not be folded over.
+        self.open_log(files).map_err(|e| self.persist_failed(e))?;
+        let current = self.snapshot();
+        let (text, id) = current.to_snapshot();
+        let written = write_atomic(self.vfs.as_ref(), &files.snapshot, &text);
+        // A failed directory sync comes after the rename: whichever file
+        // is there now is the snapshot the log must go on with.
+        if written.is_ok()
+            || self
+                .vfs
+                .read(&files.snapshot)
+                .is_ok_and(|b| b == text.as_bytes())
+        {
+            files.id = id;
+            files.snapshot_bytes = text.len() as u64;
+            // The snapshot holds every record in the log now, so a crash
+            // before the reset leaves a log a load finds spent.
+            files.state = LogState::Spent;
+        }
+        written.map_err(|e| self.persist_failed(e))?;
+        self.log(files).map_err(|e| self.persist_failed(e))?;
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+        let mut folded = (*current).clone();
+        folded.fold();
+        *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(folded);
+        span.add_field("snapshot_bytes", text.len());
+        Ok(())
     }
 }
 
@@ -881,11 +1384,13 @@ mod tests {
         LruFit::new(EpfisConfig::default()).collect(&KeyedTrace::all_distinct(pages, 90))
     }
 
+    /// A catalog path no earlier run left a snapshot or a log at.
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("epfis-server-catalog-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join(format!("{tag}.scat"));
         std::fs::remove_file(&p).ok();
+        std::fs::remove_file(SharedCatalog::log_path(&p)).ok();
         p
     }
 
@@ -1469,6 +1974,8 @@ mod tests {
         assert_eq!(old.stats, stats(1));
 
         shared.commit("new.ix", stats(2), None).unwrap();
+        // The commit is in the log; a compaction rewrites the snapshot.
+        shared.compact_now().unwrap();
         let persisted = std::fs::read_to_string(&path).unwrap();
         assert!(!persisted.contains("wal_committed"), "{persisted}");
         assert!(
@@ -1514,6 +2021,7 @@ mod tests {
         let path = tmp("checksum");
         let shared = SharedCatalog::open(&path).unwrap();
         shared.commit("t.k", stats(7), None).unwrap();
+        assert!(shared.compact_if_due().unwrap());
         let persisted = std::fs::read_to_string(&path).unwrap();
         let last = persisted.trim_end().lines().last().unwrap();
         assert!(last.starts_with("crc32c "), "missing footer: {last:?}");
@@ -1541,6 +2049,9 @@ mod tests {
         let shared = SharedCatalog::open(&path).unwrap();
         assert_eq!(shared.epoch_hint(), 0);
         assert_eq!(shared.commit("new.ix", stats(2), None).unwrap(), 1);
+        // The commit is in the log; the compaction it made due rewrites
+        // the file.
+        assert!(shared.compact_if_due().unwrap());
         let persisted = std::fs::read_to_string(&path).unwrap();
         assert!(
             persisted.starts_with(&format!("{HEADER}\nepoch 1\nmeta new.ix epoch=1 ")),
@@ -1575,6 +2086,7 @@ mod tests {
         assert_eq!(snap.get("ix2").unwrap().session, None);
         assert_eq!(snap.max_session(), 9);
 
+        assert!(shared.compact_if_due().unwrap());
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
             text.contains(
@@ -1657,25 +2169,39 @@ mod tests {
         assert_eq!(shared.snapshot().epoch(), 0);
     }
 
+    /// The catalog `path`'s files load into `want`: entries and epochs
+    /// equal, estimates bit-identical.
+    fn assert_loads(path: &Path, want: &VersionedCatalog, context: &str) {
+        let loaded = SharedCatalog::open(path)
+            .unwrap_or_else(|e| panic!("{context}: load failed: {e}"))
+            .snapshot();
+        assert_eq!(*loaded, *want, "{context}");
+        let q = ScanQuery::range(0.3, 17).with_sargable(0.6);
+        for ((_, a), (_, b)) in loaded.iter().zip(want.iter()) {
+            assert_eq!(
+                a.stats.estimate(&q).to_bits(),
+                b.stats.estimate(&q).to_bits()
+            );
+        }
+    }
+
     #[test]
     fn persist_failure_is_distinct_and_leaves_old_state_serving() {
         use epfis_faults::{FaultKind, FaultVfs, OpKind, Rule};
 
         let path = tmp("persistfail");
+        let log = SharedCatalog::log_path(&path);
         let fv = FaultVfs::new();
         let shared = SharedCatalog::open_with_vfs(&path, fv.clone().shared()).unwrap();
         shared.commit("ix", stats(1), None).unwrap();
-        let before = std::fs::read(&path).unwrap();
+        let before = std::fs::read(&log).unwrap();
 
-        // Every fault point before the rename — temp create, write, fsync,
-        // rename itself — must surface the distinct error, leave the old
-        // file byte-identical, and keep the old snapshot serving.
-        for op in [
-            OpKind::Create,
-            OpKind::Write,
-            OpKind::SyncData,
-            OpKind::Rename,
-        ] {
+        // Every fault point of the append — the write, its fdatasync —
+        // must surface the distinct error and keep the old snapshot
+        // serving. The log then refuses commits until the RECOVER probe
+        // heals it, which cuts the failed record off: the log is
+        // byte-identical to before, and loads as the old catalog.
+        for op in [OpKind::Write, OpKind::SyncData] {
             let failures_before = shared.persist_failures();
             fv.schedule()
                 .push(Rule::new(FaultKind::Enospc).on_op(op).times(1));
@@ -1688,39 +2214,348 @@ mod tests {
                 "op {op:?}: not the distinct error: {err}"
             );
             assert_eq!(shared.persist_failures(), failures_before + 1);
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                before,
-                "op {op:?}: old on-disk catalog must survive byte-identical"
-            );
             let snap = shared.snapshot();
             assert_eq!(snap.epoch(), 1, "op {op:?}: old snapshot must keep serving");
             assert_eq!(snap.get("ix").unwrap().stats, stats(1));
+            let err = shared.commit("ix", stats(98), None).unwrap_err();
+            assert!(err.to_string().contains("wal poisoned"), "op {op:?}: {err}");
+            // Whatever the failed append left loads as old or new.
+            let on_disk = SharedCatalog::open(&path).unwrap().snapshot();
+            let ix = &on_disk.get("ix").unwrap().stats;
+            assert!(*ix == stats(1) || *ix == stats(99), "op {op:?}: torn");
             fv.schedule().heal();
+            shared.probe_persist().unwrap();
+            assert_eq!(
+                std::fs::read(&log).unwrap(),
+                before,
+                "op {op:?}: the healed log must be byte-identical to before"
+            );
+            assert_loads(&path, &snap, &format!("op {op:?} healed"));
         }
 
-        // A directory-fsync fault fires *after* the rename: the file on disk
-        // is then validly old OR new — never torn — and the commit is still
-        // reported failed (a false negative, never a false positive), so the
-        // published snapshot stays old.
-        fv.schedule()
-            .push(Rule::new(FaultKind::Eio).on_op(OpKind::SyncDir).times(1));
-        let err = shared.commit("ix", stats(50), None).err().unwrap();
-        assert!(err.to_string().starts_with("catalog persist failed: "));
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        let parsed = VersionedCatalog::from_text_checksummed(&on_disk)
-            .expect("on-disk catalog must be old or new, never torn");
-        assert!(parsed.epoch() == 1 || parsed.epoch() == 2);
-        assert_eq!(shared.snapshot().epoch(), 1);
-        fv.schedule().heal();
+        // Compaction: a fault at any step up to the rename leaves the
+        // snapshot file byte-identical and the log whole, so the files
+        // still load as the published catalog; it is retried after the
+        // next commit.
+        assert!(shared.compact_if_due().unwrap());
+        for op in [
+            OpKind::Create,
+            OpKind::Write,
+            OpKind::SyncData,
+            OpKind::Rename,
+        ] {
+            // Two commits: the log is then past the one-entry snapshot.
+            shared.commit("ix", stats(2), None).unwrap();
+            shared.commit("ix", stats(2), None).unwrap();
+            let snapshot_before = std::fs::read(&path).unwrap();
+            let failures_before = shared.persist_failures();
+            fv.schedule()
+                .push(Rule::new(FaultKind::Enospc).on_op(op).times(1));
+            let err = shared.compact_if_due().unwrap_err();
+            assert!(err.to_string().starts_with("catalog persist failed: "));
+            assert_eq!(shared.persist_failures(), failures_before + 1);
+            assert_eq!(std::fs::read(&path).unwrap(), snapshot_before, "op {op:?}");
+            assert_loads(&path, &shared.snapshot(), &format!("compaction op {op:?}"));
+            fv.schedule().heal();
+            assert!(
+                !shared.compact_if_due().unwrap(),
+                "retried only after a commit"
+            );
+        }
 
-        // probe_persist succeeds once the storage heals, and a fresh commit
-        // then lands normally.
+        // After the rename — the directory sync, or the log reset — the
+        // snapshot is new and holds every record in the log, so the files
+        // load as the published catalog either way.
+        for op in [OpKind::SyncDir, OpKind::Truncate] {
+            shared.commit("ix", stats(3), None).unwrap();
+            shared.commit("ix", stats(3), None).unwrap();
+            fv.schedule()
+                .push(Rule::new(FaultKind::Eio).on_op(op).times(1));
+            let err = shared.compact_if_due().unwrap_err();
+            assert!(err.to_string().starts_with("catalog persist failed: "));
+            fv.schedule().heal();
+            assert_loads(&path, &shared.snapshot(), &format!("compaction op {op:?}"));
+            if op == OpKind::SyncDir {
+                // The log is healthy: the next commit goes on from the
+                // renamed snapshot, not the one the log was begun with.
+                shared.commit("ix", stats(3), None).unwrap();
+                assert_loads(&path, &shared.snapshot(), "a commit after SyncDir");
+            }
+        }
+
+        // The failed reset poisoned the log: RECOVER's probe heals it, and
+        // a commit then lands and survives a reopen.
+        assert!(shared.commit("ix", stats(4), None).is_err());
         shared.probe_persist().unwrap();
-        shared.commit("ix", stats(2), None).unwrap();
-        assert_eq!(shared.snapshot().get("ix").unwrap().stats, stats(2));
-        let reopened = SharedCatalog::open(&path).unwrap();
-        assert_eq!(reopened.snapshot().get("ix").unwrap().stats, stats(2));
+        shared.commit("ix", stats(5), None).unwrap();
+        assert_eq!(shared.snapshot().get("ix").unwrap().stats, stats(5));
+        assert_loads(&path, &shared.snapshot(), "after recover");
+    }
+
+    /// A commit appends one record to the log and leaves the snapshot
+    /// alone; the record is the snapshot format holding just that entry.
+    #[test]
+    fn a_commit_appends_one_record_and_leaves_the_snapshot_alone() {
+        let path = tmp("append-one");
+        let log_path = SharedCatalog::log_path(&path);
+        let mut seeded = VersionedCatalog::new();
+        for i in 0..20 {
+            seeded.insert(format!("t{i}.k"), stats(i), 7, None).unwrap();
+        }
+        std::fs::write(&path, seeded.to_text_checksummed()).unwrap();
+        let snapshot = std::fs::read(&path).unwrap();
+
+        let shared = SharedCatalog::open(&path).unwrap();
+        assert!(!log_path.exists(), "opening must create nothing");
+        assert_eq!(shared.log_bytes(), 0);
+        shared
+            .commit_analyzed("t3.k", stats(40), Some(counters(2)), 99, Some(6))
+            .unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), snapshot);
+        let log = Replay::from_bytes(std::fs::read(&log_path).unwrap());
+        assert_eq!(log.len(), 2);
+        assert_eq!(shared.log_bytes(), log.bytes());
+        let mut records = log.records().map(|r| std::str::from_utf8(r).unwrap());
+        let crc = epfis_wal::crc32c(seeded.to_text().as_bytes());
+        assert_eq!(
+            records.next().unwrap(),
+            format!("snapshot epoch=20 crc32c={crc:08x}\n"),
+            "the first record names the snapshot"
+        );
+        let record = records.next().unwrap();
+        let entry = shared.snapshot().get_arc("t3.k").unwrap().clone();
+        assert_eq!(record, log_record("t3.k", &entry));
+        assert!(
+            record.starts_with(&format!(
+                "{HEADER}\nepoch 21\nmeta t3.k epoch=21 analyzed_at=99 \
+                 cluster_counter=2 fetches_b1=1002 fetches_b3=902 session=6\n{SEPARATOR}\n\
+                 {BARE_HEADER}\nindex t3.k\n"
+            )),
+            "{record}"
+        );
+        assert!(
+            !shared.compact_if_due().unwrap(),
+            "the log is far below the snapshot"
+        );
+        assert_loads(&path, &shared.snapshot(), "reopen");
+    }
+
+    /// Frames `body` as a catalog log record.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&epfis_wal::crc32c(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// A log that extends the snapshot must continue its epoch one by one:
+    /// a gap, or a record at or below the snapshot's epoch, fails the load
+    /// with an error naming both files.
+    #[test]
+    fn log_records_must_follow_the_snapshot_epoch_without_a_gap() {
+        let path = tmp("gap");
+        let log_path = SharedCatalog::log_path(&path);
+        let shared = SharedCatalog::open(&path).unwrap();
+        for i in 0..3 {
+            shared.commit("a.k", stats(i), None).unwrap();
+        }
+        let full = std::fs::read(&log_path).unwrap();
+        let log = Replay::from_bytes(full.clone());
+        // The snapshot's id, then epochs 1, 2 and 3.
+        let bodies: Vec<&[u8]> = log.records().collect();
+        let header = &full[..epfis_wal::HEADER_BYTES as usize];
+        for (kept, want) in [
+            (&[0, 1, 3][..], "record 3: epoch 3 does not follow epoch 1"),
+            (&[0, 2][..], "record 2: epoch 2 does not follow epoch 0"),
+            (&[0, 1, 1][..], "record 3: epoch 1 does not follow epoch 1"),
+        ] {
+            let mut cut = header.to_vec();
+            for &i in kept {
+                cut.extend(frame(bodies[i]));
+            }
+            std::fs::write(&log_path, &cut).unwrap();
+            let err = SharedCatalog::open(&path)
+                .err()
+                .unwrap_or_else(|| panic!("records {kept:?} must fail the load"));
+            let err = err.to_string();
+            assert!(
+                err.starts_with(&format!(
+                    "catalog log {} cannot be applied to {}: ",
+                    log_path.display(),
+                    path.display()
+                )) && err.ends_with(&format!("{want}: the log has a gap")),
+                "{kept:?}: {err}"
+            );
+        }
+        std::fs::write(&log_path, &full).unwrap();
+        assert_eq!(SharedCatalog::open(&path).unwrap().snapshot().epoch(), 3);
+    }
+
+    /// A log that extends another snapshot loads only if the snapshot
+    /// beside it already holds every record: what a crash between a
+    /// compaction's rename and its log reset leaves. A log with a record
+    /// the snapshot lacks — two processes committed to one catalog — fails
+    /// the load; one beside a missing snapshot is set aside whole.
+    #[test]
+    fn a_log_of_another_snapshot_loads_only_if_the_snapshot_holds_it() {
+        let path = tmp("spent");
+        let log_path = SharedCatalog::log_path(&path);
+        let shared = SharedCatalog::open(&path).unwrap();
+        for i in 0..3 {
+            shared.commit("a.k", stats(i), None).unwrap();
+        }
+        let old_log = std::fs::read(&log_path).unwrap();
+        shared.compact_now().unwrap();
+        let compacted = shared.snapshot();
+        drop(shared);
+
+        // The crash between the rename and the reset.
+        std::fs::write(&log_path, &old_log).unwrap();
+        assert_loads(&path, &compacted, "spent records");
+        // The next commit resets the log and continues the epoch.
+        let shared = SharedCatalog::open(&path).unwrap();
+        assert_eq!(shared.commit("b.k", stats(9), None).unwrap(), 4);
+        let log = Replay::from_bytes(std::fs::read(&log_path).unwrap());
+        assert_eq!(log.len(), 2, "reset, then the snapshot's id and the commit");
+        assert_loads(&path, &shared.snapshot(), "a commit after spent records");
+        drop(shared);
+
+        // A record the snapshot lacks: epoch 4, beside the snapshot at 3.
+        let extends_compacted = std::fs::read(&log_path).unwrap();
+        let lost = Replay::from_bytes(extends_compacted.clone());
+        let mut foreign = old_log.clone();
+        foreign.extend(frame(lost.records().nth(1).unwrap()));
+        std::fs::write(&log_path, &foreign).unwrap();
+        let err = SharedCatalog::open(&path)
+            .err()
+            .expect("a lost record")
+            .to_string();
+        assert!(
+            err.contains("this one lacks its record of b.k at epoch 4"),
+            "{err}"
+        );
+
+        // A log beside a missing snapshot: nothing applies, and the next
+        // commit renames the log aside whole.
+        let stale = path.with_extension("scat.log.stale");
+        std::fs::write(&log_path, &extends_compacted).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_loads(&path, &VersionedCatalog::new(), "a missing snapshot");
+        let shared = SharedCatalog::open(&path).unwrap();
+        assert_eq!(shared.commit("c.k", stats(5), None).unwrap(), 1);
+        assert_eq!(
+            std::fs::read(&stale).unwrap(),
+            extends_compacted,
+            "set aside whole"
+        );
+        assert_loads(
+            &path,
+            &shared.snapshot(),
+            "a commit after a missing snapshot",
+        );
+        std::fs::remove_file(&stale).unwrap();
+    }
+
+    /// A log started after a compaction to a newer snapshot than the file
+    /// now holds (an older copy was put back, as a restore or a benchmark's
+    /// reset does) applies nothing, and the next commit renames it aside
+    /// to `<log>.stale` and starts a new one.
+    #[test]
+    fn a_snapshot_replaced_by_an_older_copy_sets_its_log_aside() {
+        let path = tmp("older-copy");
+        let log_path = SharedCatalog::log_path(&path);
+        let stale = path.with_extension("scat.log.stale");
+        std::fs::remove_file(&stale).ok();
+        let mut seeded = VersionedCatalog::new();
+        seeded.insert("a.k", stats(1), 1, None).unwrap();
+        let original = seeded.to_text_checksummed();
+        std::fs::write(&path, &original).unwrap();
+        let shared = SharedCatalog::open(&path).unwrap();
+        for i in 0..3 {
+            shared.commit("b.k", stats(i), None).unwrap();
+        }
+        shared.compact_now().unwrap();
+        assert_eq!(shared.commit("c.k", stats(7), None).unwrap(), 5);
+        drop(shared);
+        let newer_log = std::fs::read(&log_path).unwrap();
+
+        std::fs::write(&path, &original).unwrap();
+        assert_loads(&path, &seeded, "the older copy alone");
+        assert_eq!(
+            std::fs::read(&log_path).unwrap(),
+            newer_log,
+            "a load writes nothing"
+        );
+        let shared = SharedCatalog::open(&path).unwrap();
+        assert_eq!(
+            shared
+                .commit_analyzed("d.k", stats(8), None, 9, None)
+                .unwrap(),
+            2
+        );
+        assert_eq!(std::fs::read(&stale).unwrap(), newer_log, "set aside whole");
+        let mut want = seeded.clone();
+        want.insert("d.k", stats(8), 9, None).unwrap();
+        assert_loads(&path, &want, "a commit after the older copy");
+        std::fs::remove_file(&stale).unwrap();
+    }
+
+    /// A commit refuses to append to a log another process appended to or
+    /// compacted since this catalog was loaded, instead of losing one of
+    /// the two commits.
+    #[test]
+    fn a_log_another_process_changed_refuses_the_commit() {
+        let path = tmp("two-writers");
+        let first = SharedCatalog::open(&path).unwrap();
+        first.commit("a.k", stats(1), None).unwrap();
+        first.compact_now().unwrap();
+        drop(first);
+
+        for compact in [false, true] {
+            let server = SharedCatalog::open(&path).unwrap();
+            let offline = SharedCatalog::open(&path).unwrap();
+            offline.commit("b.k", stats(2), None).unwrap();
+            if compact {
+                offline.compact_now().unwrap();
+            }
+            let err = server
+                .commit("v.ix", stats(3), None)
+                .expect_err("the log changed under the server");
+            assert!(
+                err.to_string()
+                    .contains("another process committed to the catalog"),
+                "compact={compact}: {err}"
+            );
+            assert_loads(&path, &offline.snapshot(), &format!("compact={compact}"));
+        }
+    }
+
+    /// The base and recent maps read as one: name order, one entry per
+    /// name, the same however a compaction split them.
+    #[test]
+    fn base_and_recent_entries_read_as_one_catalog() {
+        let mut c = VersionedCatalog::new();
+        for (i, name) in ["m", "c", "x", "a"].iter().enumerate() {
+            c.insert(*name, stats(i as u32), 1, None).unwrap();
+        }
+        let before = c.clone();
+        c.fold();
+        assert_eq!(c, before);
+        assert!(c.recent.is_empty());
+        c.insert("c", stats(10), 2, None).unwrap();
+        c.insert("b", stats(11), 2, None).unwrap();
+        c.insert("z", stats(12), 2, None).unwrap();
+        let names: Vec<&str> = c.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a", "b", "c", "m", "x", "z"]);
+        assert_eq!(c.len(), 6);
+        assert_eq!(c.get("c").unwrap().stats, stats(10));
+        assert_eq!(c.get("m").unwrap().stats, stats(0));
+        let text = c.to_text();
+        let mut folded = c.clone();
+        folded.fold();
+        assert_eq!(folded, c);
+        assert_eq!(folded.to_text(), text);
+        assert_eq!(VersionedCatalog::from_text(&text).unwrap(), c);
     }
 
     #[test]

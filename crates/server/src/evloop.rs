@@ -123,6 +123,9 @@ impl Job {
             drop(slot);
         }
         shared.ingest.finished();
+        // A commit may have grown the catalog log past its snapshot: fold
+        // it now that the reply is on its way, not before.
+        shared.compact_catalog();
     }
 }
 

@@ -16,8 +16,9 @@
 //!   segments and atomically publishes a versioned entry into the
 //!   [`SharedCatalog`].
 //! * Reads take an `Arc` snapshot, so concurrent `ESTIMATE`s never block
-//!   behind an ingest; the catalog persists atomically (temp + fsync +
-//!   rename) and reloads on startup.
+//!   behind an ingest; a commit appends its entry to the catalog log and
+//!   syncs it, a compaction after the reply rewrites the snapshot
+//!   atomically (temp + fsync + rename), and both reload on startup.
 //! * `EXPLAIN ESTIMATE` serves the same estimate byte-for-byte plus the
 //!   full Est-IO decision trace (FPF segment identity, clamp, small-σ
 //!   correction, urn-model sargable reduction) — see `epfis::explain`.
@@ -42,9 +43,9 @@
 //!   ([`wal`], on the `epfis-wal` segment log): `PAGE` batches append before
 //!   they feed the analyzer, periodic checkpoints serialize the session so
 //!   replay is bounded, and restart replays the log *before binding* —
-//!   interrupted sessions park for `ANALYZE RESUME`; the catalog write is
-//!   the commit point, so replay never writes the catalog. A disconnect parks instead
-//!   of discarding. Contract and format: `docs/durability.md`.
+//!   interrupted sessions park for `ANALYZE RESUME`; the catalog-log
+//!   append is the commit point, so replay never writes the catalog. A
+//!   disconnect parks instead of discarding. Contract and format: `docs/durability.md`.
 //!
 //! * A `HELLO BINARY` line upgrades a connection to **binary framing v2**
 //!   ([`framing`]): length-prefixed frames, pipelined request batching,

@@ -276,6 +276,16 @@ impl Shared {
         }
     }
 
+    /// Compacts the catalog if its log has grown past its snapshot; runs
+    /// on an ingest thread after a job's answers were handed back. A
+    /// failure degrades the server like a failed commit: the log may be
+    /// poisoned, and `RECOVER` heals it.
+    pub(crate) fn compact_catalog(&self) {
+        if let Err(e) = self.catalog.compact_if_due() {
+            self.enter_degraded(&e.to_string());
+        }
+    }
+
     /// Ingest commands answer `ERR readonly ...` while degraded.
     pub(crate) fn check_writable(&self) -> Result<(), String> {
         if self.health.is_degraded() {
@@ -434,9 +444,23 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let cat = Arc::clone(&catalog);
         registry.counter_fn(
             "epfis_server_catalog_persist_failures_total",
-            "Catalog commits whose atomic persist failed (old version kept serving)",
+            "Catalog log appends and compactions that failed (old version kept serving)",
             &[],
             move || cat.persist_failures(),
+        );
+        let cat = Arc::clone(&catalog);
+        registry.gauge_fn(
+            "epfis_server_catalog_log_bytes",
+            "Bytes in the catalog log, header included, awaiting compaction into the snapshot",
+            &[],
+            move || cat.log_bytes() as f64,
+        );
+        let cat = Arc::clone(&catalog);
+        registry.counter_fn(
+            "epfis_server_catalog_compactions_total",
+            "Compactions that folded the catalog log into a new snapshot",
+            &[],
+            move || cat.compactions(),
         );
     }
     if let Some(wal) = &wal {

@@ -28,13 +28,13 @@
 //!
 //! # The catalog write is the commit point
 //!
-//! [`ServerWal::commit_session`] writes the catalog first: one atomic
-//! rename, whose entry records the session on its `meta` line as
-//! `session=S`. Then it appends and syncs the `COMMIT` record as a marker
-//! that the session ended, or an `ABORT` record if the catalog write
-//! failed. A session has therefore ended if the log holds its `COMMIT` or
-//! `ABORT`, or if the catalog entry for its name records its id (a crash
-//! between the rename and the marker). Replay never writes the catalog,
+//! [`ServerWal::commit_session`] writes the catalog first: one synced
+//! catalog-log record, whose entry records the session on its `meta` line
+//! as `session=S`. Then it appends and syncs the `COMMIT` record as a
+//! marker that the session ended, or an `ABORT` record if the catalog
+//! write failed. A session has therefore ended if the log holds its
+//! `COMMIT` or `ABORT`, or if the catalog entry for its name records its
+//! id (a crash between the catalog write and the marker). Replay never writes the catalog,
 //! so it is always the old or the new version. A session counted as ended
 //! only by the catalog gets its `COMMIT` marker appended at that restart
 //! if the log is kept, because a newer commit of the same name would stop
@@ -593,9 +593,9 @@ impl ServerWal {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let started = Instant::now();
         let opts = WalOptions {
-            dir: config.dir.clone(),
             fsync: config.fsync,
             vfs: Arc::clone(catalog.vfs()),
+            ..WalOptions::new(config.dir.join(epfis_wal::FILE_NAME))
         };
         let (wal, replay) = Wal::open(opts)?;
         let snapshot = catalog.snapshot();
@@ -1004,6 +1004,11 @@ mod tests {
         dir
     }
 
+    /// The catalog's files — its snapshot and its catalog log — as bytes.
+    fn catalog_files(path: &std::path::Path) -> [Option<Vec<u8>>; 2] {
+        [path.to_path_buf(), SharedCatalog::log_path(path)].map(|p| std::fs::read(p).ok())
+    }
+
     fn sample_checkpoint() -> SessionCheckpoint {
         let mut s = IngestSession::new("ix.k".into(), EpfisConfig::default(), Some(1000));
         for i in 0..500i64 {
@@ -1096,7 +1101,7 @@ mod tests {
 
     /// Drives a full session through a ServerWal against a durable catalog,
     /// then reopens everything: the commit must not be applied twice, and
-    /// the catalog file must be byte-identical across the reopen.
+    /// the catalog files must be byte-identical across the reopen.
     #[test]
     fn replay_applies_each_commit_exactly_once() {
         let dir = temp_dir("exactly-once");
@@ -1120,7 +1125,7 @@ mod tests {
                 catalog.commit_analyzed("ix.a", stats, Some(counters), 1_234_567, Some(session))
             })
             .unwrap();
-            std::fs::read(&cat_path).unwrap()
+            catalog_files(&cat_path)
         };
 
         // Simulated crash after the commit: reopening must change nothing.
@@ -1133,7 +1138,7 @@ mod tests {
             assert_eq!(catalog.snapshot().epoch(), 1, "commit replayed twice");
             assert!(wal.parked_names().is_empty());
         }
-        assert_eq!(std::fs::read(&cat_path).unwrap(), first_commit);
+        assert_eq!(catalog_files(&cat_path), first_commit);
     }
 
     /// A log that ends mid-session parks the session; resuming and
@@ -1286,7 +1291,7 @@ mod tests {
             wal.append_page(sid, dropped.len(), dropped.iter().copied())
                 .unwrap();
             wal.abort_session(sid).unwrap();
-            std::fs::read(&cat_path).unwrap()
+            catalog_files(&cat_path)
         };
 
         let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
@@ -1300,7 +1305,7 @@ mod tests {
             "only the open session's references are re-fed"
         );
         assert_eq!(wal.parked_names(), vec!["ix.open".to_string()]);
-        assert_eq!(std::fs::read(&cat_path).unwrap(), committed);
+        assert_eq!(catalog_files(&cat_path), committed);
         // Ids keep counting past the skipped sessions.
         assert_eq!(wal.begin("ix.next", None, None).unwrap(), 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1381,7 +1386,8 @@ mod tests {
         let legacy = legacy_checkpoint_body(1, &cp, [123_456, 77, 399]);
         assert_ne!(legacy, body);
         {
-            let (mut wal, _) = Wal::open(WalOptions::new(dir.join("wal"))).unwrap();
+            let (mut wal, _) =
+                Wal::open(WalOptions::new(dir.join("wal").join(epfis_wal::FILE_NAME))).unwrap();
             encode_begin(&mut body, 1, "ix.old", None, Some(400));
             wal.append(&body).unwrap();
             encode_page(&mut body, 1, head.len(), head.iter().copied());

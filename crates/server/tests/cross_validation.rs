@@ -10,7 +10,9 @@
 //!   binary side ships raw;
 //! * line-identical `EXPLAIN ESTIMATE` traces over the TEXT passthrough.
 
-use epfis_server::{serve, BinResponse, BinaryClient, Client, ServerConfig};
+use epfis_server::{
+    serve, BinResponse, BinaryClient, Client, ServerConfig, SharedCatalog, VersionedCatalog,
+};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
@@ -89,12 +91,17 @@ fn ingest_binary(addr: SocketAddr, name: &str) {
     }
 }
 
-/// Replaces the wall-clock `analyzed_at=<n>` stamps so two runs of the same
-/// ingest compare equal; everything else must already match byte-for-byte.
+/// Replaces the wall-clock `analyzed_at=<n>` stamps, and the checksum
+/// footer that covers them, so two runs of the same ingest compare equal;
+/// everything else must already match byte-for-byte. The footer must
+/// verify first.
 fn normalize_catalog(text: &str) -> String {
+    VersionedCatalog::from_text_checksummed(text).expect("the footer must verify");
     let mut out = String::with_capacity(text.len());
     for line in text.split_inclusive('\n') {
-        if let Some(pos) = line.find("analyzed_at=") {
+        if line.starts_with("crc32c ") {
+            out.push_str("crc32c <crc>\n");
+        } else if let Some(pos) = line.find("analyzed_at=") {
             let (head, tail) = line.split_at(pos + "analyzed_at=".len());
             let rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
             out.push_str(head);
@@ -146,8 +153,10 @@ fn text_and_binary_ingest_commit_byte_identical_catalogs() {
         normalize_catalog(&bin_cat),
         "text-ingested and binary-ingested catalogs diverge"
     );
-    std::fs::remove_file(&text_path).ok();
-    std::fs::remove_file(&bin_path).ok();
+    for path in [&text_path, &bin_path] {
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(SharedCatalog::log_path(path)).ok();
+    }
 }
 
 #[test]

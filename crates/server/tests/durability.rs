@@ -11,7 +11,7 @@
 //! of it against copies of both the pre-session and the post-session
 //! catalog.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use epfis::EpfisConfig;
@@ -67,11 +67,56 @@ fn record_ends(log: &[u8]) -> Vec<(usize, WalRecord)> {
     out
 }
 
+/// A catalog's files as bytes: the snapshot and its catalog log, each
+/// absent or whole.
+#[derive(Clone, Debug, PartialEq)]
+struct CatalogFiles {
+    snapshot: Option<Vec<u8>>,
+    log: Option<Vec<u8>>,
+}
+
+impl CatalogFiles {
+    fn read(path: &Path) -> CatalogFiles {
+        CatalogFiles {
+            snapshot: std::fs::read(path).ok(),
+            log: std::fs::read(SharedCatalog::log_path(path)).ok(),
+        }
+    }
+
+    fn write(&self, path: &Path) {
+        for (file, bytes) in [
+            (path.to_path_buf(), &self.snapshot),
+            (SharedCatalog::log_path(path), &self.log),
+        ] {
+            match bytes {
+                Some(bytes) => std::fs::write(&file, bytes).unwrap(),
+                None => {
+                    let _ = std::fs::remove_file(&file);
+                }
+            }
+        }
+    }
+
+    /// These files with the log cut to its first `len` bytes.
+    fn log_cut(&self, len: usize) -> CatalogFiles {
+        CatalogFiles {
+            snapshot: self.snapshot.clone(),
+            log: self.log.as_ref().map(|log| log[..len].to_vec()),
+        }
+    }
+}
+
 /// Truncate the reference WAL at every byte offset and replay each prefix
 /// against both the pre-session and the post-session catalog: replay must
-/// leave the catalog file byte-identical and never panic. With the post
+/// leave the catalog files byte-identical and never panic. With the post
 /// catalog the committed session never parks, wherever the cut fell; with
 /// the pre catalog it parks iff the cut holds its `BEGIN` and no `COMMIT`.
+///
+/// The catalog side of the commit is cut the same way: its catalog-log
+/// record at every byte, and then the compaction that follows it — the
+/// snapshot rename, then the log reset. Each cut loads as the old catalog
+/// (the session parks, ready to resume) or the new one (it has ended),
+/// never anything else.
 #[test]
 fn kill_at_every_offset_leaves_catalog_old_or_new() {
     let root = temp_dir("kill");
@@ -93,7 +138,8 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
             .commit_analyzed("base", stats, Some(summary), 100, None)
             .unwrap();
     }
-    let pre_bytes = std::fs::read(&cat_path).unwrap();
+    let pre = CatalogFiles::read(&cat_path);
+    let pre_catalog = catalog.snapshot();
 
     // Reference stream: a full session (BEGIN, two PAGE batches, a
     // mid-stream CHECKPOINT, COMMIT) recorded through the real ServerWal
@@ -123,9 +169,14 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
         catalog.commit_analyzed("ix.crash", stats, Some(summary), 777, Some(session))
     })
     .unwrap();
-    let post_bytes = std::fs::read(&cat_path).unwrap();
+    let post = CatalogFiles::read(&cat_path);
+    let post_catalog = catalog.snapshot();
     let wal_bytes = std::fs::read(gen_wal.join("wal-000000.seg")).unwrap();
-    assert_ne!(pre_bytes, post_bytes);
+    assert_ne!(pre, post);
+    assert_eq!(
+        post.snapshot, pre.snapshot,
+        "a commit leaves the snapshot alone"
+    );
     assert!(wal_bytes.len() > 100, "stream too short to be interesting");
     drop(wal);
 
@@ -143,36 +194,100 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
     let commit_end =
         end_of(&|r| matches!(r, WalRecord::Commit { session_id, .. } if *session_id == sid));
     assert_eq!(commit_end, wal_bytes.len(), "COMMIT is the last record");
+    let before_commit = records[records.len() - 2].0;
+
+    // Opens `files` against the WAL prefix `wal_cut`: neither may be
+    // written, and the loaded catalog is returned with whether ix.crash
+    // parked.
+    let replay_root = root.join("replay");
+    let recover = |files: &CatalogFiles, wal_cut: usize, context: &str| {
+        let _ = std::fs::remove_dir_all(&replay_root);
+        let wal_dir = replay_root.join("wal");
+        std::fs::create_dir_all(&wal_dir).unwrap();
+        let cpath = replay_root.join("catalog.scat");
+        files.write(&cpath);
+        std::fs::write(wal_dir.join("wal-000000.seg"), &wal_bytes[..wal_cut]).unwrap();
+
+        let catalog = SharedCatalog::open(&cpath)
+            .unwrap_or_else(|e| panic!("{context}: catalog reopen failed: {e}"));
+        let recovered = ServerWal::open(
+            &wal_config(&wal_dir),
+            &catalog,
+            EpfisConfig::default(),
+            &logger,
+        )
+        .unwrap_or_else(|e| panic!("{context}: replay failed: {e}"));
+        assert!(
+            CatalogFiles::read(&cpath) == *files,
+            "{context}: replay wrote the catalog"
+        );
+        let parked = recovered.parked_names().contains(&"ix.crash".to_string());
+        (catalog.snapshot(), parked)
+    };
 
     // The harness proper: every prefix length is a simulated kill point,
     // replayed against either catalog the kill could have left.
-    let replay_root = root.join("replay");
     for cut in 0..=wal_bytes.len() {
-        for (label, cat_bytes) in [("pre", &pre_bytes), ("post", &post_bytes)] {
-            let _ = std::fs::remove_dir_all(&replay_root);
-            let wal_dir = replay_root.join("wal");
-            std::fs::create_dir_all(&wal_dir).unwrap();
-            let cpath = replay_root.join("catalog.scat");
-            std::fs::write(&cpath, cat_bytes).unwrap();
-            std::fs::write(wal_dir.join("wal-000000.seg"), &wal_bytes[..cut]).unwrap();
-
-            let catalog = SharedCatalog::open(&cpath)
-                .unwrap_or_else(|e| panic!("cut {cut} {label}: catalog reopen failed: {e}"));
-            let recovered = ServerWal::open(
-                &wal_config(&wal_dir),
-                &catalog,
-                EpfisConfig::default(),
-                &logger,
-            )
-            .unwrap_or_else(|e| panic!("cut {cut} {label}: replay failed: {e}"));
-
-            assert!(
-                std::fs::read(&cpath).unwrap() == *cat_bytes,
-                "cut {cut} {label}: replay wrote the catalog"
-            );
-            let parked = recovered.parked_names().contains(&"ix.crash".to_string());
+        for (label, files) in [("pre", &pre), ("post", &post)] {
+            let (_, parked) = recover(files, cut, &format!("cut {cut} {label}"));
             let expect = label == "pre" && cut >= begin_end && cut < commit_end;
             assert_eq!(parked, expect, "cut {cut} {label}: ix.crash parked");
+        }
+    }
+
+    // The commit point: a kill at any byte of the catalog-log append,
+    // before the COMMIT marker. A whole record is the new catalog and
+    // ends the session; anything less is the old one, and the session
+    // parks to be resumed.
+    let (pre_len, post_len) = (
+        pre.log.as_ref().unwrap().len(),
+        post.log.as_ref().unwrap().len(),
+    );
+    assert!(post_len > pre_len);
+    for cut in pre_len..=post_len {
+        let context = format!("catalog log cut {cut}");
+        let (loaded, parked) = recover(&post.log_cut(cut), before_commit, &context);
+        if cut == post_len {
+            assert_eq!(*loaded, *post_catalog, "{context}");
+            assert!(!parked, "{context}: the committed session parked");
+        } else {
+            assert_eq!(*loaded, *pre_catalog, "{context}");
+            assert!(parked, "{context}: the uncommitted session did not park");
+        }
+    }
+
+    // The compaction that follows: the snapshot rename, the log reset,
+    // then the new snapshot's id as the log's first record. A kill before
+    // the rename leaves `post`; between the rename and the reset, the new
+    // snapshot beside records it already holds; after the reset, the new
+    // snapshot with an empty log, cut anywhere in its first record. All
+    // load as the new catalog.
+    assert!(
+        catalog.compact_if_due().unwrap(),
+        "the log is past the snapshot"
+    );
+    let compacted = CatalogFiles::read(&cat_path);
+    assert_ne!(compacted.snapshot, post.snapshot);
+    let compacted_len = compacted.log.as_ref().unwrap().len();
+    assert_eq!(
+        epfis_wal::Replay::from_bytes(compacted.log.clone().unwrap()).len(),
+        1,
+        "reset to its header and the snapshot's id"
+    );
+    let renamed = CatalogFiles {
+        snapshot: compacted.snapshot.clone(),
+        log: post.log.clone(),
+    };
+    let mut kills = vec![("renamed".to_string(), renamed)];
+    for cut in 12..=compacted_len {
+        kills.push((format!("reset, log cut {cut}"), compacted.log_cut(cut)));
+    }
+    for (label, files) in &kills {
+        for wal_cut in [before_commit, wal_bytes.len()] {
+            let context = format!("compaction {label}, wal cut {wal_cut}");
+            let (loaded, parked) = recover(files, wal_cut, &context);
+            assert_eq!(*loaded, *post_catalog, "{context}");
+            assert!(!parked, "{context}: the committed session parked");
         }
     }
 }
@@ -205,17 +320,27 @@ fn failed_catalog_write_stays_undone_across_a_restart() {
     open.request(&page_line(&scan_pairs(60, 40))).unwrap();
 
     let mut c = Client::connect(server.addr()).unwrap();
+    // RECOVER opens the catalog log and writes its first record (the
+    // snapshot's id), so the fault below hits the commit's own record.
+    c.request("RECOVER").unwrap();
     c.request("ANALYZE BEGIN ix.lost table_pages=40").unwrap();
     c.request(&page_line(&scan_pairs(120, 40))).unwrap();
+    // The catalog log's fdatasync fails: the append is the commit point.
+    let log_path = SharedCatalog::log_path(&root.join("catalog.scat"));
+    let log_before = std::fs::read(&log_path).unwrap();
     fv.schedule().push(
         Rule::new(FaultKind::Enospc)
-            .on_op(OpKind::Rename)
-            .path_contains("catalog"),
+            .on_op(OpKind::SyncData)
+            .path_contains("catalog.scat.log"),
     );
     let err = c
         .request("ANALYZE COMMIT")
         .expect_err("catalog write must fail");
     assert!(err.to_string().contains("commit failed"), "{err}");
+    assert_eq!(fv.schedule().injected(), 1, "the append's fdatasync failed");
+    // The whole record the failed fdatasync covered is off the file: a
+    // restart before RECOVER must not load it.
+    assert_eq!(std::fs::read(&log_path).unwrap(), log_before);
     drop((c, open));
     server.shutdown_and_join();
 
@@ -526,7 +651,11 @@ fn tcp_restart_resumes_and_commits_bit_identical() {
         assert_eq!(got, want, "estimate diverged after recovery: {q}");
     }
 
-    // The persisted catalog is a valid checksummed document.
+    // The persisted catalog is a valid checksummed document: the commit
+    // took the log past the (empty) snapshot, and the compaction after its
+    // reply has finished once the server has shut down.
+    drop(c3);
+    server.shutdown_and_join();
     let text = std::fs::read_to_string(&cat_path).unwrap();
     let back = VersionedCatalog::from_text_checksummed(&text).unwrap();
     assert!(back.get("ix.r").is_some());

@@ -24,7 +24,7 @@ use epfis_faults::{FaultKind, FaultVfs, OpKind, Rule, Vfs};
 use epfis_obs::series_value;
 use epfis_server::{
     serve, Client, FsyncPolicy, ResilientClient, RetryPolicy, ServerConfig, SharedCatalog,
-    VersionedCatalog, WalConfig,
+    WalConfig,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -54,7 +54,8 @@ fn page_line(chunk: &[(i64, u32)]) -> String {
 }
 
 /// Seeds `path` with a one-entry catalog (fixed timestamp, so the bytes
-/// are reproducible) and returns the persisted bytes.
+/// are reproducible), compacted into its snapshot, and returns the
+/// snapshot's bytes.
 fn seed_catalog(path: &Path) -> Vec<u8> {
     let catalog = SharedCatalog::open(path).unwrap();
     let mut s = epfis_server::IngestSession::new("base".into(), EpfisConfig::default(), Some(30));
@@ -65,16 +66,16 @@ fn seed_catalog(path: &Path) -> Vec<u8> {
     catalog
         .commit_analyzed("base", stats, Some(summary), 100, None)
         .unwrap();
+    assert!(catalog.compact_if_due().unwrap());
     std::fs::read(path).unwrap()
 }
 
-/// Parses the on-disk catalog, panicking if it is torn, and returns its
-/// entry names.
+/// Loads the on-disk catalog — its snapshot plus its catalog log — the way
+/// a restart does, panicking if it is torn, and returns its entry names.
 fn catalog_entries(path: &Path, context: &str) -> Vec<String> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("{context}: catalog unreadable: {e}"));
-    let catalog = VersionedCatalog::from_text_checksummed(&text)
-        .unwrap_or_else(|e| panic!("{context}: catalog torn: {e}"));
+    let catalog = SharedCatalog::open(path)
+        .unwrap_or_else(|e| panic!("{context}: catalog torn: {e}"))
+        .snapshot();
     catalog.iter().map(|(name, _)| name.to_string()).collect()
 }
 
@@ -398,9 +399,13 @@ fn catalog_persist_failure_degrades_and_recovers() {
     let mut c = Client::connect(server.addr()).unwrap();
 
     // Only the catalog path is faulted (no WAL in this config): fail the
-    // atomic-save rename.
+    // catalog log's fdatasync. RECOVER opens the log first, so the fault
+    // hits the commit's own record.
+    c.request("RECOVER").unwrap();
+    let log_path = SharedCatalog::log_path(&cat_path);
+    let pre_log = std::fs::read(&log_path).unwrap();
     fv.schedule()
-        .push(Rule::new(FaultKind::Enospc).on_op(OpKind::Rename));
+        .push(Rule::new(FaultKind::Enospc).on_op(OpKind::SyncData));
     c.request("ANALYZE BEGIN ix.c table_pages=40").unwrap();
     for chunk in scan_pairs(120, 40).chunks(60) {
         c.request(&page_line(chunk)).unwrap();
@@ -414,6 +419,16 @@ fn catalog_persist_failure_degrades_and_recovers() {
         std::fs::read(&cat_path).unwrap(),
         pre_bytes,
         "old catalog must survive byte-identical"
+    );
+    assert_eq!(
+        std::fs::read(&log_path).unwrap(),
+        pre_log,
+        "the failed append must be cut off the catalog log"
+    );
+    assert_eq!(
+        catalog_entries(&cat_path, "after the failed append"),
+        ["base"],
+        "a restart now must not load the failed commit"
     );
     let stats = c.request("STATS").unwrap().join("\n");
     assert_eq!(series_value(&stats, "epfis_server_degraded"), Some(1.0));
@@ -441,6 +456,101 @@ fn catalog_persist_failure_degrades_and_recovers() {
     let commit = c.request("ANALYZE COMMIT").unwrap();
     assert!(commit[0].starts_with("committed ix.c"), "{commit:?}");
 
+    drop(c);
+    server.shutdown_and_join();
+}
+
+/// A compaction whose snapshot rename lands but whose log reset fails:
+/// the server degrades, `RECOVER` heals the catalog log, a commit after it
+/// is acknowledged, and a restart finds every acknowledged commit.
+#[test]
+fn failed_log_reset_after_compaction_recovers_and_keeps_the_next_commit() {
+    let root = temp_dir("reset-fault");
+    let cat_path = root.join("catalog.scat");
+    seed_catalog(&cat_path);
+    let fv = FaultVfs::new();
+    let config = |vfs: Option<Arc<dyn Vfs>>| ServerConfig {
+        catalog_path: Some(cat_path.clone()),
+        vfs,
+        ..ServerConfig::default()
+    };
+    let server = serve(config(Some(fv.clone().shared()))).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let commit = |c: &mut Client, name: &str| {
+        c.request(&format!("ANALYZE BEGIN {name} table_pages=40"))?;
+        c.request(&page_line(&scan_pairs(120, 40)))?;
+        c.request("ANALYZE COMMIT")
+    };
+
+    // The reset truncates the catalog log: fail it once. RECOVER on the
+    // healthy server opens the log first, so the rule cannot hit that.
+    c.request("RECOVER").unwrap();
+    fv.schedule().push(
+        Rule::new(FaultKind::Eio)
+            .on_op(OpKind::Truncate)
+            .path_contains("catalog.scat.log")
+            .times(1),
+    );
+    // Commits until the log is past the snapshot; the compaction after
+    // that commit's reply renames the new snapshot and then fails the
+    // reset.
+    let size = |p: &Path| std::fs::metadata(p).map_or(0, |m| m.len());
+    let log_path = SharedCatalog::log_path(&cat_path);
+    let mut names = vec!["base".to_string()];
+    while size(&log_path) <= size(&cat_path) {
+        let name = format!("ix.{}", names.len());
+        commit(&mut c, &name).unwrap();
+        names.push(name);
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let degraded = loop {
+        let stats = c.request("STATS").unwrap().join("\n");
+        if series_value(&stats, "epfis_server_degraded") == Some(1.0) {
+            break stats;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no degraded compaction: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(fv.schedule().injected(), 1);
+    assert_eq!(
+        series_value(&degraded, "epfis_server_catalog_compactions_total"),
+        Some(0.0)
+    );
+    assert!(series_value(&degraded, "epfis_server_catalog_persist_failures_total").unwrap() >= 1.0);
+    // The snapshot is the new one, beside the records it already holds.
+    let last = names.last().unwrap();
+    let snapshot = std::fs::read_to_string(&cat_path).unwrap();
+    assert!(snapshot.contains(&format!("\nmeta {last} ")), "{snapshot}");
+    assert_eq!(
+        catalog_entries(&cat_path, "between rename and reset"),
+        names
+    );
+
+    let lines = c.request("RECOVER").unwrap();
+    assert!(lines.contains(&"catalog ok".to_string()), "{lines:?}");
+    let epoch = names.len() + 1;
+    let ack = commit(&mut c, "ix.after").unwrap();
+    assert!(
+        ack[0].starts_with(&format!("committed ix.after epoch={epoch} ")),
+        "{ack:?}"
+    );
+    drop(c);
+    server.shutdown_and_join();
+
+    names.push("ix.after".into());
+    let server = serve(config(None)).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let show = c.request("SHOW").unwrap();
+    let shown: Vec<&str> = show.iter().map(|l| l.split(' ').next().unwrap()).collect();
+    assert_eq!(shown, names, "{show:?}");
+    let after = show.iter().find(|l| l.starts_with("ix.after ")).unwrap();
+    assert!(
+        after.starts_with(&format!("ix.after epoch={epoch} ")),
+        "{after}"
+    );
     drop(c);
     server.shutdown_and_join();
 }
@@ -598,18 +708,17 @@ mod random_schedules {
                 {
                     acked.push(name);
                 }
-                // Old-or-new after every attempt: if the file exists it
-                // parses, and every acknowledged commit is in it.
-                if cat_path.exists() {
-                    let on_disk = catalog_entries(&cat_path, "prop");
-                    for a in &acked {
-                        prop_assert!(
-                            on_disk.iter().any(|e| e == a),
-                            "acked {a} missing from disk: {on_disk:?}"
-                        );
-                    }
-                } else {
-                    prop_assert!(acked.is_empty(), "acked {acked:?} but no catalog file");
+                // The compaction a commit may have made due, under the
+                // same schedule.
+                let _ = catalog.compact_if_due();
+                // Old-or-new after every attempt: the files load, and
+                // every acknowledged commit is in them.
+                let on_disk = catalog_entries(&cat_path, "prop");
+                for a in &acked {
+                    prop_assert!(
+                        on_disk.iter().any(|e| e == a),
+                        "acked {a} missing from disk: {on_disk:?}"
+                    );
                 }
             }
 

@@ -132,13 +132,15 @@ fn wal_server(tag: &str, fsync: FsyncPolicy) -> (ServerHandle, PathBuf) {
 /// Connection A pipelines a 2M-reference binary ingest and never pauses to
 /// read; connection B's estimate, sent once A's ingest is under way, must be
 /// answered while A's last `PAGE` ack is still to come. Then B keeps
-/// estimating while A's `COMMIT` rewrites a 10,000-entry durable catalog:
-/// B's median round trip inside the commit must stay far below the
-/// commit's own. A loop that ran A's requests itself would answer B only
-/// between them.
+/// estimating while A's ingest thread feeds one `PAGE` frame as large as a
+/// line may be: B's median round trip inside that job must stay far below
+/// the job's own. A loop that ran A's requests itself would answer B only
+/// between them. Last, A commits into a 10,000-entry durable catalog.
 #[test]
 fn estimates_are_answered_while_another_connection_ingests() {
     const REFS: usize = 2_000_000;
+    // The last frame: 12 bytes a reference, within the 1 MiB line limit.
+    const LAST_FRAME_REFS: usize = 80_000;
     let dir = temp_dir("estimates");
     let mut probe = IngestSession::new("probe".into(), EpfisConfig::default(), Some(64));
     probe
@@ -160,10 +162,11 @@ fn estimates_are_answered_while_another_connection_ingests() {
     let addr = server.addr();
     let mut b = Client::connect(addr).unwrap();
 
-    let pairs = scan(REFS);
+    let pairs = scan(REFS + LAST_FRAME_REFS);
+    let (pairs, last_frame) = pairs.split_at(REFS);
     let frames = REFS.div_ceil(4096);
     let mut a = binary_conn(addr);
-    let writer = write_in_background(&a, session_bytes("bulk", &pairs, 4096, &[]));
+    let writer = write_in_background(&a, session_bytes("bulk", pairs, 4096, &[]));
     // A's ingest is under way once its first PAGE is acknowledged.
     assert!(
         matches!(read_response(&mut a), BinResponse::Lines(_)),
@@ -207,31 +210,36 @@ fn estimates_are_answered_while_another_connection_ingests() {
         })
     };
     std::thread::sleep(Duration::from_millis(20));
+    let mut frame = Vec::new();
+    framing::encode_page(&mut frame, last_frame);
     let c0 = Instant::now();
-    a.write_all(&commit_frame()).unwrap();
-    let commit = read_response(&mut a);
-    let commit_rtt = c0.elapsed();
+    a.write_all(&frame).unwrap();
+    let ack = read_response(&mut a);
+    let job_rtt = c0.elapsed();
     stop.store(true, Ordering::SeqCst);
-    match commit {
-        BinResponse::Lines(lines) => {
-            assert!(lines[0].contains(&format!("N={REFS} ")), "{lines:?}")
-        }
-        other => panic!("commit: {other:?}"),
-    }
+    assert!(matches!(ack, BinResponse::U64(_)), "last PAGE: {ack:?}");
     let mut during: Vec<Duration> = prober
         .join()
         .unwrap()
         .into_iter()
-        .filter(|(sent, _)| *sent >= c0 && *sent < c0 + commit_rtt)
+        .filter(|(sent, _)| *sent >= c0 && *sent < c0 + job_rtt)
         .map(|(_, rtt)| rtt)
         .collect();
     during.sort();
-    assert!(!during.is_empty(), "no ESTIMATE overlapped the commit");
+    assert!(!during.is_empty(), "no ESTIMATE overlapped the PAGE job");
     assert!(
-        during[during.len() / 2] * 4 < commit_rtt,
-        "ESTIMATEs must not wait behind A's commit: median {:?} vs commit {commit_rtt:?}",
+        during[during.len() / 2] * 4 < job_rtt,
+        "ESTIMATEs must not wait behind A's PAGE job: median {:?} vs job {job_rtt:?}",
         during[during.len() / 2]
     );
+    a.write_all(&commit_frame()).unwrap();
+    match read_response(&mut a) {
+        BinResponse::Lines(lines) => {
+            let n = REFS + LAST_FRAME_REFS;
+            assert!(lines[0].contains(&format!("N={n} ")), "{lines:?}")
+        }
+        other => panic!("commit: {other:?}"),
+    }
     server.shutdown_and_join();
     let _ = std::fs::remove_dir_all(dir);
 }

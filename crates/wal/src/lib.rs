@@ -6,8 +6,10 @@
 //!
 //! # On-disk format
 //!
-//! The log is one file, [`FILE_NAME`] (`wal-000000.seg`), in the log
-//! directory. It starts with a 12-byte header:
+//! The log is one file, named by [`WalOptions::path`]: the server's
+//! ingest log is [`FILE_NAME`] (`wal-000000.seg`) in its log directory,
+//! and the durable catalog keeps its commit log beside the catalog file.
+//! It starts with a 12-byte header:
 //!
 //! ```text
 //! magic "EPFISWAL" (8 bytes) | version u32 LE (= 1)
@@ -25,9 +27,10 @@
 //! needed any more, its owner calls [`Wal::reset`], which truncates the
 //! file back to its header in place.
 //!
-//! Older builds rotated into further files (`wal-000001.seg`, …). A
-//! directory holding any such file is refused by [`Wal::open`], with an
-//! error naming the file, rather than replayed in part.
+//! Older builds rotated `wal-000000.seg` into further files
+//! (`wal-000001.seg`, …). [`Wal::open`] refuses a `wal-000000.seg` beside
+//! any such file, with an error naming the file, rather than replay it in
+//! part.
 //!
 //! # Torn-write protection
 //!
@@ -70,15 +73,27 @@
 //! storage. This closes the classic "fsyncgate" hazard, where the kernel
 //! reports a writeback error exactly once and then clears the dirty state,
 //! so a later fsync on the same (or a fresh) fd falsely succeeds. Recovery
-//! is explicit: [`Wal::heal`] re-reads the file, truncates any torn tail
-//! the failed operation left behind, reopens it, and probes it with a real
+//! is explicit: [`Wal::heal`] re-reads the file, cuts it back to the end
+//! of the last record whose append succeeded (a torn tail, or a whole
+//! record whose fdatasync failed), reopens it, and probes it with a real
 //! fdatasync — only if all of that succeeds does the writer accept appends
-//! again.
+//! again. A whole record whose `always`-policy fdatasync failed is cut off
+//! the file at once as well, so a process that stops before healing does
+//! not replay it; a failed write leaves at most a partial record, which
+//! fails its checksum and is cut by any load.
+//!
+//! # Instruments
+//!
+//! A log counts its appends, bytes, fsyncs and failures in the
+//! [`WalMetrics`] its options name: the process-global `epfis_wal_*`
+//! family by default, or an unpublished family for a log whose owner
+//! reports it in its own series.
 
 mod crc32c;
 
 pub use crc32c::{crc32c, crc32c_update};
 pub use epfis_faults::{StdVfs, Vfs, VfsFile};
+pub use epfis_obs::wellknown::WalMetrics;
 
 use epfis_obs::wellknown;
 use std::io;
@@ -86,7 +101,7 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// The log file's name inside the log directory.
+/// The ingest log's file name inside a server's log directory.
 pub const FILE_NAME: &str = "wal-000000.seg";
 /// File header: magic plus format version.
 const MAGIC: &[u8; 8] = b"EPFISWAL";
@@ -137,24 +152,29 @@ impl std::fmt::Display for FsyncPolicy {
 }
 
 /// Configuration for opening a [`Wal`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct WalOptions {
-    /// Directory holding the log file; created if absent.
-    pub dir: PathBuf,
+    /// The log file; it and its directory are created if absent.
+    pub path: PathBuf,
     /// When appends reach stable storage.
     pub fsync: FsyncPolicy,
     /// The filesystem the log talks to; [`StdVfs`] in production, a
     /// `FaultVfs` under fault-injection tests.
     pub vfs: Arc<dyn Vfs>,
+    /// Where appends, bytes, fsyncs and failures are counted: the global
+    /// `epfis_wal_*` family, or `wellknown::unpublished_wal()`.
+    pub metrics: &'static WalMetrics,
 }
 
 impl WalOptions {
-    /// Sane defaults: batch fsync, the real filesystem.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
+    /// Sane defaults: batch fsync, the real filesystem, the global
+    /// `epfis_wal_*` instruments.
+    pub fn new(path: impl Into<PathBuf>) -> Self {
         WalOptions {
-            dir: dir.into(),
+            path: path.into(),
             fsync: FsyncPolicy::Batch,
             vfs: StdVfs::shared(),
+            metrics: wellknown::wal(),
         }
     }
 }
@@ -172,6 +192,24 @@ pub struct Replay {
 }
 
 impl Replay {
+    /// Scans a log file's bytes without touching the file: the records up
+    /// to the first invalid one. An empty or torn-header input holds none.
+    pub fn from_bytes(mut data: Vec<u8>) -> Replay {
+        let (valid, count) = scan(&data);
+        let truncated_bytes = (data.len() - valid) as u64;
+        data.truncate(valid);
+        Replay {
+            data,
+            count,
+            truncated_bytes,
+        }
+    }
+
+    /// Bytes of the validated prefix, header included (0 for no log).
+    pub fn bytes(&self) -> u64 {
+        self.data.len() as u64
+    }
+
     /// Number of valid records.
     pub fn len(&self) -> usize {
         self.count
@@ -200,10 +238,14 @@ impl Replay {
 /// An open write-ahead log. Single-writer: callers serialize appends
 /// (the server keeps the `Wal` behind a mutex).
 pub struct Wal {
-    dir: PathBuf,
+    path: PathBuf,
     fsync: FsyncPolicy,
     vfs: Arc<dyn Vfs>,
+    metrics: &'static WalMetrics,
     file: Box<dyn VfsFile>,
+    /// File length after the last append, reset or repair that succeeded:
+    /// where [`heal`](Wal::heal) cuts the file back to.
+    len: u64,
     /// Unsynced appends outstanding (only meaningful under `Batch`).
     dirty: bool,
     /// Reusable framing scratch so appends are one `write_all`.
@@ -243,7 +285,7 @@ struct Flusher {
 }
 
 impl Flusher {
-    fn spawn(file: Box<dyn VfsFile>) -> Flusher {
+    fn spawn(file: Box<dyn VfsFile>, metrics: &'static WalMetrics) -> Flusher {
         let shared = Arc::new((
             Mutex::new(FlushState {
                 file: Some(file),
@@ -271,14 +313,14 @@ impl Flusher {
                     drop(st);
                     if let Some(f) = file {
                         match f.sync_data() {
-                            Ok(()) => wellknown::wal().fsyncs.inc(),
+                            Ok(()) => metrics.fsyncs.inc(),
                             Err(e) => {
                                 // A background fsync failure is a durability
                                 // failure: record it so the writer poisons
                                 // itself at the next append/sync instead of
                                 // acknowledging data the kernel may already
                                 // have dropped (fsyncgate).
-                                wellknown::wal().fsync_errors.inc();
+                                metrics.fsync_errors.inc();
                                 let mut st = lock.lock().unwrap_or_else(|e| e.into_inner());
                                 if st.failed.is_none() {
                                     st.failed = Some(format!("background fdatasync failed: {e}"));
@@ -396,74 +438,85 @@ fn is_rotated_file(name: &str) -> bool {
 }
 
 /// The tail scan shared by [`Wal::open`] and [`Wal::heal`]: reads the log
-/// file (creating it if absent), truncates it after the last valid record,
-/// and reopens it positioned for appending.
-fn scan_and_repair(vfs: &Arc<dyn Vfs>, dir: &Path) -> io::Result<(Replay, Box<dyn VfsFile>)> {
-    vfs.create_dir_all(dir)?;
-    if let Some(name) = vfs.list(dir)?.into_iter().find(|n| is_rotated_file(n)) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "wal directory {} holds {name}, part of a log that rotated past \
-                 {FILE_NAME}; it cannot be replayed whole, so nothing was replayed",
-                dir.display()
-            ),
-        ));
+/// file (creating it and its directory if absent), truncates it after the
+/// last valid record — or at `limit`, a record boundary, if that comes
+/// first — and reopens it positioned for appending.
+fn scan_and_repair(
+    vfs: &Arc<dyn Vfs>,
+    path: &Path,
+    limit: Option<u64>,
+) -> io::Result<(Replay, Box<dyn VfsFile>)> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Some(dir) = dir {
+        vfs.create_dir_all(dir)?;
+        if path.file_name().is_some_and(|n| n == FILE_NAME) {
+            if let Some(name) = vfs.list(dir)?.into_iter().find(|n| is_rotated_file(n)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "wal directory {} holds {name}, part of a log that rotated past \
+                         {FILE_NAME}; it cannot be replayed whole, so nothing was replayed",
+                        dir.display()
+                    ),
+                ));
+            }
+        }
     }
-    let path = dir.join(FILE_NAME);
-    let mut data = match vfs.read(&path) {
+    let mut data = match vfs.read(path) {
         Ok(data) => data,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let (valid, count) = scan(&data);
-    let file = if valid == 0 {
+    let read = data.len() as u64;
+    if let Some(limit) = limit {
+        data.truncate(limit as usize);
+    }
+    let mut replay = Replay::from_bytes(data);
+    replay.truncated_bytes = read - replay.bytes();
+    let file = if replay.bytes() == 0 {
         // A new log, or its header itself was torn: start the file over.
-        let mut file = vfs.create(&path)?;
+        let mut file = vfs.create(path)?;
         write_header(file.as_mut())?;
         file.sync_data()?;
+        replay.data = Vec::new();
         file
     } else {
-        let mut file = vfs.open_write(&path)?;
-        file.set_len(valid as u64)?;
+        let mut file = vfs.open_write(path)?;
+        file.set_len(replay.bytes())?;
         file.sync_data()?;
         file.seek_end()?;
         file
     };
-    vfs.sync_dir(dir)?;
-    let truncated_bytes = (data.len() - valid) as u64;
-    data.truncate(valid);
-    Ok((
-        Replay {
-            data,
-            count,
-            truncated_bytes,
-        },
-        file,
-    ))
+    if let Some(dir) = dir {
+        vfs.sync_dir(dir)?;
+    }
+    Ok((replay, file))
 }
 
 impl Wal {
-    /// Opens (or creates) the log in `opts.dir`, replaying whatever is
+    /// Opens (or creates) the log file `opts.path`, replaying whatever is
     /// there: every valid record is returned oldest-first, and the first
     /// invalid record — a torn tail — truncates the log at that point.
-    /// The returned `Wal` appends after the last valid record. A directory
-    /// holding a rotated log from an older build is refused untouched.
+    /// The returned `Wal` appends after the last valid record. A
+    /// `wal-000000.seg` beside a rotated log from an older build is
+    /// refused untouched.
     pub fn open(opts: WalOptions) -> io::Result<(Wal, Replay)> {
-        let (replay, file) = scan_and_repair(&opts.vfs, &opts.dir)?;
+        let (replay, file) = scan_and_repair(&opts.vfs, &opts.path, None)?;
         if !replay.is_empty() {
-            wellknown::wal().replay_records.add(replay.len() as u64);
+            opts.metrics.replay_records.add(replay.len() as u64);
         }
         let flusher = match opts.fsync {
-            FsyncPolicy::Batch => Some(Flusher::spawn(file.try_clone()?)),
+            FsyncPolicy::Batch => Some(Flusher::spawn(file.try_clone()?, opts.metrics)),
             _ => None,
         };
         Ok((
             Wal {
-                dir: opts.dir,
+                path: opts.path,
                 fsync: opts.fsync,
                 vfs: opts.vfs,
+                metrics: opts.metrics,
                 file,
+                len: replay.bytes().max(HEADER_BYTES),
                 dirty: false,
                 scratch: Vec::new(),
                 flusher,
@@ -473,13 +526,19 @@ impl Wal {
         ))
     }
 
+    /// The log file's length as of the last append, reset or repair that
+    /// succeeded, header included.
+    pub fn bytes(&self) -> u64 {
+        self.len
+    }
+
     /// Records the first durability failure and returns an error carrying
     /// its message. Subsequent appends/syncs keep failing with the same
     /// cause until [`heal`](Wal::heal).
     fn poison(&mut self, context: &str, err: &io::Error) -> io::Error {
         let cause = format!("{context}: {err}");
         if self.poisoned.is_none() {
-            wellknown::wal().poisonings.inc();
+            self.metrics.poisonings.inc();
             self.poisoned = Some(cause.clone());
         }
         io::Error::other(cause)
@@ -491,7 +550,7 @@ impl Wal {
         if self.poisoned.is_none() {
             if let Some(flusher) = &self.flusher {
                 if let Some(cause) = flusher.failure() {
-                    wellknown::wal().poisonings.inc();
+                    self.metrics.poisonings.inc();
                     self.poisoned = Some(cause);
                 }
             }
@@ -526,27 +585,32 @@ impl Wal {
         self.scratch.extend_from_slice(body);
         if let Err(e) = self.file.write_all(&self.scratch) {
             // The failed write may have landed a partial record; the file
-            // tail is torn until heal() truncates it.
+            // tail is torn (a load cuts it) until heal() truncates it.
             return Err(self.poison("wal append failed", &e));
         }
-        let m = wellknown::wal();
-        m.appends.inc();
-        m.bytes.add(self.scratch.len() as u64);
+        let framed = self.scratch.len() as u64;
+        self.metrics.appends.inc();
+        self.metrics.bytes.add(framed);
         match self.fsync {
             FsyncPolicy::Always => {
                 if let Err(e) = self.file.sync_data() {
+                    // The record is whole in the file, so a reopen would
+                    // replay an append that failed: cut it off now, not
+                    // only at heal(), in case the process stops first.
+                    let _ = self.file.set_len(self.len);
                     return Err(self.poison("wal fdatasync failed", &e));
                 }
-                m.fsyncs.inc();
+                self.metrics.fsyncs.inc();
             }
             FsyncPolicy::Batch => {
                 self.dirty = true;
                 if let Some(flusher) = &self.flusher {
-                    flusher.note_appended(self.scratch.len() as u64);
+                    flusher.note_appended(framed);
                 }
             }
             FsyncPolicy::Never => {}
         }
+        self.len += framed;
         Ok(())
     }
 
@@ -563,7 +627,7 @@ impl Wal {
             if let Err(e) = self.file.sync_data() {
                 return Err(self.poison("wal fdatasync failed", &e));
             }
-            wellknown::wal().fsyncs.inc();
+            self.metrics.fsyncs.inc();
             self.dirty = false;
             if let Some(flusher) = &self.flusher {
                 flusher.synced();
@@ -590,17 +654,20 @@ impl Wal {
             flusher.synced();
         }
         self.dirty = false;
+        self.len = HEADER_BYTES;
         Ok(())
     }
 
-    /// Attempts to recover a poisoned writer. Re-reads the log file,
-    /// truncating whatever torn tail the failed operation left (a short
-    /// write lands a partial record; the scan cuts it exactly where the
-    /// checksum stops validating), reopens it, and probes the storage with
-    /// a real fdatasync. On success the writer is unpoisoned and appends
-    /// resume after the last *valid* record; the records that were
+    /// Attempts to recover a poisoned writer. Re-reads the log file and
+    /// cuts it back to the end of the last record whose append succeeded
+    /// — a short write's partial record, or a whole record whose fdatasync
+    /// failed if the append could not cut it, is dropped; a torn tail
+    /// before that point is cut where the
+    /// checksum stops validating — then reopens it and probes the storage
+    /// with a real fdatasync. On success the writer is unpoisoned and
+    /// appends resume after the last kept record; the records that were
     /// acknowledged before the failure are untouched. Returns the number of
-    /// torn bytes discarded. A no-op returning 0 on a healthy writer.
+    /// bytes discarded. A no-op returning 0 on a healthy writer.
     pub fn heal(&mut self) -> io::Result<u64> {
         if self.check_poisoned().is_ok() {
             return Ok(0);
@@ -609,7 +676,7 @@ impl Wal {
         if let Some(flusher) = &self.flusher {
             flusher.set_file(None);
         }
-        let (replay, file) = scan_and_repair(&self.vfs, &self.dir)?;
+        let (replay, file) = scan_and_repair(&self.vfs, &self.path, Some(self.len))?;
         // Probe: the re-opened file must actually accept a data sync, or
         // the storage is still bad and the writer stays poisoned.
         file.sync_data()?;
@@ -618,9 +685,10 @@ impl Wal {
             flusher.clear_failure();
         }
         self.file = file;
+        self.len = replay.bytes().max(HEADER_BYTES);
         self.dirty = false;
         self.poisoned = None;
-        wellknown::wal().heals.inc();
+        self.metrics.heals.inc();
         Ok(replay.truncated_bytes)
     }
 }
@@ -653,9 +721,8 @@ mod tests {
 
     fn opts(dir: &Path) -> WalOptions {
         WalOptions {
-            dir: dir.to_path_buf(),
             fsync: FsyncPolicy::Never,
-            vfs: StdVfs::shared(),
+            ..WalOptions::new(dir.join(FILE_NAME))
         }
     }
 
@@ -875,9 +942,9 @@ mod tests {
 
     fn fault_opts(dir: &Path, fsync: FsyncPolicy, fault: &FaultVfs) -> WalOptions {
         WalOptions {
-            dir: dir.to_path_buf(),
             fsync,
             vfs: fault.clone().shared(),
+            ..WalOptions::new(dir.join(FILE_NAME))
         }
     }
 
@@ -937,6 +1004,35 @@ mod tests {
             vec![b"keep-me".to_vec(), b"clean-after".to_vec()]
         );
         assert_eq!(replay.truncated_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_whose_fdatasync_failed_is_cut_off_the_file_at_once() {
+        let dir = temp_dir("poison-always");
+        let fault = FaultVfs::new();
+        let (mut wal, _) = Wal::open(fault_opts(&dir, FsyncPolicy::Always, &fault)).unwrap();
+        wal.append(b"acked").unwrap();
+        let acked = wal.bytes();
+        fault
+            .schedule()
+            .push(Rule::new(FaultKind::Eio).on_op(OpKind::SyncData).times(1));
+        assert!(wal.append(b"unacked").is_err());
+        // The record was written whole, but its append failed: it is gone
+        // from the file before heal(), so a reopen cannot replay it.
+        let on_disk = fs::read(dir.join(FILE_NAME)).unwrap();
+        assert_eq!(on_disk.len() as u64, acked);
+        assert_eq!(
+            records(&Replay::from_bytes(on_disk)),
+            vec![b"acked".to_vec()]
+        );
+        assert_eq!(wal.bytes(), acked);
+        assert_eq!(wal.heal().unwrap(), 0);
+        assert_eq!(wal.bytes(), acked);
+        wal.append(b"after").unwrap();
+        drop(wal);
+        let (_wal, replay) = Wal::open(opts(&dir)).unwrap();
+        assert_eq!(records(&replay), vec![b"acked".to_vec(), b"after".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

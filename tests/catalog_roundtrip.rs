@@ -48,7 +48,10 @@ fn catalog_file_round_trip() {
     let dir = std::env::temp_dir().join("epfis-it");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("it-catalog.txt");
+    // The catalog is the file plus its catalog log; start with neither.
+    let log = SharedCatalog::log_path(&path);
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&log).ok();
     SharedCatalog::open(&path)
         .unwrap()
         .commit("INAP.UWID", stats.clone(), None)
@@ -67,4 +70,5 @@ fn catalog_file_round_trip() {
         }
     }
     std::fs::remove_file(path).ok();
+    std::fs::remove_file(log).ok();
 }

@@ -217,3 +217,147 @@ proptest! {
         prop_assert_eq!(back, catalog);
     }
 }
+
+/// A small deterministic generator for the seeded model check.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Asserts the durable catalog serves exactly what the plain model holds:
+/// entries and epochs equal, estimates bit-identical.
+fn assert_serves(served: &VersionedCatalog, model: &VersionedCatalog, context: &str) {
+    assert_eq!(served, model, "{context}");
+    let queries = [
+        ScanQuery::range(0.05, 3),
+        ScanQuery::range(0.5, 40).with_sargable(0.3),
+    ];
+    for ((name, a), (_, b)) in served.iter().zip(model.iter()) {
+        for q in &queries {
+            assert_eq!(
+                a.stats.estimate(q).to_bits(),
+                b.stats.estimate(q).to_bits(),
+                "{context}: {name} estimate differs"
+            );
+        }
+    }
+}
+
+/// One seeded history against the durable catalog: commits to a few
+/// names, compactions, reopens, and catalog-log tails cut at a random
+/// byte. After every reopen the catalog must equal a `VersionedCatalog`
+/// built by plain inserts of the commits that survived.
+fn model_check(seed: u64, dir: &std::path::Path) {
+    use epfis_server::SharedCatalog;
+
+    let path = dir.join(format!("model-{seed}.scat"));
+    let log_path = SharedCatalog::log_path(&path);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&log_path);
+    let mut rng = SplitMix(seed);
+    let pool: Vec<epfis::IndexStatistics> = (0..4u32)
+        .map(|v| {
+            let pages: Vec<u32> = (0..400u32)
+                .map(|i| i.wrapping_mul(2_654_435_761).wrapping_add(v * 977) % (30 + v * 7))
+                .collect();
+            let trace = epfis_lrusim::KeyedTrace::all_distinct(pages, 30 + v * 7);
+            LruFit::new(EpfisConfig::default().with_segments(2 + v as usize)).collect(&trace)
+        })
+        .collect();
+    let names = ["a.k", "b.k", "c.k"];
+    let counters = |n: u64| epfis_estimators::BaselineCounters {
+        cluster_counter: n,
+        fetches_b1: 2 * n,
+        fetches_b3: n + 1,
+    };
+
+    // The model at every epoch this history reached, for cut tails.
+    let mut history = vec![VersionedCatalog::new()];
+    let mut shared = SharedCatalog::open(&path).unwrap();
+    for step in 0..40u64 {
+        let context = format!("seed {seed} step {step} (EPFIS_MODEL_SEED={seed} reproduces)");
+        match rng.below(10) {
+            0..=5 => {
+                let name = names[rng.below(names.len() as u64) as usize];
+                let stats = pool[rng.below(pool.len() as u64) as usize].clone();
+                let c = (rng.below(2) == 0).then(|| counters(step));
+                let epoch = shared
+                    .commit_analyzed(name, stats.clone(), c, step, None)
+                    .unwrap_or_else(|e| panic!("{context}: commit failed: {e}"));
+                let mut model = history.last().unwrap().clone();
+                assert_eq!(
+                    model.insert(name, stats, step, c).unwrap(),
+                    epoch,
+                    "{context}"
+                );
+                history.push(model);
+            }
+            6 | 7 => {
+                shared
+                    .compact_if_due()
+                    .unwrap_or_else(|e| panic!("{context}: compaction failed: {e}"));
+            }
+            8 => {
+                drop(shared);
+                shared = SharedCatalog::open(&path)
+                    .unwrap_or_else(|e| panic!("{context}: reopen failed: {e}"));
+            }
+            _ => {
+                // A crash mid-append: the log's tail cut at a random byte.
+                drop(shared);
+                let snapshot_epoch = std::fs::read_to_string(&path)
+                    .map(|t| VersionedCatalog::from_text_checksummed(&t).unwrap().epoch())
+                    .unwrap_or(0);
+                if let Ok(log) = std::fs::read(&log_path) {
+                    let cut = rng.below(log.len() as u64 + 1) as usize;
+                    std::fs::write(&log_path, &log[..cut]).unwrap();
+                }
+                shared = SharedCatalog::open(&path)
+                    .unwrap_or_else(|e| panic!("{context}: reopen after a cut failed: {e}"));
+                let epoch = shared.snapshot().epoch();
+                assert!(
+                    epoch >= snapshot_epoch && (epoch as usize) < history.len(),
+                    "{context}: epoch {epoch} outside the snapshot's {snapshot_epoch} and the history"
+                );
+                // Commits past the cut never happened.
+                history.truncate(epoch as usize + 1);
+            }
+        }
+        assert_serves(&shared.snapshot(), history.last().unwrap(), &context);
+        if rng.below(4) == 0 {
+            let reopened = SharedCatalog::open(&path)
+                .unwrap_or_else(|e| panic!("{context}: side reopen failed: {e}"));
+            assert_serves(&reopened.snapshot(), history.last().unwrap(), &context);
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&log_path);
+}
+
+/// The seeded model check of the durable catalog (snapshot plus catalog
+/// log). `EPFIS_MODEL_SEED=N` reruns one seed; every failure names its
+/// seed.
+#[test]
+fn durable_catalog_matches_a_plain_catalog_under_seeded_histories() {
+    let dir = std::env::temp_dir().join(format!("epfis-model-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let seeds: Vec<u64> = match std::env::var("EPFIS_MODEL_SEED") {
+        Ok(seed) => vec![seed.parse().expect("EPFIS_MODEL_SEED must be a u64")],
+        Err(_) => (0..24).collect(),
+    };
+    for seed in seeds {
+        model_check(seed, &dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
