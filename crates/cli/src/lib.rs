@@ -20,7 +20,9 @@
 //! `epfis serve` loads and commits into (one format, opened and written
 //! through `epfis_server::SharedCatalog`), so a catalog analyzed offline is
 //! served as is (see `epfis-server` and `docs/protocol.md`), and `epfis
-//! client` scripts that service from the shell.
+//! client` scripts that service from the shell. `analyze` and `serve
+//! --catalog F` are the catalog's writers: each holds a lock on `F.lock`
+//! while it runs, and a second writer exits 1 without touching `F`.
 //!
 //! Exit codes: `0` success, `2` usage / argument parse errors, `1` runtime
 //! errors (missing files, unknown entries, server failures). Errors go to
@@ -384,6 +386,30 @@ fn open_catalog(cmd: &Command, must_exist: bool) -> Result<(SharedCatalog, Strin
     Ok((catalog, path))
 }
 
+/// Takes the catalog's writer lock: an exclusive lock on the sidecar file
+/// `F.lock`, held until the returned handle drops, at process exit at the
+/// latest (a killed process releases it too). `serve` and `analyze` take
+/// it before they load `F`, so two processes never commit to one catalog
+/// at once; the read-only commands take no lock.
+fn lock_catalog(path: &str) -> Result<std::fs::File, CliError> {
+    let lock_path = format!("{path}.lock");
+    let cannot = |e: std::io::Error| err(format!("cannot lock catalog {path} ({lock_path}): {e}"));
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&lock_path)
+        .map_err(cannot)?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(std::fs::TryLockError::WouldBlock) => Err(err(format!(
+            "catalog {path} is in use: another process holds its lock {lock_path} \
+             (one `epfis serve` or `epfis analyze` at a time may write a catalog)"
+        ))),
+        Err(std::fs::TryLockError::Error(e)) => Err(cannot(e)),
+    }
+}
+
 /// The `--name` entry of the catalog file.
 fn load_entry(cmd: &Command) -> Result<(String, Arc<VersionedEntry>), CliError> {
     let catalog = open_catalog(cmd, true)?.0.snapshot();
@@ -405,6 +431,7 @@ fn query(cmd: &Command) -> Result<ScanQuery, CliError> {
 }
 
 fn analyze(cmd: &Command) -> Result<String, CliError> {
+    let _lock = lock_catalog(&cmd.require::<String>("catalog")?)?;
     let (catalog, path) = open_catalog(cmd, false)?;
     let seed: u64 = cmd.get_or("seed", 0x5EED_EF15)?;
     let config = EpfisConfig::default().with_segments(cmd.get_or("segments", 6usize)?);
@@ -765,9 +792,11 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
         }
         accuracy.drift_threshold = t;
     }
+    let catalog_path = cmd.get::<String>("catalog")?;
+    let _lock = catalog_path.as_deref().map(lock_catalog).transpose()?;
     let config = epfis_server::ServerConfig {
         addr,
-        catalog_path: cmd.get::<String>("catalog")?.map(Into::into),
+        catalog_path: catalog_path.map(Into::into),
         epfis_config: EpfisConfig::default().with_segments(segments),
         limits,
         metrics_addr: cmd.get::<String>("metrics-addr")?,

@@ -714,6 +714,88 @@ fn compare_answers_from_the_catalog_across_a_restart() {
     restarted.shutdown();
 }
 
+/// `epfis analyze --catalog F --name NAME` on a small synthetic index.
+fn analyze(catalog: &str, name: &str) -> std::process::Output {
+    Command::new(EPFIS)
+        .args(["analyze", "--catalog", catalog, "--name", name])
+        .args(["--records", "5000", "--distinct", "100", "--per-page", "20"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run epfis analyze")
+}
+
+/// One writer per catalog: while `epfis serve --catalog F` runs, `epfis
+/// analyze --catalog F` exits 1 naming F and leaves its files unchanged,
+/// so the sequence that used to lose a commit (analyze, serve, a served
+/// commit, an offline analyze, a second served commit) loses no
+/// acknowledged one. Once the server has stopped, the analyze goes
+/// through.
+#[test]
+fn a_second_catalog_writer_is_refused_and_no_acknowledged_commit_is_lost() {
+    let dir = temp_dir("one-writer");
+    let catalog = dir.join("cat.scat");
+    let catalog = catalog.to_str().unwrap();
+    let out = analyze(catalog, "t.k");
+    assert!(out.status.success(), "{out:?}");
+    let mut server = spawn_serve(&["--addr", "127.0.0.1:0", "--catalog", catalog], &[]);
+    let out = script(&server.addr, &[], &smoke_script("v1.ix"));
+    assert!(out.contains("committed v1.ix epoch=2"), "{out}");
+
+    let files = || [catalog.to_string(), format!("{catalog}.log")].map(|p| std::fs::read(p).ok());
+    let before = files();
+    let refused = analyze(catalog, "u.k");
+    assert_eq!(refused.status.code(), Some(1), "{refused:?}");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "catalog {catalog} is in use: another process holds"
+        )),
+        "{stderr}"
+    );
+    assert!(files() == before, "the refused writer changed the catalog");
+
+    let out = script(&server.addr, &[], &smoke_script("v2.ix"));
+    assert!(out.contains("committed v2.ix epoch=3"), "{out}");
+    server.shutdown();
+    let names = |show: &str| {
+        let mut names: Vec<String> = show
+            .lines()
+            .skip(2)
+            .filter_map(|l| l.split_whitespace().next().map(String::from))
+            .collect();
+        names.sort();
+        names
+    };
+    let show = epfis(&["show", "--catalog", catalog]);
+    assert_eq!(names(&show), ["t.k", "v1.ix", "v2.ix"], "{show}");
+
+    let out = analyze(catalog, "u.k");
+    assert!(out.status.success(), "{out:?}");
+    let show = epfis(&["show", "--catalog", catalog]);
+    assert_eq!(names(&show), ["t.k", "u.k", "v1.ix", "v2.ix"], "{show}");
+}
+
+/// The catalog lock dies with its process: a server restarted right after
+/// a SIGKILL takes the lock at once and serves the catalog, and so does an
+/// `epfis analyze` after a second SIGKILL.
+#[test]
+fn a_restart_after_sigkill_takes_the_catalog_lock_at_once() {
+    let dir = temp_dir("lock-sigkill");
+    let catalog = dir.join("cat.scat");
+    let catalog = catalog.to_str().unwrap();
+    let args = ["--addr", "127.0.0.1:0", "--catalog", catalog];
+    let mut server = spawn_serve(&args, &[]);
+    let out = script(&server.addr, &[], &smoke_script("k.ix"));
+    assert!(out.contains("committed k.ix epoch=1"), "{out}");
+    server.kill();
+
+    let mut server = spawn_serve(&args, &[]);
+    assert!(server.send("SHOW").starts_with("k.ix epoch=1 "));
+    server.kill();
+    let out = analyze(catalog, "t.k");
+    assert!(out.status.success(), "{out:?}");
+}
+
 /// A reader that closes the pipe early (`epfis show | head -1`) ends the
 /// command quietly: no panic, no exit code 101.
 #[test]

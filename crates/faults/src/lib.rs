@@ -30,6 +30,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// An open file handle obtained from a [`Vfs`].
@@ -279,6 +280,8 @@ struct ScheduleState {
     injected: u64,
     /// When false the schedule observes (counts ops) but injects nothing.
     armed: bool,
+    /// [`Schedule::count`] watches: an op kind, a path substring, the count.
+    counts: Vec<(OpKind, String, Arc<AtomicU64>)>,
 }
 
 /// The shared, mutable fault schedule behind a [`FaultVfs`] and all of its
@@ -333,6 +336,19 @@ impl Schedule {
             .injected
     }
 
+    /// Counts every later operation of kind `op` on a path containing
+    /// `needle`, armed or not: how a test asserts which syncs a request
+    /// ran.
+    pub fn count(&self, op: OpKind, needle: impl Into<String>) -> Arc<AtomicU64> {
+        let count = Arc::new(AtomicU64::new(0));
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .counts
+            .push((op, needle.into(), Arc::clone(&count)));
+        count
+    }
+
     /// Resets the op and injection counters (rules stay).
     pub fn reset_counters(&self) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -346,6 +362,11 @@ impl Schedule {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let index = st.ops;
         st.ops += 1;
+        for (kind, needle, count) in &st.counts {
+            if *kind == op && path.to_string_lossy().contains(needle.as_str()) {
+                count.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         if !st.armed {
             return None;
         }
@@ -847,6 +868,22 @@ mod tests {
         f.write_all(b"ok").unwrap();
         assert_eq!(vfs.schedule().ops(), 2);
         assert_eq!(vfs.schedule().injected(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn count_watches_one_op_kind_on_matching_paths() {
+        let dir = temp_dir("count");
+        let vfs = FaultVfs::new();
+        let seg_syncs = vfs.schedule().count(OpKind::SyncData, "wal-");
+        let seg = vfs.create(&dir.join("wal-000000.seg")).unwrap();
+        let other = vfs.create(&dir.join("catalog.scat.log")).unwrap();
+        seg.sync_data().unwrap();
+        other.sync_data().unwrap();
+        seg.set_len(0).unwrap();
+        vfs.schedule().set_armed(false);
+        seg.try_clone().unwrap().sync_data().unwrap();
+        assert_eq!(seg_syncs.load(Ordering::Relaxed), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

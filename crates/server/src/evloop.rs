@@ -123,9 +123,11 @@ impl Job {
             drop(slot);
         }
         shared.ingest.finished();
-        // A commit may have grown the catalog log past its snapshot: fold
-        // it now that the reply is on its way, not before.
+        // A commit may have grown the catalog log past its snapshot, and
+        // ended the last session in the WAL: fold the one and reset the
+        // other now that the reply is on its way, not before.
         shared.compact_catalog();
+        shared.reset_wal();
     }
 }
 
@@ -327,7 +329,7 @@ impl SessionFactory for EvFactory {
 
 /// Body of the `epfis-evloop` thread: runs the driver until shutdown, then
 /// stops the ingest threads — a job whose connection closed mid-flight may
-/// still be parking its session.
+/// still be parking its session — and runs a WAL reset still due.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) {
     let factory = EvFactory {
         shared: Arc::clone(&shared),
@@ -344,4 +346,5 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) {
             .emit();
     }
     shared.ingest.stop();
+    shared.reset_wal();
 }

@@ -286,6 +286,18 @@ impl Shared {
         }
     }
 
+    /// Resets the WAL if every session in it has ended; runs on an ingest
+    /// thread after a job's answers were handed back, and at shutdown. A
+    /// failure poisons the log and degrades the server; the reset stays
+    /// due until one succeeds after `RECOVER`.
+    pub(crate) fn reset_wal(&self) {
+        if let Some(wal) = &self.wal {
+            if wal.reset_if_due().is_err() {
+                self.note_wal_failure();
+            }
+        }
+    }
+
     /// Ingest commands answer `ERR readonly ...` while degraded.
     pub(crate) fn check_writable(&self) -> Result<(), String> {
         if self.health.is_degraded() {
@@ -1046,9 +1058,11 @@ pub(crate) fn execute(
                     // The catalog write, recording this session on the
                     // entry, is the commit point; the COMMIT marker (ABORT
                     // if the write failed) then ends the session in the
-                    // log. The WAL phase covers both: it is all durability
+                    // log, unsynced: the next sync of the log covers it.
+                    // The WAL phase covers both: it is all durability
                     // time. A failed marker leaves the commit standing but
-                    // poisons the log, which degrades the server.
+                    // poisons the log, which degrades the server; the log
+                    // reset runs after the reply (`Shared::reset_wal`).
                     let analyzed_at = crate::catalog::unix_now();
                     let committed = timed_wal(|| {
                         wal.commit_session(wal_id, analyzed_at, |session| {

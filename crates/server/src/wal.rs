@@ -30,19 +30,35 @@
 //!
 //! [`ServerWal::commit_session`] writes the catalog first: one synced
 //! catalog-log record, whose entry records the session on its `meta` line
-//! as `session=S`. Then it appends and syncs the `COMMIT` record as a
-//! marker that the session ended, or an `ABORT` record if the catalog
-//! write failed. A session has therefore ended if the log holds its
+//! as `session=S`. Then it appends the `COMMIT` record as a marker that the
+//! session ended, or appends and syncs an `ABORT` record if the catalog
+//! write failed. The `COMMIT` marker gets no fdatasync of its own: the next
+//! sync of the log covers it (the next `BEGIN`, `CHECKPOINT` or park), so
+//! with the `batch` policy the reply waits for the catalog-log append's
+//! fdatasync alone. A session has therefore ended if the log holds its
 //! `COMMIT` or `ABORT`, or if the catalog entry for its name records its
-//! id (a crash between the catalog write and the marker). Replay never writes the catalog,
-//! so it is always the old or the new version. A session counted as ended
-//! only by the catalog gets its `COMMIT` marker appended at that restart
-//! if the log is kept, because a newer commit of the same name would stop
-//! the catalog from naming it.
+//! id (a crash before the marker reached the disk). Replay never writes
+//! the catalog, so it is always the old or the new version. A session
+//! counted as ended only by the catalog gets its `COMMIT` marker appended
+//! at that restart if the log is kept, because a newer commit of the same
+//! name would stop the catalog from naming it; for the same reason a
+//! commit syncs any marker still unsynced before its own catalog write.
 //!
 //! A `COMMIT` record an older build wrote (it appended the record before
 //! the catalog write) also counts as ended: a crash between that record
 //! and its catalog rename leaves that unacknowledged commit undone.
+//!
+//! # Reset
+//!
+//! Once nothing is attached or parked, every session in the log has ended
+//! and the log is due for a reset: a truncate back to its header plus an
+//! fdatasync, which takes tens of milliseconds for a log of tens of MB.
+//! [`ServerWal::reset_if_due`] runs it off the reply path: the server's
+//! ingest thread calls it after a job's answers are handed back, the next
+//! [`ServerWal::begin`] calls it first, and a clean shutdown calls it last.
+//! Each call re-checks under the session lock, so a session that began
+//! since keeps its records. A reset that runs late, or never, changes
+//! nothing replay sees: it skips every ended session.
 //!
 //! # Replay and parking
 //!
@@ -525,28 +541,56 @@ struct SessionState {
     parked: HashMap<String, Parked>,
 }
 
+impl SessionState {
+    /// No session is attached or parked: every session in the log has
+    /// ended, and the log may be reset.
+    fn is_idle(&self) -> bool {
+        self.attached == 0 && self.parked.is_empty()
+    }
+}
+
 struct WalInner {
     wal: Wal,
     scratch: Vec<u8>,
-    /// Ended sessions whose end marker is not yet synced: `(id, committed)`
-    /// for a `COMMIT` or an `ABORT`. Kept while the log is poisoned, so
-    /// `RECOVER` writes them.
-    unmarked: Vec<(u64, bool)>,
+    /// Ended sessions whose end marker no sync has covered yet: `(id,
+    /// committed)` for a `COMMIT` or an `ABORT`. While the log is healthy
+    /// each is appended; after a failure `RECOVER` appends them again (a
+    /// repeated marker is harmless).
+    unsynced: Vec<(u64, bool)>,
 }
 
 impl WalInner {
-    /// Appends + syncs the end marker of every session in `unmarked`.
-    fn write_markers(&mut self) -> io::Result<()> {
-        for &(session_id, committed) in &self.unmarked {
-            match committed {
-                true => encode_commit(&mut self.scratch, session_id),
-                false => encode_abort(&mut self.scratch, session_id),
-            }
-            self.wal.append(&self.scratch)?;
+    /// Appends one session's end marker record.
+    fn append_marker(&mut self, session_id: u64, committed: bool) -> io::Result<()> {
+        match committed {
+            true => encode_commit(&mut self.scratch, session_id),
+            false => encode_abort(&mut self.scratch, session_id),
         }
+        self.wal.append(&self.scratch)
+    }
+
+    /// Ends a session in the log: appends its marker, which the next sync
+    /// covers.
+    fn end_session(&mut self, session_id: u64, committed: bool) -> io::Result<()> {
+        self.unsynced.push((session_id, committed));
+        self.append_marker(session_id, committed)
+    }
+
+    /// Milestone sync; it covers every marker appended before it.
+    fn sync(&mut self) -> io::Result<()> {
         self.wal.sync()?;
-        self.unmarked.clear();
+        self.unsynced.clear();
         Ok(())
+    }
+
+    /// Appends + syncs every marker no sync has covered yet (after a
+    /// failure, or at open for sessions only the catalog ended).
+    fn write_markers(&mut self) -> io::Result<()> {
+        for i in 0..self.unsynced.len() {
+            let (session_id, committed) = self.unsynced[i];
+            self.append_marker(session_id, committed)?;
+        }
+        self.sync()
     }
 }
 
@@ -566,10 +610,14 @@ pub struct RecoveryReport {
 /// The server's durable-ingestion state: the log plus session-id
 /// allocation, parked sessions, and replay.
 ///
-/// Lock order: the `state` mutex before the `inner` mutex.
+/// Lock order: `commits`, then `state`, then `inner`.
 pub struct ServerWal {
     inner: Mutex<WalInner>,
     state: Mutex<SessionState>,
+    /// Serializes commits from the marker sync through the catalog write
+    /// to the marker append: no commit writes the catalog between another
+    /// commit's catalog write and its marker.
+    commits: Mutex<()>,
     next_session_id: AtomicU64,
     checkpoint_refs: u64,
     report: Option<RecoveryReport>,
@@ -766,17 +814,17 @@ impl ServerWal {
         let mut inner = WalInner {
             wal,
             scratch: Vec::with_capacity(4096),
-            unmarked,
+            unsynced: unmarked,
         };
         if parked == 0 {
-            inner.unmarked.clear();
-            inner.wal.reset()?;
+            reset(&mut inner)?;
         } else {
             inner.write_markers()?;
         }
         let server_wal = ServerWal {
             inner: Mutex::new(inner),
             state: Mutex::new(state),
+            commits: Mutex::new(()),
             next_session_id: AtomicU64::new(max_sid + 1),
             checkpoint_refs: config.checkpoint_refs,
             report: Some(RecoveryReport {
@@ -807,7 +855,8 @@ impl ServerWal {
         self.report.take()
     }
 
-    /// Allocates a session id and appends + syncs its `BEGIN` record.
+    /// Allocates a session id and appends + syncs its `BEGIN` record,
+    /// first running the reset if it is still due.
     pub fn begin(
         &self,
         name: &str,
@@ -818,10 +867,13 @@ impl ServerWal {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            if state.is_idle() {
+                reset(&mut inner)?;
+            }
             let WalInner { wal, scratch, .. } = &mut *inner;
             encode_begin(scratch, sid, name, segments, table_pages);
             wal.append(scratch)?;
-            wal.sync()?;
+            inner.sync()?;
         }
         state.attached += 1;
         Ok(sid)
@@ -847,17 +899,25 @@ impl ServerWal {
         let WalInner { wal, scratch, .. } = &mut *inner;
         encode_checkpoint(scratch, session_id, cp);
         wal.append(scratch)?;
-        wal.sync()
+        inner.sync()
     }
 
     /// Runs `commit` — the catalog write, which is the session's commit
     /// point — handing it the session id to record on the entry, then
-    /// appends + syncs the marker that ends the session in the log:
-    /// `COMMIT` if the write succeeded, `ABORT` if it failed. Returns the
-    /// catalog write's result. A failed marker does not undo a written
-    /// catalog: the commit stands and the failure poisons the log, which
-    /// the caller's `note_wal_failure` turns into degraded mode; the marker
-    /// is written again by [`recover`](ServerWal::recover).
+    /// appends the marker that ends the session in the log: `COMMIT` if
+    /// the write succeeded, with no sync of its own (the next sync of the
+    /// log covers it), or `ABORT`, synced, if it failed. Returns the
+    /// catalog write's result.
+    ///
+    /// A marker an earlier commit left unsynced is synced before the
+    /// catalog write: this commit may stop the catalog naming that
+    /// session. If that sync fails, the catalog is not written and the
+    /// commit fails. A failed marker does not undo a written catalog: the
+    /// commit stands and the failure poisons the log, which the caller's
+    /// `note_wal_failure` turns into degraded mode; the marker is written
+    /// again by [`recover`](ServerWal::recover). Either way the session's
+    /// slot is released; the log reset that may then be due is left to
+    /// [`reset_if_due`](ServerWal::reset_if_due).
     ///
     /// `_analyzed_at` is unused: the catalog entry records the timestamp.
     pub fn commit_session<T>(
@@ -866,14 +926,25 @@ impl ServerWal {
         _analyzed_at: u64,
         commit: impl FnOnce(u64) -> io::Result<T>,
     ) -> io::Result<T> {
-        let result = commit(session_id);
-        {
+        let result = {
+            let _commits = self.commits.lock().unwrap_or_else(|e| e.into_inner());
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.unmarked.push((session_id, result.is_ok()));
-            let _ = inner.write_markers();
-        }
-        // The session object is consumed whatever happened; release its
-        // slot so the log can still reset once everything drains.
+            let synced = if inner.unsynced.is_empty() {
+                Ok(())
+            } else {
+                inner.sync()
+            };
+            // The catalog write runs without the log's lock: other
+            // sessions keep appending meanwhile.
+            drop(inner);
+            let result = synced.and_then(|()| commit(session_id));
+            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let marked = inner.end_session(session_id, result.is_ok());
+            if result.is_err() && marked.is_ok() {
+                let _ = inner.sync();
+            }
+            result
+        };
         self.session_closed();
         result
     }
@@ -889,8 +960,8 @@ impl ServerWal {
     /// (used when superseding a parked session).
     fn append_abort(&self, session_id: u64) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.unmarked.push((session_id, false));
-        inner.write_markers()
+        inner.end_session(session_id, false)?;
+        inner.sync()
     }
 
     /// Parks a session whose connection went away so `ANALYZE RESUME` can
@@ -915,7 +986,7 @@ impl ServerWal {
             Some(old) => self.append_abort(old),
             None => {
                 let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-                inner.wal.sync()
+                inner.sync()
             }
         }
     }
@@ -968,23 +1039,42 @@ impl ServerWal {
     /// Returns the torn bytes discarded. A no-op returning 0 when healthy.
     pub fn recover(&self) -> io::Result<u64> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if inner.wal.poisoned().is_none() {
+            return Ok(0);
+        }
         let truncated = inner.wal.heal()?;
         inner.write_markers()?;
         Ok(truncated)
     }
 
-    /// Releases one attached session; when nothing is attached or parked
-    /// the log is fully absorbed and is reset to an empty file.
+    /// Releases one attached session. Once nothing is attached or parked
+    /// the log is due for a reset, which [`reset_if_due`](Self::reset_if_due)
+    /// runs later, off the reply path.
     pub fn session_closed(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.attached -= 1;
-        if state.attached == 0 && state.parked.is_empty() {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if inner.wal.reset().is_ok() {
-                inner.unmarked.clear();
-            }
-        }
     }
+
+    /// Resets the log to its header if it is due: nothing is attached or
+    /// parked, so every session the log holds has ended. A no-op
+    /// otherwise. A failed reset poisons the log, and stays due.
+    pub fn reset_if_due(&self) -> io::Result<()> {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if !state.is_idle() {
+            return Ok(());
+        }
+        reset(&mut self.inner.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// Truncates the log back to its header unless it is already there. The
+/// caller holds the `state` lock and has seen nothing attached or parked.
+fn reset(inner: &mut WalInner) -> io::Result<()> {
+    if inner.wal.bytes() > epfis_wal::HEADER_BYTES {
+        inner.wal.reset()?;
+        inner.unsynced.clear();
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1129,8 +1219,9 @@ mod tests {
         };
 
         // Simulated crash after the commit: reopening must change nothing.
-        // (The live path reset the log when the session closed; write the
-        // records back as if the crash had preceded the reset.)
+        // (The reset is left for after the reply, so the log still holds
+        // the session's records and its marker, as a crash before the
+        // reset leaves them.)
         {
             let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
             assert_eq!(catalog.snapshot().epoch(), 1);
@@ -1195,7 +1286,7 @@ mod tests {
         .unwrap();
         assert_eq!(catalog.snapshot().epoch(), 1);
 
-        // The log reset once fully absorbed: the next open replays nothing.
+        // The session has ended: the next open neither parks nor applies it.
         let reopened = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
         assert_eq!(catalog.snapshot().epoch(), 1);
         assert!(reopened.parked_names().is_empty());

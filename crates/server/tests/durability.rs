@@ -12,7 +12,9 @@
 //! catalog.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use epfis::EpfisConfig;
 use epfis_faults::{FaultKind, FaultVfs, OpKind, Rule};
@@ -497,6 +499,178 @@ fn failed_commit_marker_is_written_by_recover() {
     drop((wal, catalog));
 
     newer_commit_then_restart(&cat_path, &wal_dir);
+}
+
+fn page_line(pairs: &[(i64, u32)]) -> String {
+    let mut line = String::from("PAGE");
+    for (k, p) in pairs {
+        line.push_str(&format!(" {k} {p}"));
+    }
+    line
+}
+
+/// A file's length, 0 if it is missing.
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).map_or(0, |m| m.len())
+}
+
+/// Polls `done` every 10 ms, panicking with `what` after 10 s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// With `--wal-dir` under the default `batch` policy, an `ANALYZE COMMIT`
+/// reply waits for one fdatasync, the catalog-log append's: the `COMMIT`
+/// marker is left for the next sync of the log to cover, and the log reset
+/// runs after the reply.
+#[test]
+fn commit_reply_waits_for_one_fdatasync() {
+    let root = temp_dir("one-sync");
+    let cat_path = root.join("catalog.scat");
+    let seg = root.join("wal").join("wal-000000.seg");
+    // A snapshot of 20 entries, compacted as `epfis analyze` would: the
+    // commits below leave the log smaller than it, so no compaction
+    // (which syncs the catalog log again) runs after their replies.
+    {
+        let catalog = SharedCatalog::open(&cat_path).unwrap();
+        let mut base = IngestSession::new("base".into(), EpfisConfig::default(), Some(30));
+        base.feed_batch(&scan_pairs(240, 30)).unwrap();
+        let (stats, counters) = base.commit().unwrap();
+        for i in 0..20 {
+            let name = format!("base{i}");
+            catalog
+                .commit_analyzed(&name, stats.clone(), Some(counters), 100, None)
+                .unwrap();
+            catalog.compact_if_due().unwrap();
+        }
+    }
+    let fv = FaultVfs::new();
+    let wal_syncs = fv.schedule().count(OpKind::SyncData, "wal-000000");
+    let wal_truncates = fv.schedule().count(OpKind::Truncate, "wal-000000");
+    let log_syncs = fv.schedule().count(OpKind::SyncData, "catalog.scat.log");
+    let counts = || [&wal_syncs, &wal_truncates, &log_syncs].map(|c| c.load(Ordering::SeqCst));
+    let since = |before: [u64; 3]| {
+        let now = counts();
+        [0, 1, 2].map(|i| now[i] - before[i])
+    };
+    let server = serve(ServerConfig {
+        catalog_path: Some(cat_path.clone()),
+        wal: Some(WalConfig::new(root.join("wal"))),
+        vfs: Some(fv.clone().shared()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    // RECOVER opens the catalog log, so a commit syncs only its record.
+    c.request("RECOVER").unwrap();
+
+    c.request("ANALYZE BEGIN ix.one table_pages=40").unwrap();
+    c.request(&page_line(&scan_pairs(120, 40))).unwrap();
+    let before = counts();
+    let ack = c.request("ANALYZE COMMIT").unwrap();
+    assert!(ack[0].starts_with("committed ix.one "), "{ack:?}");
+    wait_until("the deferred reset", || file_len(&seg) == 12);
+    assert_eq!(
+        since(before),
+        [1, 1, 1],
+        "WAL syncs (the reset's alone), WAL truncates, catalog-log syncs"
+    );
+
+    // With a second session attached no reset is due, so the counts at the
+    // reply are all there will be: the catalog-log append's sync, no WAL
+    // sync.
+    let mut other = Client::connect(server.addr()).unwrap();
+    other
+        .request("ANALYZE BEGIN ix.other table_pages=40")
+        .unwrap();
+    c.request("ANALYZE BEGIN ix.two table_pages=40").unwrap();
+    c.request(&page_line(&scan_pairs(120, 40))).unwrap();
+    let before = counts();
+    let ack = c.request("ANALYZE COMMIT").unwrap();
+    assert!(ack[0].starts_with("committed ix.two "), "{ack:?}");
+    assert_eq!(since(before), [0, 0, 1]);
+    let log = std::fs::read(&seg).unwrap();
+    let last = record_ends(&log).pop().unwrap().1;
+    assert!(
+        matches!(last, WalRecord::Commit { .. }),
+        "the marker is appended, unsynced: {last:?}"
+    );
+    // The ABORT is synced, covering the marker too; the reset follows.
+    other.request("ANALYZE ABORT").unwrap();
+    wait_until("the deferred reset", || file_len(&seg) == 12);
+    assert_eq!(since(before), [2, 1, 1]);
+
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(
+        series_value(&stats, "epfis_server_catalog_compactions_total"),
+        Some(0.0)
+    );
+    drop((c, other));
+    server.shutdown_and_join();
+}
+
+/// A session that begins between a commit's reply and the log reset the
+/// commit left due keeps its records: `begin` runs the reset first, the
+/// ingest thread's reset then finds a session attached and does nothing,
+/// and a restart parks the session.
+#[test]
+fn begin_between_a_commit_reply_and_its_reset_keeps_its_records() {
+    let root = temp_dir("late-reset");
+    let cat_path = root.join("catalog.scat");
+    let wal_dir = root.join("wal");
+    let seg = wal_dir.join("wal-000000.seg");
+    let logger = epfis_obs::Logger::disabled();
+    let catalog = SharedCatalog::open(&cat_path).unwrap();
+    let wal = ServerWal::open(
+        &WalConfig::new(&wal_dir),
+        &catalog,
+        EpfisConfig::default(),
+        &logger,
+    )
+    .unwrap();
+    let (sid, stats, counters) = logged_session(&wal, &scan_pairs(120, 40));
+    wal.commit_session(sid, 1, |session| {
+        catalog.commit_analyzed("ix.a", stats, Some(counters), 1, Some(session))
+    })
+    .unwrap();
+    assert!(file_len(&seg) > 12, "the reset waits for the reply");
+
+    let late = wal.begin("ix.late", None, Some(40)).unwrap();
+    let pairs = scan_pairs(90, 40);
+    wal.append_page(late, pairs.len(), pairs.iter().copied())
+        .unwrap();
+    wal.reset_if_due().unwrap();
+    let records: Vec<WalRecord> = record_ends(&std::fs::read(&seg).unwrap())
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect();
+    assert_eq!(records.len(), 2, "{records:?}");
+    assert!(matches!(records[0], WalRecord::Begin { session_id, .. } if session_id == late));
+    assert_eq!(
+        records[1],
+        WalRecord::Page {
+            session_id: late,
+            pairs: pairs.clone(),
+        }
+    );
+    drop((wal, catalog));
+
+    let catalog = SharedCatalog::open(&cat_path).unwrap();
+    let wal = ServerWal::open(
+        &WalConfig::new(&wal_dir),
+        &catalog,
+        EpfisConfig::default(),
+        &logger,
+    )
+    .unwrap();
+    assert_eq!(wal.parked_names(), vec!["ix.late".to_string()]);
+    let (resumed, resumed_sid) = wal.take_parked("ix.late").unwrap();
+    assert_eq!((resumed.records(), resumed_sid), (pairs.len() as u64, late));
+    assert_eq!(catalog.snapshot().get("ix.a").unwrap().session, Some(sid));
 }
 
 /// `EXPLAIN` names the session that committed a WAL entry, on the live

@@ -555,6 +555,151 @@ fn failed_log_reset_after_compaction_recovers_and_keeps_the_next_commit() {
     server.shutdown_and_join();
 }
 
+/// Polls `STATS` until the server reports degraded mode, panicking after
+/// 10 s.
+fn await_degraded(c: &mut Client) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = c.request("STATS").unwrap().join("\n");
+        if series_value(&stats, "epfis_server_degraded") == Some(1.0) {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never degraded: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A `COMMIT` marker left unsynced (a second session keeps the WAL from
+/// resetting) whose sync then fails: the next commit fails before its
+/// catalog write, leaving the catalog files byte-identical, and the server
+/// degrades. After `RECOVER` the commit succeeds, and a restart finds both
+/// acknowledged commits and nothing to resume.
+#[test]
+fn failed_sync_of_an_earlier_marker_fails_the_commit_before_its_catalog_write() {
+    let root = temp_dir("marker-sync");
+    let cat_path = root.join("catalog.scat");
+    seed_catalog(&cat_path);
+    let fv = FaultVfs::new();
+    let config = |vfs: Option<Arc<dyn Vfs>>| ServerConfig {
+        catalog_path: Some(cat_path.clone()),
+        wal: Some(WalConfig::new(root.join("wal"))),
+        vfs,
+        ..ServerConfig::default()
+    };
+    let server = serve(config(Some(fv.clone().shared()))).unwrap();
+    let mut a = Client::connect(server.addr()).unwrap();
+    let mut b = Client::connect(server.addr()).unwrap();
+    let begin = |c: &mut Client, name: &str| {
+        c.request(&format!("ANALYZE BEGIN {name} table_pages=40"))
+            .unwrap();
+        c.request(&page_line(&scan_pairs(120, 40))).unwrap();
+    };
+    begin(&mut a, "ix.a");
+    begin(&mut b, "ix.b");
+    let ack = a.request("ANALYZE COMMIT").unwrap();
+    assert!(ack[0].starts_with("committed ix.a "), "{ack:?}");
+    // A's connection runs its next session request on the same ingest
+    // thread, after the compaction that followed the reply: the catalog
+    // files are settled once it answers.
+    a.request("ANALYZE ABORT")
+        .expect_err("no session is open on a");
+
+    let files = || {
+        [cat_path.clone(), SharedCatalog::log_path(&cat_path)].map(|p| std::fs::read(p).unwrap())
+    };
+    let before = files();
+    fv.schedule().push(
+        Rule::new(FaultKind::Eio)
+            .on_op(OpKind::SyncData)
+            .path_contains("wal-000000")
+            .times(1),
+    );
+    let err = b
+        .request("ANALYZE COMMIT")
+        .expect_err("the marker's sync fails first");
+    assert!(err.to_string().contains("commit failed"), "{err}");
+    assert_eq!(fv.schedule().injected(), 1);
+    assert!(files() == before, "the failed commit wrote the catalog");
+    await_degraded(&mut b);
+
+    let lines = b.request("RECOVER").unwrap();
+    assert!(
+        lines.contains(&"recovered was_degraded=1".to_string()),
+        "{lines:?}"
+    );
+    begin(&mut b, "ix.b");
+    let ack = b.request("ANALYZE COMMIT").unwrap();
+    assert!(ack[0].starts_with("committed ix.b "), "{ack:?}");
+    drop((a, b));
+    server.shutdown_and_join();
+
+    assert_eq!(
+        catalog_entries(&cat_path, "restart"),
+        ["base", "ix.a", "ix.b"]
+    );
+    let server = serve(config(None)).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let stats = c.request("STATS").unwrap().join("\n");
+    assert_eq!(series_value(&stats, "epfis_wal_parked_sessions"), Some(0.0));
+    drop(c);
+    server.shutdown_and_join();
+}
+
+/// The WAL reset after a commit's reply fails: the commit stands, the
+/// server degrades, and `RECOVER` heals the log with the reset still due.
+/// A clean `SHUTDOWN` then runs it, leaving the log at its 12-byte header.
+#[test]
+fn failed_deferred_wal_reset_degrades_and_shutdown_runs_it() {
+    let root = temp_dir("wal-reset");
+    let cat_path = root.join("catalog.scat");
+    let seg = root.join("wal").join("wal-000000.seg");
+    seed_catalog(&cat_path);
+    let fv = FaultVfs::new();
+    fv.schedule().push(
+        Rule::new(FaultKind::Eio)
+            .on_op(OpKind::Truncate)
+            .path_contains("wal-000000")
+            .times(1),
+    );
+    let server = serve(ServerConfig {
+        catalog_path: Some(cat_path.clone()),
+        wal: Some(WalConfig::new(root.join("wal"))),
+        vfs: Some(fv.clone().shared()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.request("ANALYZE BEGIN ix.r table_pages=40").unwrap();
+    c.request(&page_line(&scan_pairs(120, 40))).unwrap();
+    let ack = c.request("ANALYZE COMMIT").unwrap();
+    assert!(ack[0].starts_with("committed ix.r "), "{ack:?}");
+    await_degraded(&mut c);
+    assert_eq!(fv.schedule().injected(), 1);
+    let size = || std::fs::metadata(&seg).unwrap().len();
+    assert!(size() > 12, "the failed reset left the log as it was");
+
+    let lines = c.request("RECOVER").unwrap();
+    assert!(
+        lines.contains(&"recovered was_degraded=1".to_string()),
+        "{lines:?}"
+    );
+    assert!(
+        size() > 12,
+        "RECOVER leaves the reset to the next BEGIN or SHUTDOWN"
+    );
+    assert_eq!(c.request("SHUTDOWN").unwrap(), ["bye"]);
+    drop(c);
+    server.join();
+    assert_eq!(size(), 12);
+    assert_eq!(
+        catalog_entries(&cat_path, "after shutdown"),
+        ["base", "ix.r"]
+    );
+}
+
 /// The self-healing client: the server is stopped and restarted (same WAL
 /// dir, same port) in the middle of a streamed session; the client
 /// reconnects with backoff, reattaches via ANALYZE RESUME, and the final
