@@ -130,6 +130,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
+use std::ops::{Bound::Included, Range};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -446,10 +447,26 @@ impl VersionedCatalog {
     /// `analyzed_at` all 0), in one pass over its lines. Errors about a
     /// line name its number in `text`.
     pub fn from_text(text: &str) -> io::Result<Self> {
-        let mut lines = text.lines().enumerate().map(|(i, line)| (i + 1, line));
+        Self::parse(text, chunks_for(text.len()))
+    }
+
+    /// [`from_text`](VersionedCatalog::from_text) with the entry section
+    /// cut into at most `chunks` pieces, parsed across threads when there
+    /// is more than one. Any cut gives what one chunk gives — the catalog,
+    /// or the error on the lowest line.
+    ///
+    /// Each cut falls just after an `end` line, where a serial parse has
+    /// no open entry, so a chunk parses as the serial parse meets it but
+    /// for what lies before it: the entries of earlier chunks (for the
+    /// duplicate check) and its first line's number. Chunks that parse
+    /// cleanly and share no name with earlier chunks merge as they are;
+    /// the first that does not is parsed again with both, which gives the
+    /// serial parse's error.
+    pub(crate) fn parse(text: &str, chunks: usize) -> io::Result<Self> {
+        let mut lines = Lines::new(text);
         let bare = match lines.next() {
-            Some((_, h)) if h.trim() == HEADER => false,
-            Some((_, h)) if h.trim() == BARE_HEADER => true,
+            Some((_, h)) if h.trim_ascii() == HEADER => false,
+            Some((_, h)) if h.trim_ascii() == BARE_HEADER => true,
             other => {
                 return Err(invalid(format!(
                     "bad catalog header: {:?}",
@@ -457,66 +474,53 @@ impl VersionedCatalog {
                 )))
             }
         };
-        let (epoch, mut metas) = if bare {
-            (0, HashMap::new())
+        let (epoch, metas) = if bare {
+            (0, None)
         } else {
-            read_meta_section(&mut lines)?
+            let (epoch, metas) = read_meta_section(&mut lines)?;
+            (epoch, Some(metas))
         };
-        let mut entries = BTreeMap::new();
-        let mut open: Option<(&str, EntryBuilder)> = None;
-        for (no, raw) in lines {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let at = |message: String| line_error(no, raw, message);
-            let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match (keyword, open.take()) {
-                ("index", None) => {
-                    check_name(rest).map_err(at)?;
-                    open = Some((rest, EntryBuilder::default()));
+        let metas = metas.as_ref();
+        let (section, first_no) = (lines.rest(), lines.no);
+        let cuts = cut_after_ends(section, chunks);
+        let parts = epfis_par::run_indexed(cuts.len(), |k| {
+            // Line numbers of a later chunk only count once it is parsed
+            // again below, so they are left out here.
+            let no = if k == 0 { first_no } else { 0 };
+            parse_entries(
+                Lines::at(&section[cuts[k].clone()], no),
+                metas,
+                &Entries::new(),
+            )
+        });
+        let mut entries = Entries::new();
+        for (k, part) in parts.into_iter().enumerate() {
+            let mut part = match part {
+                Ok(part) if !shares_a_name(&entries, &part) => part,
+                // The first chunk parsed knowing all a serial parse knows.
+                Err(e) if k == 0 => return Err(e),
+                _ => {
+                    let no = first_no + count_lines(&section[..cuts[k].start]);
+                    let chunk = Lines::at(&section[cuts[k].clone()], no);
+                    parse_entries(chunk, metas, &entries)?
                 }
-                ("index", Some(_)) => return Err(at("new entry before previous 'end'".into())),
-                ("end", Some((name, builder))) => {
-                    let Entry::Vacant(slot) = entries.entry(name.to_string()) else {
-                        return Err(at(format!("duplicate index name {name:?}")));
-                    };
-                    let stats = builder
-                        .build()
-                        .ok_or_else(|| at(format!("incomplete catalog entry {name:?}")))?;
-                    let meta = if bare {
-                        Meta::default()
-                    } else {
-                        metas
-                            .remove(name)
-                            .ok_or_else(|| at(format!("entry {name:?} has no meta line")))?
-                    };
-                    slot.insert(Arc::new(VersionedEntry {
-                        stats,
-                        epoch: meta.epoch,
-                        analyzed_at: meta.analyzed_at,
-                        counters: meta.counters,
-                        session: meta.session,
-                    }));
-                }
-                ("end", None) => return Err(at("'end' without entry".into())),
-                (_, Some((name, mut builder))) => {
-                    builder.field(keyword, rest).map_err(at)?;
-                    open = Some((name, builder));
-                }
-                (_, None) => return Err(at(format!("field {keyword:?} outside entry"))),
-            }
+            };
+            entries.append(&mut part);
         }
-        if let Some((name, _)) = open {
-            return Err(invalid(format!("incomplete catalog entry {name:?}")));
-        }
-        if let Some((name, meta)) = metas.iter().min_by_key(|(_, m)| m.line.0) {
-            let (no, raw) = meta.line;
-            return Err(line_error(
-                no,
-                raw,
-                format!("meta for unknown entry {name:?}"),
-            ));
+        if let Some(metas) = metas.filter(|m| m.len() > entries.len()) {
+            // Every entry used its own meta line, so some line is unused.
+            if let Some((name, meta)) = metas
+                .iter()
+                .filter(|(name, _)| !entries.contains_key(**name))
+                .min_by_key(|(_, m)| m.line.0)
+            {
+                let (no, raw) = meta.line;
+                return Err(line_error(
+                    no,
+                    raw,
+                    format!("meta for unknown entry {name:?}"),
+                ));
+            }
         }
         Ok(VersionedCatalog {
             epoch,
@@ -554,15 +558,20 @@ impl VersionedCatalog {
             Some(i) => (&text[..i + 1], &stripped[i + 1..]),
             None => ("", stripped),
         };
+        let chunks = chunks_for(text.len());
         let (catalog, crc) = match last.strip_prefix("crc32c ") {
             Some(hex) => {
                 let want = u32::from_str_radix(hex.trim(), 16).map_err(|_| mismatch())?;
-                if epfis_wal::crc32c(body.as_bytes()) != want {
+                let (crc, catalog) = checksummed(body, chunks, || Self::parse(body, chunks));
+                if crc != want {
                     return Err(mismatch());
                 }
-                (Self::from_text(body)?, want)
+                (catalog?, want)
             }
-            None => (Self::from_text(text)?, epfis_wal::crc32c(text.as_bytes())),
+            None => {
+                let (crc, catalog) = checksummed(text, chunks, || Self::parse(text, chunks));
+                (catalog?, crc)
+            }
         };
         let id = SnapshotId {
             epoch: catalog.epoch,
@@ -583,6 +592,128 @@ impl VersionedCatalog {
         };
         (out, id)
     }
+}
+
+/// `parse()`'s result and the CRC32C of `text`. A load cut into several
+/// chunks runs the checksum on a thread of its own alongside the parse; a
+/// small one runs the two in turn and starts no thread.
+fn checksummed<T: Send>(text: &str, chunks: usize, parse: impl FnOnce() -> T) -> (u32, T) {
+    if chunks == 1 {
+        return (epfis_wal::crc32c(text.as_bytes()), parse());
+    }
+    std::thread::scope(|scope| {
+        let crc = scope.spawn(|| epfis_wal::crc32c(text.as_bytes()));
+        let parsed = parse();
+        let crc = crc.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        (crc, parsed)
+    })
+}
+
+/// The entry section is cut into chunks of at least this many bytes, so
+/// a file smaller than two of them loads on the calling thread alone.
+const MIN_CHUNK_BYTES: usize = 512 * 1024;
+
+/// How many chunks a load of `len` bytes cuts its entry section into: one
+/// per thread of the [`epfis_par::threads`] budget, each at least
+/// [`MIN_CHUNK_BYTES`].
+fn chunks_for(len: usize) -> usize {
+    (len / MIN_CHUNK_BYTES).clamp(1, epfis_par::threads())
+}
+
+/// The lines of a text, numbered from 1 as `str::lines` yields them:
+/// split at `\n`, each with one `\r` before its `\n` dropped.
+struct Lines<'a> {
+    text: &'a str,
+    /// Where the next line starts.
+    at: usize,
+    /// The number of the line last yielded.
+    no: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn new(text: &'a str) -> Self {
+        Self::at(text, 0)
+    }
+
+    /// The lines of `text`, the first numbered `no + 1`.
+    fn at(text: &'a str, no: usize) -> Self {
+        Lines { text, at: 0, no }
+    }
+
+    /// The text not yet yielded.
+    fn rest(&self) -> &'a str {
+        &self.text[self.at..]
+    }
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        let rest = self.rest();
+        if rest.is_empty() {
+            return None;
+        }
+        let line = match rest.find('\n') {
+            Some(i) => {
+                self.at += i + 1;
+                rest[..i].strip_suffix('\r').unwrap_or(&rest[..i])
+            }
+            None => {
+                self.at = self.text.len();
+                rest
+            }
+        };
+        self.no += 1;
+        Some((self.no, line))
+    }
+}
+
+/// A line's keyword and the rest of it: the line without surrounding
+/// ASCII whitespace, split at its first space.
+fn keyword(raw: &str) -> (&str, &str) {
+    let line = raw.trim_ascii();
+    line.split_once(' ').unwrap_or((line, ""))
+}
+
+/// Cuts `section` into at most `chunks` byte ranges of about equal size,
+/// each but the last ending just after a line whose keyword is `end`.
+fn cut_after_ends(section: &str, chunks: usize) -> Vec<Range<usize>> {
+    let mut cuts = Vec::with_capacity(chunks);
+    let mut start = 0;
+    for k in 1..chunks {
+        let from = (section.len() * k / chunks).max(start);
+        // From the start of the line after the one `from` falls in.
+        let Some(nl) = section.as_bytes()[from..].iter().position(|&b| b == b'\n') else {
+            break;
+        };
+        let mut lines = Lines::at(&section[from + nl + 1..], 0);
+        if lines.by_ref().any(|(_, raw)| keyword(raw).0 == "end") {
+            let end = section.len() - lines.rest().len();
+            if end < section.len() {
+                cuts.push(start..end);
+                start = end;
+            }
+        }
+    }
+    cuts.push(start..section.len());
+    cuts
+}
+
+/// The number of `\n`s in `text`: its line count, if it ends with one.
+fn count_lines(text: &str) -> usize {
+    text.bytes().filter(|&b| b == b'\n').count()
+}
+
+/// Whether a name is in both maps.
+fn shares_a_name(earlier: &Entries, part: &Entries) -> bool {
+    let (Some((first, _)), Some((last, _))) = (part.first_key_value(), part.last_key_value())
+    else {
+        return false;
+    };
+    earlier
+        .range::<str, _>((Included(first.as_str()), Included(last.as_str())))
+        .any(|(name, _)| part.contains_key(name))
 }
 
 /// Which snapshot a catalog log extends: the snapshot's epoch and the
@@ -732,21 +863,26 @@ struct Meta<'a> {
     line: (usize, &'a str),
 }
 
+/// Each entry's `meta` line, keyed by name.
+type Metas<'a> = HashMap<&'a str, Meta<'a>>;
+
 /// Reads the server format's lines after the header through the entry
 /// section's own header: the global epoch and each entry's `meta` line,
 /// keyed by name.
-fn read_meta_section<'a>(
-    lines: &mut impl Iterator<Item = (usize, &'a str)>,
-) -> io::Result<(u64, HashMap<&'a str, Meta<'a>>)> {
+fn read_meta_section<'a>(lines: &mut Lines<'a>) -> io::Result<(u64, Metas<'a>)> {
     let mut epoch = None;
-    let mut metas = HashMap::new();
+    // At most one meta line per line of the section, which ends at the
+    // first `---` line if it has one at all.
+    let rest = lines.rest();
+    let section = rest.find("\n---").map_or(rest, |i| &rest[..i]);
+    let mut metas = HashMap::with_capacity(count_lines(section));
     loop {
         let Some((no, raw)) = lines.next() else {
             return Err(invalid(format!(
                 "no {SEPARATOR:?} line after the meta lines"
             )));
         };
-        let line = raw.trim();
+        let line = raw.trim_ascii();
         let at = |message: String| line_error(no, raw, message);
         if line == SEPARATOR {
             break;
@@ -757,7 +893,7 @@ fn read_meta_section<'a>(
             continue;
         }
         if let Some(v) = line.strip_prefix("epoch ") {
-            epoch = Some(parse(v.trim()).map_err(at)?);
+            epoch = Some(parse(v.trim_ascii()).map_err(at)?);
         } else if let Some(rest) = line.strip_prefix("meta ") {
             let (name, meta) = parse_meta(rest, (no, raw)).map_err(at)?;
             if metas.insert(name, meta).is_some() {
@@ -784,7 +920,7 @@ fn read_meta_section<'a>(
         ));
     }
     match lines.next() {
-        Some((_, h)) if h.trim() == BARE_HEADER => Ok((epoch, metas)),
+        Some((_, h)) if h.trim_ascii() == BARE_HEADER => Ok((epoch, metas)),
         Some((no, raw)) => Err(line_error(
             no,
             raw,
@@ -796,7 +932,7 @@ fn read_meta_section<'a>(
 
 /// Parses the rest of a `meta` line: the name, then `key=value` items.
 fn parse_meta<'a>(rest: &'a str, line: (usize, &'a str)) -> Result<(&'a str, Meta<'a>), String> {
-    let mut toks = rest.split_whitespace();
+    let mut toks = rest.split_ascii_whitespace();
     let name = toks.next().ok_or("meta line without a name")?;
     const KEYS: [&str; 6] = [
         "epoch",
@@ -843,6 +979,68 @@ fn parse_meta<'a>(rest: &'a str, line: (usize, &'a str)) -> Result<(&'a str, Met
     Ok((name, meta))
 }
 
+/// Parses entry blocks — the entry section, or a chunk of it that starts
+/// where a serial parse has no open entry — into a map. `metas` are the
+/// `meta` lines (`None` for a bare file); `prior` holds the entries
+/// before the chunk, which a name must not repeat.
+fn parse_entries<'a>(
+    lines: Lines<'a>,
+    metas: Option<&Metas<'a>>,
+    prior: &Entries,
+) -> io::Result<Entries> {
+    let mut entries = Entries::new();
+    let mut open = None;
+    let mut fields = EntryBuilder::default();
+    let mut last_config = None;
+    for (no, raw) in lines {
+        let (keyword, rest) = keyword(raw);
+        if keyword.is_empty() {
+            continue;
+        }
+        let at = |message: String| line_error(no, raw, message);
+        match (keyword, open) {
+            ("index", None) => {
+                check_name(rest).map_err(at)?;
+                open = Some(rest);
+            }
+            ("index", Some(_)) => return Err(at("new entry before previous 'end'".into())),
+            ("end", Some(name)) => {
+                open = None;
+                let duplicate = || at(format!("duplicate index name {name:?}"));
+                if prior.contains_key(name) {
+                    return Err(duplicate());
+                }
+                let Entry::Vacant(slot) = entries.entry(name.to_string()) else {
+                    return Err(duplicate());
+                };
+                let stats = std::mem::take(&mut fields)
+                    .build()
+                    .ok_or_else(|| at(format!("incomplete catalog entry {name:?}")))?;
+                let meta = match metas {
+                    None => &Meta::default(),
+                    Some(metas) => metas
+                        .get(name)
+                        .ok_or_else(|| at(format!("entry {name:?} has no meta line")))?,
+                };
+                slot.insert(Arc::new(VersionedEntry {
+                    stats,
+                    epoch: meta.epoch,
+                    analyzed_at: meta.analyzed_at,
+                    counters: meta.counters,
+                    session: meta.session,
+                }));
+            }
+            ("end", None) => return Err(at("'end' without entry".into())),
+            (_, Some(_)) => fields.field(keyword, rest, &mut last_config).map_err(at)?,
+            (_, None) => return Err(at(format!("field {keyword:?} outside entry"))),
+        }
+    }
+    if let Some(name) = open {
+        return Err(invalid(format!("incomplete catalog entry {name:?}")));
+    }
+    Ok(entries)
+}
+
 /// One entry block's fields as they are read; [`EntryBuilder::build`]
 /// needs every field but `config`'s items, which default.
 #[derive(Default)]
@@ -859,7 +1057,14 @@ struct EntryBuilder {
 }
 
 impl EntryBuilder {
-    fn field(&mut self, keyword: &str, rest: &str) -> Result<(), String> {
+    /// Reads one field line. `last_config` is the last `config` line's
+    /// text and value: entries mostly share one, so it is parsed once.
+    fn field<'a>(
+        &mut self,
+        keyword: &str,
+        rest: &'a str,
+        last_config: &mut Option<(&'a str, EpfisConfig)>,
+    ) -> Result<(), String> {
         match keyword {
             "table_pages" => self.table_pages = Some(parse(rest)?),
             "records" => self.records = Some(parse(rest)?),
@@ -868,68 +1073,13 @@ impl EntryBuilder {
             "clustering_factor" => self.clustering_factor = Some(parse(rest)?),
             "b_min" => self.b_min = Some(parse(rest)?),
             "b_max" => self.b_max = Some(parse(rest)?),
-            "fpf" => {
-                let mut knots: Vec<(f64, f64)> = Vec::new();
-                for pair in rest.split_whitespace() {
-                    let (x, y) = pair
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad knot {pair:?}"))?;
-                    let knot = (parse::<f64>(x)?, parse::<f64>(y)?);
-                    // `PiecewiseLinear::new` panics on these; a load must
-                    // not.
-                    if !(knot.0.is_finite() && knot.1.is_finite()) {
-                        return Err(format!("non-finite knot {pair:?}"));
-                    }
-                    if knots.last().is_some_and(|&(last, _)| last >= knot.0) {
-                        return Err(format!("knot {pair:?} does not increase in x"));
-                    }
-                    knots.push(knot);
-                }
-                if knots.is_empty() {
-                    return Err("empty fpf knot list".into());
-                }
-                self.fpf = Some(PiecewiseLinear::new(knots));
-            }
+            "fpf" => self.fpf = Some(parse_fpf(rest)?),
             "config" => {
-                let mut cfg = EpfisConfig::default();
-                for kv in rest.split_whitespace() {
-                    let (k, v) = kv
-                        .split_once('=')
-                        .ok_or_else(|| format!("bad config item {kv:?}"))?;
-                    match k {
-                        "b_sml" => cfg.b_sml = parse(v)?,
-                        "segments" => cfg.segments = parse(v)?,
-                        "grid" => {
-                            cfg.grid = if v == "arith" {
-                                GridStrategy::Arithmetic
-                            } else if let Some(p) = v.strip_prefix("geom:") {
-                                GridStrategy::Geometric { points: parse(p)? }
-                            } else {
-                                return Err(format!("bad grid {v:?}"));
-                            }
-                        }
-                        "phi" => {
-                            cfg.phi_mode = match v {
-                                "max" => PhiMode::PaperMax,
-                                "min" => PhiMode::ProseMin,
-                                _ => return Err(format!("bad phi {v:?}")),
-                            }
-                        }
-                        "corr" => cfg.enable_correction = parse::<u8>(v)? != 0,
-                        "sarg" => cfg.enable_sargable_model = parse::<u8>(v)? != 0,
-                        "range" => {
-                            cfg.modeling_range = if v == "auto" {
-                                None
-                            } else {
-                                let (lo, hi) = v
-                                    .split_once(',')
-                                    .ok_or_else(|| format!("bad range {v:?}"))?;
-                                Some((parse(lo)?, parse(hi)?))
-                            }
-                        }
-                        _ => return Err(format!("unknown config key {k:?}")),
-                    }
-                }
+                let cfg = match *last_config {
+                    Some((text, cfg)) if text == rest => cfg,
+                    _ => parse_config(rest)?,
+                };
+                *last_config = Some((rest, cfg));
                 self.config = Some(cfg);
             }
             _ => return Err(format!("unknown field {keyword:?}")),
@@ -950,6 +1100,75 @@ impl EntryBuilder {
             config: self.config?,
         })
     }
+}
+
+/// Parses an `fpf` line's `B:F` knots.
+fn parse_fpf(rest: &str) -> Result<PiecewiseLinear, String> {
+    // One knot per `:` in a well-formed line.
+    let mut knots: Vec<(f64, f64)> =
+        Vec::with_capacity(rest.bytes().filter(|&b| b == b':').count());
+    for pair in rest.split_ascii_whitespace() {
+        let (x, y) = pair
+            .split_once(':')
+            .ok_or_else(|| format!("bad knot {pair:?}"))?;
+        let knot = (parse::<f64>(x)?, parse::<f64>(y)?);
+        // `PiecewiseLinear::new` panics on these; a load must not.
+        if !(knot.0.is_finite() && knot.1.is_finite()) {
+            return Err(format!("non-finite knot {pair:?}"));
+        }
+        if knots.last().is_some_and(|&(last, _)| last >= knot.0) {
+            return Err(format!("knot {pair:?} does not increase in x"));
+        }
+        knots.push(knot);
+    }
+    if knots.is_empty() {
+        return Err("empty fpf knot list".into());
+    }
+    Ok(PiecewiseLinear::new(knots))
+}
+
+/// Parses a `config` line's `key=value` items over the defaults.
+fn parse_config(rest: &str) -> Result<EpfisConfig, String> {
+    let mut cfg = EpfisConfig::default();
+    for kv in rest.split_ascii_whitespace() {
+        let (k, v) = kv
+            .split_once('=')
+            .ok_or_else(|| format!("bad config item {kv:?}"))?;
+        match k {
+            "b_sml" => cfg.b_sml = parse(v)?,
+            "segments" => cfg.segments = parse(v)?,
+            "grid" => {
+                cfg.grid = if v == "arith" {
+                    GridStrategy::Arithmetic
+                } else if let Some(p) = v.strip_prefix("geom:") {
+                    GridStrategy::Geometric { points: parse(p)? }
+                } else {
+                    return Err(format!("bad grid {v:?}"));
+                }
+            }
+            "phi" => {
+                cfg.phi_mode = match v {
+                    "max" => PhiMode::PaperMax,
+                    "min" => PhiMode::ProseMin,
+                    _ => return Err(format!("bad phi {v:?}")),
+                }
+            }
+            "corr" => cfg.enable_correction = parse::<u8>(v)? != 0,
+            "sarg" => cfg.enable_sargable_model = parse::<u8>(v)? != 0,
+            "range" => {
+                cfg.modeling_range = if v == "auto" {
+                    None
+                } else {
+                    let (lo, hi) = v
+                        .split_once(',')
+                        .ok_or_else(|| format!("bad range {v:?}"))?;
+                    Some((parse(lo)?, parse(hi)?))
+                }
+            }
+            _ => return Err(format!("unknown config key {k:?}")),
+        }
+    }
+    Ok(cfg)
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String>
@@ -2588,5 +2807,263 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(shared.snapshot().epoch(), 21);
+    }
+
+    /// `n` entries named in order, every one with counters, every third
+    /// with a session: the shape of a large served catalog.
+    fn large(n: usize) -> VersionedCatalog {
+        let s = stats(5);
+        let mut c = VersionedCatalog::new();
+        for i in 0..n {
+            let session = (i % 3 == 0).then_some(i as u64);
+            c.insert_from(
+                format!("t{i:05}.k"),
+                s.clone(),
+                1_700_000_000,
+                Some(counters(7)),
+                session,
+            )
+            .unwrap();
+        }
+        c
+    }
+
+    /// The result of a load as a comparable string: the rendered catalog,
+    /// or the error.
+    fn outcome(parsed: io::Result<VersionedCatalog>) -> String {
+        match parsed {
+            Ok(c) => c.to_text(),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// A seeded catalog text for the chunked-equals-serial property: the
+    /// server or the bare format, names in order or not, with and without
+    /// counters and sessions, and at most one corruption. Returns the text
+    /// and what was done to it.
+    fn seeded_text(seed: u64, pool: &[IndexStatistics]) -> (String, &'static str) {
+        let mut rng = epfis_datagen::Rng::new(seed);
+        let n = rng.gen_range_usize(1, 40);
+        let mut names: Vec<String> = (0..n).map(|i| format!("ix{i:02}.k")).collect();
+        if rng.gen_bool(0.5) {
+            rng.shuffle(&mut names);
+        }
+        let bare = rng.gen_bool(0.25);
+        let mut metas: Vec<String> = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let mut line = format!("meta {name} epoch={} analyzed_at={}", i + 1, 100 + i);
+                if rng.gen_bool(0.5) {
+                    let c = counters(i as u64);
+                    line += &format!(
+                        " cluster_counter={} fetches_b1={} fetches_b3={}",
+                        c.cluster_counter, c.fetches_b1, c.fetches_b3
+                    );
+                }
+                if rng.gen_bool(0.3) {
+                    line += &format!(" session={}", rng.gen_range(9) + 1);
+                }
+                line
+            })
+            .collect();
+        let mut blocks: Vec<String> = names
+            .iter()
+            .map(|name| {
+                let mut block = String::new();
+                let s = &pool[rng.gen_range(pool.len() as u64) as usize];
+                write_entry(&mut block, name, s).unwrap();
+                block
+            })
+            .collect();
+        let what = match rng.gen_range(7) {
+            0 => {
+                // Copy a block to a later place, likely in a later chunk.
+                let from = rng.gen_range_usize(0, n);
+                let to = rng.gen_range_usize(from + 1, n + 1);
+                blocks.insert(to, blocks[from].clone());
+                "duplicate block"
+            }
+            1 => {
+                let i = rng.gen_range_usize(0, n);
+                let (lo, hi) = blocks[i].split_once("\nfpf ").unwrap();
+                let broken = ["x", ":", "1:", "1:2:3", "inf:1", "0:0"][rng.gen_range(6) as usize];
+                blocks[i] = format!("{lo}\nfpf {broken} {hi}");
+                "broken knot"
+            }
+            2 if !bare => {
+                metas.remove(rng.gen_range_usize(0, n));
+                "dropped meta"
+            }
+            3 if !bare => {
+                let at = rng.gen_range_usize(0, n + 1);
+                metas.insert(at, "meta ghost.k epoch=1 analyzed_at=0".into());
+                "stray meta"
+            }
+            4 => "drop a line",
+            _ => "intact",
+        };
+        let mut text = String::new();
+        if !bare {
+            text += &format!("{HEADER}\nepoch {}\n", n + 1);
+            for meta in &metas {
+                text += meta;
+                text.push('\n');
+            }
+            text += &format!("{SEPARATOR}\n");
+        }
+        text += &format!("{BARE_HEADER}\n");
+        for block in &blocks {
+            text += block;
+        }
+        if what == "drop a line" {
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines.remove(rng.gen_range_usize(0, lines.len()));
+            text = lines.join("\n") + "\n";
+        }
+        (text, what)
+    }
+
+    /// Cutting the entry section into 1 to 4 chunks gives what one chunk
+    /// gives: the same catalog, or the same error. `EPFIS_LOAD_SEED=N`
+    /// reruns one seed, `EPFIS_LOAD_SEEDS=N` runs seeds 0..N; every
+    /// failure names its seed.
+    #[test]
+    fn chunked_parse_equals_the_serial_parse_under_seeded_corruptions() {
+        let seeds: Vec<u64> = match (
+            std::env::var("EPFIS_LOAD_SEED"),
+            std::env::var("EPFIS_LOAD_SEEDS"),
+        ) {
+            (Ok(seed), _) => vec![seed.parse().expect("EPFIS_LOAD_SEED must be a u64")],
+            (_, Ok(n)) => (0..n.parse().expect("EPFIS_LOAD_SEEDS must be a u64")).collect(),
+            _ => (0..300).collect(),
+        };
+        let pool = [
+            stats(1),
+            stats(2),
+            two_entries().get("b.y").unwrap().stats.clone(),
+        ];
+        let (mut loaded, mut failed) = (0, 0);
+        for &seed in &seeds {
+            let (text, what) = seeded_text(seed, &pool);
+            let serial = outcome(VersionedCatalog::parse(&text, 1));
+            for chunks in 2..=4 {
+                assert_eq!(
+                    outcome(VersionedCatalog::parse(&text, chunks)),
+                    serial,
+                    "seed {seed} ({what}), {chunks} chunks (EPFIS_LOAD_SEED={seed} reproduces)"
+                );
+            }
+            if serial.starts_with("error: ") {
+                failed += 1;
+            } else {
+                loaded += 1;
+            }
+        }
+        if seeds.len() > 1 {
+            assert!(loaded > 0 && failed > 0, "loaded {loaded}, failed {failed}");
+        }
+    }
+
+    /// A later chunk's errors name the file's line: a bad knot near the
+    /// end, and a name whose two blocks lie in different chunks.
+    #[test]
+    fn errors_in_a_late_chunk_name_the_file_line() {
+        let text = large(10_000).to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        // The third block from the end: 11 lines a block.
+        let fpf = lines.iter().rposition(|l| l.starts_with("fpf ")).unwrap() - 2 * 11;
+        let mut broken = lines.clone();
+        let colon = broken[fpf].find(':').unwrap() + 1;
+        let knot = format!("{}x{}", &broken[fpf][..colon], &broken[fpf][colon..]);
+        broken[fpf] = &knot;
+        let broken = broken.join("\n");
+        let want = format!("parse error at line {}: cannot parse \"x", fpf + 1);
+        for chunks in [1, 2, 4] {
+            let err = outcome(VersionedCatalog::parse(&broken, chunks));
+            assert!(
+                err.starts_with(&format!("error: {want}")),
+                "{chunks} chunks: {err}"
+            );
+        }
+
+        // t00001.k's block again just before the last block: its `end`
+        // line is the error's.
+        let first = text.find("index t00001.k\n").unwrap();
+        let block = &text[first..first + text[first..].find("end\n").unwrap() + 4];
+        let last = text.rfind("index ").unwrap();
+        let dup = format!("{}{block}{}", &text[..last], &text[last..]);
+        let end_line = text[..last].lines().count() + block.lines().count();
+        let want =
+            format!("error: parse error at line {end_line}: duplicate index name \"t00001.k\"");
+        for chunks in [1, 2, 4] {
+            let err = outcome(VersionedCatalog::parse(&dup, chunks));
+            assert!(err.starts_with(&want), "{chunks} chunks: {err}");
+        }
+        assert!(outcome(VersionedCatalog::from_text(&dup)).starts_with(&want));
+    }
+
+    /// A flipped byte in a large snapshot that also breaks its parse is a
+    /// checksum mismatch, whether the checksum or the parse ends first.
+    #[test]
+    fn a_checksum_mismatch_wins_over_the_parse_error_it_causes() {
+        let text = large(5_000).to_text_checksummed();
+        assert!(text.len() > 2 * MIN_CHUNK_BYTES, "{}", text.len());
+        for pos in [
+            text.find("table_pages").unwrap(),
+            text.rfind("b_max").unwrap(),
+        ] {
+            let tampered = text[..pos].to_string() + "X" + &text[pos + 1..];
+            assert!(
+                VersionedCatalog::from_text(&tampered[..tampered.rfind("crc32c").unwrap()])
+                    .is_err()
+            );
+            let err = VersionedCatalog::from_text_checksummed(&tampered)
+                .expect_err("tampered text must not load");
+            assert_eq!(err.to_string(), "catalog checksum mismatch", "pos={pos}");
+        }
+        assert_eq!(
+            VersionedCatalog::from_text_checksummed(&text).unwrap(),
+            large(5_000)
+        );
+    }
+
+    /// The whitespace a file may carry beyond the canonical single spaces
+    /// and `\n`s: CRLF endings, blank lines, blanks around a line, and
+    /// tabs and runs of spaces between the items of a `meta`, `fpf` or
+    /// `config` line. Whitespace outside ASCII is not whitespace to the
+    /// loader.
+    #[test]
+    fn the_loader_accepts_ascii_whitespace_around_and_between_items() {
+        let c = two_entries();
+        let canonical = c.to_text();
+        let spaced: String = canonical
+            .lines()
+            .map(|line| {
+                let line = match line.split_once(' ') {
+                    Some((k @ ("meta" | "fpf" | "config"), rest)) => {
+                        format!("{k} \t {}", rest.replace(' ', "  \t"))
+                    }
+                    Some(("epoch", v)) => format!("epoch \t{v}"),
+                    _ => line.to_string(),
+                };
+                // No line may come between `---` and the entry header.
+                let blank = if line == SEPARATOR { "" } else { "\r\n" };
+                format!(" \t{line}\t  \r\n{blank}")
+            })
+            .collect();
+        for text in [canonical.replace('\n', "\r\n"), spaced] {
+            let back = VersionedCatalog::from_text(&text).unwrap();
+            assert_eq!(back, c);
+            assert_eq!(back.to_text(), canonical);
+        }
+        // A no-break space in place of the space after each line's first
+        // item.
+        for keyword in ["\nmeta ", "\nfpf ", "\nconfig "] {
+            let item = canonical.find(keyword).unwrap() + keyword.len();
+            let space = item + canonical[item..].find(' ').unwrap();
+            let text = format!("{}\u{a0}{}", &canonical[..space], &canonical[space + 1..]);
+            assert!(VersionedCatalog::from_text(&text).is_err(), "{keyword:?}");
+        }
     }
 }
