@@ -391,23 +391,18 @@ fn open_catalog(cmd: &Command, must_exist: bool) -> Result<(SharedCatalog, Strin
 /// latest (a killed process releases it too). `serve` and `analyze` take
 /// it before they load `F`, so two processes never commit to one catalog
 /// at once; the read-only commands take no lock.
-fn lock_catalog(path: &str) -> Result<std::fs::File, CliError> {
+fn lock_catalog(path: &str, vfs: &dyn epfis_faults::Vfs) -> Result<std::fs::File, CliError> {
     let lock_path = format!("{path}.lock");
-    let cannot = |e: std::io::Error| err(format!("cannot lock catalog {path} ({lock_path}): {e}"));
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .truncate(false)
-        .write(true)
-        .open(&lock_path)
-        .map_err(cannot)?;
-    match file.try_lock() {
-        Ok(()) => Ok(file),
-        Err(std::fs::TryLockError::WouldBlock) => Err(err(format!(
-            "catalog {path} is in use: another process holds its lock {lock_path} \
-             (one `epfis serve` or `epfis analyze` at a time may write a catalog)"
-        ))),
-        Err(std::fs::TryLockError::Error(e)) => Err(cannot(e)),
-    }
+    vfs.lock(std::path::Path::new(&lock_path)).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::WouldBlock {
+            err(format!(
+                "catalog {path} is in use: another process holds its lock {lock_path} \
+                 (one `epfis serve` or `epfis analyze` at a time may write a catalog)"
+            ))
+        } else {
+            err(format!("cannot lock catalog {path} ({lock_path}): {e}"))
+        }
+    })
 }
 
 /// The `--name` entry of the catalog file.
@@ -431,7 +426,7 @@ fn query(cmd: &Command) -> Result<ScanQuery, CliError> {
 }
 
 fn analyze(cmd: &Command) -> Result<String, CliError> {
-    let _lock = lock_catalog(&cmd.require::<String>("catalog")?)?;
+    let _lock = lock_catalog(&cmd.require::<String>("catalog")?, &epfis_faults::StdVfs)?;
     let (catalog, path) = open_catalog(cmd, false)?;
     let seed: u64 = cmd.get_or("seed", 0x5EED_EF15)?;
     let config = EpfisConfig::default().with_segments(cmd.get_or("segments", 6usize)?);
@@ -793,7 +788,11 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
         accuracy.drift_threshold = t;
     }
     let catalog_path = cmd.get::<String>("catalog")?;
-    let _lock = catalog_path.as_deref().map(lock_catalog).transpose()?;
+    let lock_vfs = vfs.clone().unwrap_or_else(epfis_faults::StdVfs::shared);
+    let _lock = catalog_path
+        .as_deref()
+        .map(|path| lock_catalog(path, &*lock_vfs))
+        .transpose()?;
     let config = epfis_server::ServerConfig {
         addr,
         catalog_path: catalog_path.map(Into::into),

@@ -796,6 +796,39 @@ fn a_restart_after_sigkill_takes_the_catalog_lock_at_once() {
     assert!(out.status.success(), "{out:?}");
 }
 
+/// A catalog lock that fails (`EPFIS_FAULTS` fails the `Vfs` lock call)
+/// stops `serve` before it loads the catalog: exit 1, a message naming
+/// the catalog, and both catalog files as they were.
+#[test]
+fn a_failed_catalog_lock_stops_serve_and_leaves_the_catalog_alone() {
+    let dir = temp_dir("lock-fault");
+    let catalog = dir.join("cat.scat");
+    let catalog = catalog.to_str().unwrap();
+    let args = ["serve", "--addr", "127.0.0.1:0", "--catalog", catalog];
+    let mut server = spawn_serve(&args[1..], &[]);
+    let out = script(&server.addr, &[], &smoke_script("k.ix"));
+    assert!(out.contains("committed k.ix epoch=1"), "{out}");
+    server.shutdown();
+    let log = format!("{catalog}.log");
+    let files = || (std::fs::read(catalog).ok(), std::fs::read(&log).ok());
+    let before = files();
+    assert!(before.0.is_some() || before.1.is_some(), "no catalog file");
+
+    let out = Command::new(EPFIS)
+        .args(args)
+        .env("EPFIS_FAULTS", "op=lock kind=eio")
+        .stdin(Stdio::null())
+        .output()
+        .expect("run epfis serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot lock catalog {catalog} ")),
+        "{stderr}"
+    );
+    assert!(files() == before, "the catalog files changed");
+}
+
 /// A reader that closes the pipe early (`epfis show | head -1`) ends the
 /// command quietly: no panic, no exit code 101.
 #[test]

@@ -79,6 +79,10 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     /// the directory inode synced, not just file data). Best-effort on
     /// platforms where directories cannot be opened.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+    /// Takes an exclusive lock on the file at `path`, creating it if need
+    /// be, held until the returned handle drops. While another handle
+    /// holds it, fails with [`io::ErrorKind::WouldBlock`].
+    fn lock(&self, path: &Path) -> io::Result<File>;
 }
 
 /// The operation kinds a fault rule can target.
@@ -100,6 +104,8 @@ pub enum OpKind {
     Remove,
     /// [`VfsFile::set_len`].
     Truncate,
+    /// [`Vfs::lock`].
+    Lock,
 }
 
 impl OpKind {
@@ -114,6 +120,7 @@ impl OpKind {
         OpKind::Rename,
         OpKind::Remove,
         OpKind::Truncate,
+        OpKind::Lock,
     ];
 
     fn parse(s: &str) -> Result<OpKind, String> {
@@ -126,6 +133,7 @@ impl OpKind {
             "rename" => OpKind::Rename,
             "remove" => OpKind::Remove,
             "truncate" => OpKind::Truncate,
+            "lock" => OpKind::Lock,
             other => return Err(format!("unknown vfs op {other:?}")),
         })
     }
@@ -142,6 +150,7 @@ impl fmt::Display for OpKind {
             OpKind::Rename => "rename",
             OpKind::Remove => "remove",
             OpKind::Truncate => "truncate",
+            OpKind::Lock => "lock",
         })
     }
 }
@@ -389,7 +398,7 @@ impl Schedule {
 ///
 /// ```text
 /// kind=enospc                      error to inject: enospc | eio | short:K
-/// op=write                         create|open|write|sync_data|sync_dir|rename|remove|truncate
+/// op=write                         create|open|write|sync_data|sync_dir|rename|remove|truncate|lock
 /// path=wal                         only paths containing this substring
 /// at=N                             only the call with global op index N
 /// after=N                          only calls with global op index >= N
@@ -552,6 +561,19 @@ impl Vfs for StdVfs {
         {
             let _ = dir;
             Ok(())
+        }
+    }
+
+    fn lock(&self, path: &Path) -> io::Result<File> {
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(path)?;
+        match file.try_lock() {
+            Ok(()) => Ok(file),
+            Err(fs::TryLockError::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
+            Err(fs::TryLockError::Error(e)) => Err(e),
         }
     }
 }
@@ -718,6 +740,11 @@ impl Vfs for FaultVfs {
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         self.gate(OpKind::SyncDir, dir)?;
         self.inner.sync_dir(dir)
+    }
+
+    fn lock(&self, path: &Path) -> io::Result<File> {
+        self.gate(OpKind::Lock, path)?;
+        self.inner.lock(path)
     }
 }
 
